@@ -34,7 +34,7 @@ P = fixtures.generic_prism(seed=3)
 for v in range(P.n_vertices):
     tri = vertex_figure(P, v)
     by_lemma = classify_by_lemma(tri)
-    by_search = classify_by_definition(tri, grid_res=64)
+    by_search = classify_by_definition(tri)
     marker = "ok" if by_lemma.verdict == by_search.verdict else "MISMATCH"
     print(f"vertex {v}: seven-condition test -> {by_lemma.verdict:4s}   "
           f"witness search -> {by_search.verdict:4s}   [{marker}]")

@@ -30,7 +30,6 @@ from .bifurcation import (
     sheet_planes,
 )
 from .errors import (
-    Borderline,
     InvariantViolation,
     OnBifurcationSet,
     PolytopeError,
@@ -41,8 +40,7 @@ from .geometry import DEFAULT_TOL
 from .normals import morse_profile, normals_from_point, perturb_to_generic, profile_of
 from .spherical import (
     acute_census,
-    classify_by_definition,
-    classify_by_lemma,
+    classify,
     ten_normals_certificate,
     vertex_figure,
 )
@@ -166,11 +164,7 @@ def cmd_classify(args):
     for v in range(P.n_vertices):
         entry = {"vertex": v}
         try:
-            tri = vertex_figure(P, v)
-            try:
-                verdict = classify_by_lemma(tri)
-            except Borderline:
-                verdict = classify_by_definition(tri, grid_res=args.grid)
+            verdict = classify(vertex_figure(P, v))
             entry["verdict"] = verdict.verdict
             if verdict.witness is not None:
                 entry["witness"] = verdict.witness
@@ -192,7 +186,7 @@ def cmd_classify(args):
             for c in acute_census(P)]
     except PolytopeError as exc:
         payload["certificate_error"] = f"{type(exc).__name__}: {exc}"
-    _emit(args, "classify", {"tol": args.tol, "grid": args.grid}, payload, args.file)
+    _emit(args, "classify", {"tol": args.tol}, payload, args.file)
     return 0
 
 
@@ -272,7 +266,6 @@ def build_parser():
 
     p = sub.add_parser("classify", parents=[common],
                        help="nice/skew vertex table and certificates")
-    p.add_argument("--grid", type=int, default=400, help="definition-search grid resolution")
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
 

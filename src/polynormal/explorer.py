@@ -13,30 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .bifurcation import arrangement_planes, chamber_decomposition, monte_carlo_average
-from .errors import Borderline, PolytopeError, RejectionLimit
+from .bifurcation import arrangement_planes, chamber_decomposition, exact_average, monte_carlo_average
+from .errors import PolytopeError, RejectionLimit
 from .fixtures import _random_prism, regular_tetrahedron
-from .geometry import chebyshev_center, dihedral_angle, hull_from_points, planar_angle, polytope_from_halfspaces
+from .geometry import chebyshev_center, hull_from_points, polytope_from_halfspaces, right_angle_defect
 from .normals import count_normals_batch, perturb_to_generic
-from .spherical import classify_by_definition, classify_by_lemma, ray_scan_counts, vertex_figure
+from .spherical import classify, classify_by_definition, ray_scan_counts, vertex_figure
 
 RIGHT_ANGLE_GAP = 1e-4
 
 _TETRA_BASE = np.array([(1.0, 1.0, 1.0), (1.0, -1.0, -1.0),
                         (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)])
-
-
-def _is_generic(P, gap=RIGHT_ANGLE_GAP):
-    if P.dim != 3:
-        return True
-    for e in range(P.n_edges):
-        if abs(dihedral_angle(P, e) - np.pi / 2) < gap:
-            return False
-    for f, cycle in enumerate(P.facet_cycles):
-        for v in cycle:
-            if abs(planar_angle(P, f, int(v)) - np.pi / 2) < gap:
-                return False
-    return True
 
 
 def random_polytope(family, params=None, rng=None, max_tries=200):
@@ -72,11 +59,9 @@ def random_polytope(family, params=None, rng=None, max_tries=200):
                 P = _random_prism(rng, sigma=sigma, max_tries=50)
             else:
                 raise ValueError(f"unknown family {family!r}")
-        except ValueError:
-            raise
         except PolytopeError:
             continue
-        if _is_generic(P):
+        if right_angle_defect(P, RIGHT_ANGLE_GAP) is None:
             return P
     raise RejectionLimit(f"no generic {family} polytope within {max_tries} tries")
 
@@ -114,16 +99,12 @@ def witness_lower_bound(P, rng=None):
         for v in range(P.n_vertices):
             try:
                 tri = vertex_figure(P, v)
-                try:
-                    verdict = classify_by_lemma(tri)
-                    witness = None
-                except Borderline:
-                    verdict = classify_by_definition(tri, grid_res=64)
-                    witness = verdict.witness
+                verdict = classify(tri)
                 if not verdict.is_nice:
                     continue
+                witness = verdict.witness
                 if witness is None:
-                    witness = classify_by_definition(tri, grid_res=64).witness
+                    witness = classify_by_definition(tri).witness
                 if witness is None:
                     continue
                 counts = ray_scan_counts(P, v, witness, planes=planes)
@@ -202,7 +183,7 @@ def scan(config):
             row["N"] = int(N)
             row["chambers"] = len(chambers)
             if config.use_exact_average:
-                row["EN"] = float(sum(c.volume * c.count for c in chambers) / P.volume)
+                row["EN"] = exact_average(P, chambers=chambers)
                 row["EN_method"] = "exact"
             else:
                 est, err = monte_carlo_average(P, config.mc_samples,
@@ -243,12 +224,7 @@ def _nice_vertex_count(P):
     count = 0
     for v in range(P.n_vertices):
         try:
-            tri = vertex_figure(P, v)
-            try:
-                verdict = classify_by_lemma(tri)
-            except Borderline:
-                verdict = classify_by_definition(tri, grid_res=48)
-            count += verdict.is_nice
+            count += classify(vertex_figure(P, v)).is_nice
         except PolytopeError:
             return None
     return count

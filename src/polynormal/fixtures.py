@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import RejectionLimit
+from .errors import PolytopeError, RejectionLimit
 from .geometry import hull_from_points, polytope_from_halfspaces
 
 
@@ -107,7 +107,7 @@ def _random_prism(rng, sigma=0.12, max_tries=200):
             planes.append((n / np.linalg.norm(n), 1.0 + 0.2 * rng.standard_normal()))
         try:
             P = polytope_from_halfspaces(planes)
-        except Exception:
+        except PolytopeError:
             continue
         if (P.n_vertices, P.n_edges, P.n_facets) != (6, 9, 5):
             continue

@@ -418,7 +418,7 @@ def _chebyshev_lp(normals, offsets):
     return res.x[:n], float(res.x[n])
 
 
-def _assert_bounded(normals, offsets, scale):
+def _assert_bounded(normals, offsets):
     A = np.asarray(normals, dtype=float)
     n = A.shape[1]
     for j in range(n):
@@ -454,7 +454,7 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     scale = max(1.0, float(np.abs(offsets).max()))
     if radius <= tol * scale:
         raise Empty("halfspace intersection has empty interior")
-    _assert_bounded(normals, offsets, scale)
+    _assert_bounded(normals, offsets)
     hs = np.column_stack([normals, -offsets])
     try:
         inter = HalfspaceIntersection(hs, center)
@@ -462,7 +462,6 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
         raise DegenerateInput(f"halfspace intersection failed: {exc}") from exc
     pts = inter.intersections
     # cluster duplicate intersection points before hulling
-    keep = []
     grid = np.round(pts / (1e-7 * max(1.0, np.abs(pts).max())))
     _, idx = np.unique(grid, axis=0, return_index=True)
     keep = pts[np.sort(idx)]
@@ -561,6 +560,19 @@ def planar_angle(P, facet, vertex):
     v = P.vertices[vertex]
     u1, u2 = unit(prev_v - v), unit(next_v - v)
     return float(np.arccos(np.clip(u1 @ u2, -1.0, 1.0)))
+
+
+def right_angle_defect(P, tol):
+    """First dihedral or planar angle of a 3-polytope within ``tol`` of a
+    right angle, described, or None when there is none."""
+    for e in range(P.n_edges):
+        if abs(dihedral_angle(P, e) - np.pi / 2) < tol:
+            return f"right dihedral angle at edge {e}"
+    for f, cycle in enumerate(P.facet_cycles):
+        for v in cycle:
+            if abs(planar_angle(P, f, int(v)) - np.pi / 2) < tol:
+                return f"right planar angle at facet {f}, vertex {v}"
+    return None
 
 
 def contains_interior(P, y, tol=None):

@@ -13,8 +13,9 @@ Every witness condition is linear in the witness: X must satisfy
 <X, h> > 0 for twelve fixed unit vectors h (three triangle sides, six
 projection hemispheres, three distance hemispheres).  The min-margin score
 is therefore maximized either at one of the h, or where two or three margins
-tie, so a closed-form candidate enumeration finds the global optimum; the
-barycentric grid pass seeds and cross-checks it.
+tie, so a closed-form candidate enumeration finds the global optimum.
+:func:`classify` is the one route the rest of the package takes: the
+side/angle lemma, or this witness search when the lemma is borderline.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import Borderline, NonSimpleVertex, NotGeneric, NotSimple, ValidationError
-from .geometry import contains_interior, dihedral_angle, planar_angle, unit
-from .normals import count_normals_batch
+from .geometry import contains_interior, dihedral_angle, planar_angle, right_angle_defect, unit
+from .normals import _random_unit, count_normals_batch
 
 RIGHT = np.pi / 2
 
@@ -199,41 +200,6 @@ def _best_witness_enumeration(H):
     return float(scores[best]), X[best]
 
 
-def _best_witness_grid(tri, H, grid_res):
-    """Barycentric grid search with two tenfold refinement rounds."""
-    v = tri.verts
-
-    def evaluate(weights):
-        pts = weights @ v
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        scores = (pts @ H.T).min(axis=1)
-        b = int(np.argmax(scores))
-        return float(scores[b]), pts[b], weights[b]
-
-    grid_res = max(int(grid_res), 4)
-    ii, jj = np.meshgrid(np.arange(grid_res), np.arange(grid_res))
-    ii, jj = ii.ravel(), jj.ravel()
-    keep = ii + jj < grid_res
-    w = np.column_stack([(ii[keep] + 0.5), (jj[keep] + 0.5),
-                         grid_res - (ii[keep] + 0.5) - (jj[keep] + 0.5)]) / grid_res
-    score, x, wbest = evaluate(w)
-    span = 1.0 / grid_res
-    for _ in range(2):
-        lo = np.maximum(wbest - span, 1e-9)
-        steps = np.linspace(0.0, 2 * span, 11)
-        du, dv = np.meshgrid(steps, steps)
-        wa = lo[0] + du.ravel()
-        wb = lo[1] + dv.ravel()
-        wc = 1.0 - wa - wb
-        ok = wc > 1e-9
-        w = np.column_stack([wa[ok], wb[ok], wc[ok]])
-        s2, x2, w2 = evaluate(w)
-        if s2 > score:
-            score, x, wbest = s2, x2, w2
-        span /= 10.0
-    return score, x
-
-
 @dataclass
 class VertexClassification:
     """Nice/skew verdict with its witness or its satisfied condition table."""
@@ -249,18 +215,15 @@ class VertexClassification:
         return self.verdict == "nice"
 
 
-def classify_by_definition(tri, grid_res=400, witness_margin=1e-7,
-                           borderline_band=1e-6):
+def classify_by_definition(tri, witness_margin=1e-7, borderline_band=1e-6):
     """Search the triangle interior for a nice-vertex witness.
 
-    A grid pass (with two local refinement rounds) and an exact candidate
-    enumeration both bound the best witness margin; the verdict is nice iff
-    the margin clears ``witness_margin``.
+    The candidate enumeration gives the best witness margin, the maximum
+    over X of min_h <X, h>; the verdict is nice iff it clears
+    ``witness_margin`` and borderline when it lies within
+    ``borderline_band`` of zero.
     """
-    H = witness_constraints(tri)
-    s_enum, x_enum = _best_witness_enumeration(H)
-    s_grid, x_grid = _best_witness_grid(tri, H, grid_res)
-    score, x = (s_enum, x_enum) if s_enum >= s_grid else (s_grid, x_grid)
+    score, x = _best_witness_enumeration(witness_constraints(tri))
     verdict = "nice" if score >= witness_margin else "skew"
     return VertexClassification(
         verdict=verdict,
@@ -332,6 +295,15 @@ def classify_by_lemma(tri, threshold_tol=1e-9):
                                 conditions=tuple(table))
 
 
+def classify(tri):
+    """Nice/skew verdict by the lemma, or by the definition when the lemma
+    raises Borderline (the returned verdict may then be borderline too)."""
+    try:
+        return classify_by_lemma(tri)
+    except Borderline:
+        return classify_by_definition(tri)
+
+
 def polar_dual_triangle(tri):
     """Triangle of the side poles; swaps sides and angles as a <-> pi - a'."""
     v = tri.verts
@@ -381,16 +353,12 @@ def local_critical_test(P, v, direction):
 def _require_simple_generic(P, right_angle_tol):
     if P.dim != 3 or not P.is_simple():
         raise NotSimple("polytope has a non-simple vertex")
-    for e in range(P.n_edges):
-        if abs(dihedral_angle(P, e) - RIGHT) < right_angle_tol:
-            raise NotGeneric(f"right dihedral angle at edge {e}")
-    for f, cycle in enumerate(P.facet_cycles):
-        for v in cycle:
-            if abs(planar_angle(P, f, int(v)) - RIGHT) < right_angle_tol:
-                raise NotGeneric(f"right planar angle at facet {f}, vertex {v}")
+    defect = right_angle_defect(P, right_angle_tol)
+    if defect is not None:
+        raise NotGeneric(defect)
 
 
-def ten_normals_certificate(P, right_angle_tol=1e-9, grid_res=64):
+def ten_normals_certificate(P, right_angle_tol=1e-9):
     """First nice vertex of a simple generic polytope, or None.
 
     A nice vertex certifies that the maximum concurrent-normal count is at
@@ -398,14 +366,8 @@ def ten_normals_certificate(P, right_angle_tol=1e-9, grid_res=64):
     """
     _require_simple_generic(P, right_angle_tol)
     for v in range(P.n_vertices):
-        tri = vertex_figure(P, v)
-        try:
-            verdict = classify_by_lemma(tri)
-        except Borderline:
-            verdict = classify_by_definition(tri, grid_res=grid_res)
-            if verdict.borderline:
-                continue
-        if verdict.is_nice:
+        verdict = classify(vertex_figure(P, v))
+        if verdict.is_nice and not verdict.borderline:
             return v
     return None
 
@@ -448,7 +410,7 @@ def acute_census(P, right_angle_tol=1e-9):
     return out
 
 
-def normal_fan_tiling(P, grid_res=64):
+def normal_fan_tiling(P):
     """Spherical tiles of the outer normal fan and whether all are skew.
 
     Each tile is the triangle of the three outward facet normals at a vertex,
@@ -463,11 +425,7 @@ def normal_fan_tiling(P, grid_res=64):
         fs = P.vertex_facets[v]
         tri = SphericalTriangle(*(P.facet_normals[f] for f in fs))
         tiles.append(tri)
-        try:
-            verdict = classify_by_lemma(tri)
-        except Borderline:
-            verdict = classify_by_definition(tri, grid_res=grid_res)
-        if verdict.is_nice:
+        if classify(tri).is_nice:
             all_skew = False
     return tiles, all_skew
 
@@ -492,10 +450,10 @@ def random_hemispheric_triangle(rng=None, right_angle_gap=1e-4, min_det=1e-3):
     """Random triangle in an open hemisphere, rejecting near-right sides/angles."""
     rng = default_rng() if rng is None else rng
     while True:
-        pole = _random_unit(rng)
+        pole = _random_unit(rng, 3)
         pts = []
         while len(pts) < 3:
-            x = _random_unit(rng)
+            x = _random_unit(rng, 3)
             if float(x @ pole) > 0.05:
                 pts.append(x)
         try:
@@ -508,15 +466,6 @@ def random_hemispheric_triangle(rng=None, right_angle_gap=1e-4, min_det=1e-3):
                 or np.abs(tri.angles - RIGHT).min() < right_angle_gap):
             continue
         return tri
-
-
-def _random_unit(rng):
-    v = rng.standard_normal(3)
-    n = np.linalg.norm(v)
-    while n < 1e-12:  # pragma: no cover
-        v = rng.standard_normal(3)
-        n = np.linalg.norm(v)
-    return v / n
 
 
 def ray_scan_counts(P, v, direction, planes=None):

@@ -259,7 +259,7 @@ def test_criterion_08_spherical_cross_oracle():
             by_lemma = classify_by_lemma(tri)
         except Borderline:
             continue
-        by_def = classify_by_definition(tri, grid_res=32)
+        by_def = classify_by_definition(tri)
         if by_def.borderline:
             continue
         compared += 1

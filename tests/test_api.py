@@ -1,0 +1,35 @@
+import polynormal
+
+# The public surface of the package.  Renaming or dropping a name breaks
+# callers, so a change here must be deliberate.
+PUBLIC = {
+    # submodules
+    "bifurcation", "errors", "explorer", "fileio", "fixtures", "geometry",
+    "normals", "spherical",
+    # geometry
+    "DEFAULT_TOL", "Face", "Polytope", "chebyshev_center", "cone_contains",
+    "contains_interior", "dihedral_angle", "hull_from_points",
+    "inner_normal_cone", "planar_angle", "polytope_from_halfspaces",
+    # normals
+    "MorseProfile", "NormalRecord", "count_normals_batch", "face_normal_from",
+    "morse_profile", "normals_from_point", "perturb_to_generic",
+    # bifurcation
+    "Chamber", "CrossingEvent", "SheetPlane", "chamber_decomposition",
+    "chamber_report", "check_crossing_rule", "crossing_audit", "exact_average",
+    "max_normals", "monte_carlo_average", "plane_section", "point_on_sheet",
+    "sheet_planes", "spot_check_chamber",
+    # spherical
+    "SphericalTriangle", "VertexClassification", "acute_census",
+    "classify_by_definition", "classify_by_lemma", "local_critical_test",
+    "normal_fan_tiling", "polar_dual_triangle", "random_hemispheric_triangle",
+    "ray_scan_counts", "shell_ratio_check", "spherical_distance",
+    "spherical_project", "ten_normals_certificate", "vertex_figure",
+    # explorer
+    "ScanConfig", "ScanReport", "random_polytope", "scan", "witness_lower_bound",
+    # fileio
+    "read_polytope", "write_polytope",
+}
+
+
+def test_public_names_are_pinned():
+    assert set(polynormal.__all__) == PUBLIC

@@ -14,7 +14,9 @@ from polynormal.geometry import chebyshev_center, dihedral_angle, hull_from_poin
 from polynormal.normals import normals_from_point, perturb_to_generic, profile_of
 from polynormal.spherical import (
     SphericalTriangle,
+    _best_witness_enumeration,
     acute_census,
+    classify,
     classify_by_definition,
     classify_by_lemma,
     local_critical_test,
@@ -27,6 +29,7 @@ from polynormal.spherical import (
     spherical_project,
     ten_normals_certificate,
     vertex_figure,
+    witness_constraints,
 )
 
 
@@ -118,12 +121,18 @@ def test_all_short_sides_is_nice():
     tri = SphericalTriangle([1, 0.02, 0.03], [0.8, 0.6, 0.1], [0.78, 0.08, 0.62])
     assert (tri.sides < np.pi / 2).all()
     assert classify_by_lemma(tri).verdict == "nice"
-    assert classify_by_definition(tri, grid_res=48).verdict == "nice"
+    assert classify_by_definition(tri).verdict == "nice"
 
 
 def test_exact_cube_figure_is_borderline(cube):
+    fig = vertex_figure(cube, 0)
     with pytest.raises(Borderline):
-        classify_by_lemma(vertex_figure(cube, 0))
+        classify_by_lemma(fig)
+    # the one classification route falls back to the definition
+    verdict = classify(fig)
+    by_def = classify_by_definition(fig)
+    assert verdict.score is not None and verdict.conditions is None
+    assert (verdict.verdict, verdict.score) == (by_def.verdict, by_def.score)
     # shrunk well below right angles, the verdict is strictly nice
     shrink = SphericalTriangle(*_triangle_with_sides(np.pi / 2 - 0.01))
     assert classify_by_lemma(shrink).verdict == "nice"
@@ -153,7 +162,7 @@ def test_constructed_skew_triangle_passes_all_conditions():
             table = verdict.conditions
     full_pass = [perm for perm, conds in table if all(conds)]
     assert full_pass, "skew verdict must exhibit a fully satisfied labeling"
-    assert classify_by_definition(tri, grid_res=64).verdict == "skew"
+    assert classify_by_definition(tri).verdict == "skew"
 
 
 def test_classification_cross_oracle():
@@ -165,13 +174,62 @@ def test_classification_cross_oracle():
             by_lemma = classify_by_lemma(tri)
         except Borderline:
             continue
-        by_def = classify_by_definition(tri, grid_res=48)
+        by_def = classify_by_definition(tri)
         if by_def.borderline:
             continue
         assert by_lemma.verdict == by_def.verdict
         agree += 1
         skew += by_lemma.verdict == "skew"
     assert skew > 10
+
+
+def _best_witness_grid(tri, H, grid_res):
+    """Barycentric grid search with two tenfold refinement rounds."""
+    v = tri.verts
+
+    def evaluate(weights):
+        pts = weights @ v
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        scores = (pts @ H.T).min(axis=1)
+        b = int(np.argmax(scores))
+        return float(scores[b]), weights[b]
+
+    ii, jj = np.meshgrid(np.arange(grid_res), np.arange(grid_res))
+    ii, jj = ii.ravel(), jj.ravel()
+    keep = ii + jj < grid_res
+    w = np.column_stack([(ii[keep] + 0.5), (jj[keep] + 0.5),
+                         grid_res - (ii[keep] + 0.5) - (jj[keep] + 0.5)]) / grid_res
+    score, wbest = evaluate(w)
+    span = 1.0 / grid_res
+    for _ in range(2):
+        lo = np.maximum(wbest - span, 1e-9)
+        steps = np.linspace(0.0, 2 * span, 11)
+        du, dv = np.meshgrid(steps, steps)
+        wa = lo[0] + du.ravel()
+        wb = lo[1] + dv.ravel()
+        wc = 1.0 - wa - wb
+        ok = wc > 1e-9
+        s2, w2 = evaluate(np.column_stack([wa[ok], wb[ok], wc[ok]]))
+        if s2 > score:
+            score, wbest = s2, w2
+        span /= 10.0
+    return score
+
+
+def test_enumeration_dominates_grid_search():
+    # the closed-form enumeration is the global optimum of the witness
+    # margin, so no interior grid point may score higher
+    from polynormal.explorer import random_polytope
+    rng = default_rng(21)
+    tris = [random_hemispheric_triangle(rng) for _ in range(700)]
+    for family, n_bodies in (("perturbed_tetra", 40), ("perturbed_prism", 25)):
+        for _ in range(n_bodies):
+            P = random_polytope(family, None, rng)
+            tris.extend(vertex_figure(P, v) for v in range(P.n_vertices))
+    assert len(tris) >= 1000
+    for tri in tris:
+        H = witness_constraints(tri)
+        assert _best_witness_enumeration(H)[0] >= _best_witness_grid(tri, H, 64) - 1e-12
 
 
 def test_polar_dual_swap_and_involution(regular_tetra, cube):
@@ -342,7 +400,7 @@ def test_ray_scan_reaches_ten_on_flat_tetra(flat_tetra_10):
     best = 0
     for v in range(P.n_vertices):
         tri = vertex_figure(P, v)
-        verdict = classify_by_definition(tri, grid_res=64)
+        verdict = classify_by_definition(tri)
         if verdict.is_nice and verdict.witness is not None:
             counts = ray_scan_counts(P, v, verdict.witness)
             if len(counts):
