@@ -2,9 +2,9 @@
 
 Every known simple polytope has an interior point with at least 10 normals;
 whether 8 is attainable is open.  The scanner measures N and EN across a
-random family and flags any simple body whose maximum lands below 10 -- only
-after a recount at hundredfold tighter tolerance, since a numerical 8 is
-almost certainly an artifact.
+random family and flags a simple body whose maximum lands below 10 only when
+the ten-normals certificate finds no nice vertex: a nice vertex proves
+N >= 10, so a low count beside one is an error in the row, not a candidate.
 """
 
 import json

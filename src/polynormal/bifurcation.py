@@ -204,6 +204,26 @@ def _dedup_points(points, eps):
     return points[np.sort(idx)]
 
 
+def _section(verts, s, normal, eps):
+    """Vertices of the polygon a plane cuts from a convex cell.
+
+    ``s`` holds the signed plane distances of ``verts``.  Crossing points of
+    all straddling vertex pairs lie in the cut polygon, and its true vertices
+    (cell-edge crossings and on-plane cell vertices) are among them.
+    """
+    plus = s > eps
+    minus = s < -eps
+    on = ~plus & ~minus
+    vi, vj = verts[plus], verts[minus]
+    si, sj = s[plus], s[minus]
+    denom = si[:, None] - sj[None, :]
+    lam = si[:, None] / denom
+    cross = vi[:, None, :] + lam[..., None] * (vj[None, :, :] - vi[:, None, :])
+    cross = cross.reshape(-1, verts.shape[1])
+    section = np.vstack([cross, verts[on]]) if on.any() else cross
+    return _prune_section(_dedup_points(section, max(eps, 1e-13)), normal)
+
+
 def _split_cell(verts, normal, offset, eps):
     """Split a convex cell (vertex array) by a plane; returns (minus, plus)."""
     s = verts @ normal - offset
@@ -211,21 +231,9 @@ def _split_cell(verts, normal, offset, eps):
         return verts, None
     if s.min() >= -eps:
         return None, verts
-    plus = s > eps
-    minus = s < -eps
-    on = ~plus & ~minus
-    vi, vj = verts[plus], verts[minus]
-    si, sj = s[plus], s[minus]
-    # crossing points of all straddling vertex pairs lie in the cut polygon,
-    # and the polygon's true vertices (cell-edge crossings) are among them
-    denom = si[:, None] - sj[None, :]
-    lam = si[:, None] / denom
-    cross = vi[:, None, :] + lam[..., None] * (vj[None, :, :] - vi[:, None, :])
-    cross = cross.reshape(-1, verts.shape[1])
-    section = np.vstack([cross, verts[on]]) if on.any() else cross
-    section = _prune_section(_dedup_points(section, max(eps, 1e-13)), normal)
-    lo = _dedup_points(np.vstack([verts[minus | on], section]), max(eps, 1e-13))
-    hi = _dedup_points(np.vstack([verts[plus | on], section]), max(eps, 1e-13))
+    section = _section(verts, s, normal, eps)
+    lo = _dedup_points(np.vstack([verts[s <= eps], section]), max(eps, 1e-13))
+    hi = _dedup_points(np.vstack([verts[s >= -eps], section]), max(eps, 1e-13))
     return lo, hi
 
 
@@ -262,24 +270,7 @@ def split_by_planes(P, planes=None, cap=10**6):
 def plane_section(P, normal, offset):
     """Ordered polygon where a plane cuts through the polytope, or None."""
     eps = 1e-12 * max(1.0, P.diameter)
-    verts = P.vertices
-    s = verts @ normal - offset
-    if s.max() <= eps or s.min() >= -eps:
-        on = np.abs(s) <= eps
-        if on.sum() < P.dim:
-            return None
-        pts = verts[on]
-    else:
-        plus, minus = s > eps, s < -eps
-        on = ~plus & ~minus
-        vi, vj = verts[plus], verts[minus]
-        si, sj = s[plus], s[minus]
-        lam = si[:, None] / (si[:, None] - sj[None, :])
-        cross = vi[:, None, :] + lam[..., None] * (vj[None, :, :] - vi[:, None, :])
-        pts = cross.reshape(-1, P.dim)
-        if on.any():
-            pts = np.vstack([pts, verts[on]])
-    pts = _prune_section(_dedup_points(pts, max(eps, 1e-13)), normal)
+    pts = _section(P.vertices, P.vertices @ normal - offset, normal, eps)
     return pts if len(pts) >= P.dim else None
 
 

@@ -11,6 +11,7 @@ POLYNORMAL_TOL environment variable overrides the default tolerance when
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,7 +38,7 @@ from .errors import (
 from .explorer import ScanConfig, scan
 from .fileio import read_polytope, sheets_json, sheets_off_scene
 from .geometry import DEFAULT_TOL
-from .normals import morse_profile, normals_from_point, perturb_to_generic, profile_of
+from .normals import check_profile, normals_from_point, perturb_to_generic, profile_of
 from .spherical import (
     acute_census,
     classify,
@@ -110,7 +111,7 @@ def cmd_count(args):
         records = normals_from_point(P, y)
         perturbed = True
     profile = profile_of(records)
-    morse_profile(P, y)  # assert the count identities
+    check_profile(profile, P.dim)
     payload = {
         "n": profile.total,
         "profile": {"min": profile.minima, "saddle": profile.saddles,
@@ -217,12 +218,31 @@ def cmd_audit(args):
     return 0
 
 
+def _scan_config(raw):
+    """ScanConfig from a parsed JSON document; each value must have its default's type."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"scan config must be a JSON object, got {type(raw).__name__}")
+    defaults = {f.name: f.default for f in dataclasses.fields(ScanConfig)}
+    config = {}
+    for key, value in raw.items():
+        if key not in defaults:
+            raise ValueError(f"unknown scan config key {key!r}")
+        kind = type(defaults[key])
+        if kind is tuple:
+            ok = isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
+        elif kind is float:
+            ok = type(value) in (int, float)
+        else:
+            ok = type(value) is kind
+        if not ok:
+            raise ValueError(f"scan config key {key!r} has a value of the wrong type: {value!r}")
+        config[key] = tuple(value) if kind is tuple else value
+    return ScanConfig(**config)
+
+
 def cmd_scan(args):
     with open(args.config) as fh:
-        raw = json.load(fh)
-    if "facet_range" in raw:
-        raw["facet_range"] = tuple(raw["facet_range"])
-    config = ScanConfig(**raw)
+        config = _scan_config(json.load(fh))
     report = scan(config)
     if not args.quiet:
         sys.stdout.write(report.to_json_lines())

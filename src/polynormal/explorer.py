@@ -1,8 +1,10 @@
 """Random polytope generation and the conjecture scanner.
 
 The scanner searches simple polytopes for maximum normal counts below 10,
-which no example is known to attain; every low count must survive a recount
-at a hundredfold tighter tolerance before it is reported as a candidate.
+which no example is known to attain.  A nice vertex certifies N >= 10
+independently of the chamber count, so a low count is reported as a
+candidate only when the body has no nice vertex; a nice vertex beside a low
+count is an InvariantViolation recorded in the row.
 """
 
 from __future__ import annotations
@@ -14,11 +16,17 @@ import numpy as np
 from numpy.random import default_rng
 
 from .bifurcation import arrangement_planes, chamber_decomposition, exact_average, monte_carlo_average
-from .errors import PolytopeError, RejectionLimit
+from .errors import InvariantViolation, PolytopeError, RejectionLimit
 from .fixtures import _random_prism, regular_tetrahedron
 from .geometry import chebyshev_center, hull_from_points, polytope_from_halfspaces, right_angle_defect
 from .normals import count_normals_batch, perturb_to_generic
-from .spherical import classify, classify_by_definition, ray_scan_counts, vertex_figure
+from .spherical import (
+    classify,
+    classify_by_definition,
+    ray_scan_counts,
+    ten_normals_certificate,
+    vertex_figure,
+)
 
 RIGHT_ANGLE_GAP = 1e-4
 
@@ -127,7 +135,6 @@ class ScanConfig:
     chamber_cap: int = 200_000
     mc_samples: int = 10_000
     use_exact_average: bool = False
-    tighten_factor: float = 100.0
 
     def __post_init__(self):
         lo, hi = self.facet_range
@@ -160,9 +167,11 @@ def scan(config):
     """Generate, measure and summarize random polytopes per the config.
 
     Per-polytope failures are recorded in their row and do not stop the scan.
-    A simple polytope whose maximum count lands below 10 is only reported as
-    a conjecture candidate after a recount at ``tighten_factor`` tighter
-    margins confirms it; the candidate row keeps its full-precision vertices.
+    A simple polytope whose maximum count lands below 10 is reported as a
+    conjecture candidate only when ``ten_normals_certificate`` finds no nice
+    vertex; a nice vertex proves N >= 10, so the low count is recorded as an
+    InvariantViolation in the row instead.  The candidate row keeps its
+    full-precision vertices.
     """
     rows = []
     candidates = []
@@ -194,12 +203,13 @@ def scan(config):
             row["nice_vertices"] = _nice_vertex_count(P)
             n_values.append(int(N))
             if N < 10 and P.is_simple():
-                confirmed = _confirm_low_max(P, config, rng)
-                row["candidate"] = bool(confirmed)
-                if confirmed:
-                    candidates.append({"index": i,
-                                       "N": int(N),
-                                       "vertices": P.vertices.tolist()})
+                v = ten_normals_certificate(P)
+                if v is not None:
+                    raise InvariantViolation(f"chamber maximum {N} < 10 but vertex {v} is nice")
+                row["candidate"] = True
+                candidates.append({"index": i,
+                                   "N": int(N),
+                                   "vertices": P.vertices.tolist()})
         except PolytopeError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             failures += 1
@@ -229,15 +239,3 @@ def _nice_vertex_count(P):
             return None
     return count
 
-
-def _confirm_low_max(P, config, rng):
-    """Recount every chamber at tightened margins before crying wolf."""
-    factor = config.tighten_factor
-    chambers = chamber_decomposition(P, cap=config.chamber_cap, rng=rng)
-    reps = np.array([c.rep_point for c in chambers])
-    m, s, M, marg = count_normals_batch(P, reps,
-                                        rel_margin=1e-8 / factor,
-                                        cone_margin=1e-9 / factor)
-    if marg.any():
-        return False
-    return int((m + s + M).max()) < 10

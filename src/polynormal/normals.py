@@ -6,6 +6,12 @@ normal cone.  Minima live on facets, saddles on edges, maxima on vertices
 (in 2-D: minima on edges, maxima on vertices).  Points within tolerance of
 an active-region boundary raise OnBifurcationSet instead of returning an
 unstable count.
+
+One table drives all counting: ``_face_tests`` evaluates every face's test
+once per point, as an ``active`` mask and a ``near`` (within tolerance of the
+test's boundary) mask per face family.  Batch counts, single-face records,
+full record lists and the stable count of ``perturb_to_generic`` all read it,
+with the fixed margins REL_MARGIN and CONE_MARGIN.
 """
 
 from __future__ import annotations
@@ -90,7 +96,46 @@ def _vertex_margins(P, Y):
     return out
 
 
-def count_normals_batch(P, Y, rel_margin=REL_MARGIN, cone_margin=CONE_MARGIN):
+def _face_keys(P):
+    """Face dimension of each family in ``_face_tests``: facets, edges (3-D), vertices."""
+    return tuple(range(P.dim - 1, -1, -1))
+
+
+def _face_tests(P, Y):
+    """The face-test table: one (active, near) pair of (npts, faces) masks per family.
+
+    ``active`` says the face's test holds (foot inside the face, offset inside
+    its normal cone); ``near`` says the test lands within tolerance of its
+    boundary, where the count is unreliable.
+    """
+    fm = _facet_margins(P, Y)
+    tests = [(fm > 0.0, np.abs(fm) < REL_MARGIN)]
+    if P.dim == 3:
+        rel, cone = _edge_margins(P, Y)
+        near = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
+                | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
+        tests.append(((rel > 0.0) & (cone > 0.0), near))
+    vm = _vertex_margins(P, Y)
+    tests.append((vm > 0.0, np.abs(vm) < CONE_MARGIN))
+    return tests
+
+
+def _record(P, key, y):
+    """The normal from y based on face ``key``, whose test is known to hold."""
+    dim, idx = key
+    if dim == P.dim - 1:
+        n = P.facet_normals[idx]
+        z = y - (y @ n - P.facet_offsets[idx]) * n
+    elif dim == 1:
+        a = P._edge_origin[idx]
+        t = (y - a) @ P._edge_dir[idx]
+        z = a + t * P._edge_dir[idx]
+    else:
+        z = P.vertices[idx].copy()
+    return NormalRecord(key, z, float(np.sum((z - y) ** 2)), (P.dim - 1) - dim)
+
+
+def count_normals_batch(P, Y):
     """Vectorized normal counting for many interior points at once.
 
     Returns (minima, saddles, maxima, marginal): integer arrays of per-point
@@ -98,23 +143,16 @@ def count_normals_batch(P, Y, rel_margin=REL_MARGIN, cone_margin=CONE_MARGIN):
     active-region boundary (their counts are unreliable; perturb and retry).
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    fm = _facet_margins(P, Y)
-    vm = _vertex_margins(P, Y)
-    minima = (fm > 0.0).sum(axis=1)
-    maxima = (vm > 0.0).sum(axis=1)
-    marginal = (np.abs(fm) < rel_margin).any(axis=1) | (np.abs(vm) < cone_margin).any(axis=1)
-    if P.dim == 3:
-        rel, cone = _edge_margins(P, Y)
-        saddles = ((rel > 0.0) & (cone > 0.0)).sum(axis=1)
-        near_edge = (((np.abs(rel) < rel_margin) & (cone > -cone_margin))
-                     | ((np.abs(cone) < cone_margin) & (rel > -rel_margin)))
-        marginal |= near_edge.any(axis=1)
-    else:
-        saddles = np.zeros(len(Y), dtype=int)
+    tests = _face_tests(P, Y)
+    counts = [active.sum(axis=1) for active, _ in tests]
+    if P.dim == 2:
+        counts.insert(1, np.zeros(len(Y), dtype=int))
+    marginal = np.any([near.any(axis=1) for _, near in tests], axis=0)
+    minima, saddles, maxima = counts
     return minima, saddles, maxima, marginal
 
 
-def face_normal_from(P, face, y, rel_margin=REL_MARGIN, cone_margin=CONE_MARGIN):
+def face_normal_from(P, face, y):
     """The normal from y based on the given face, or None.
 
     Raises OnBifurcationSet when a margin test lands within tolerance of its
@@ -125,37 +163,15 @@ def face_normal_from(P, face, y, rel_margin=REL_MARGIN, cone_margin=CONE_MARGIN)
         face = face.key
     dim, idx = face
     y = np.asarray(y, dtype=float)
-    Y = y[None, :]
-    if dim == P.dim - 1:
-        margin = float(_facet_margins(P, Y)[0, idx])
-        if abs(margin) < rel_margin:
-            raise OnBifurcationSet(f"base point within {rel_margin} of facet {idx} rim")
-        if margin < 0.0:
-            return None
-        n = P.facet_normals[idx]
-        z = y - (y @ n - P.facet_offsets[idx]) * n
-    elif dim == 1 and P.dim == 3:
-        rel, cone = _edge_margins(P, Y)
-        r, c = float(rel[0, idx]), float(cone[0, idx])
-        if (abs(r) < rel_margin and c > -cone_margin) or (abs(c) < cone_margin and r > -rel_margin):
-            raise OnBifurcationSet(f"edge {idx} test within tolerance of its boundary")
-        if r < 0.0 or c < 0.0:
-            return None
-        a = P._edge_origin[idx]
-        t = (y - a) @ P._edge_dir[idx]
-        z = a + t * P._edge_dir[idx]
-    else:
-        margin = float(_vertex_margins(P, Y)[0, idx])
-        if abs(margin) < cone_margin:
-            raise OnBifurcationSet(f"vertex {idx} cone test within tolerance")
-        if margin < 0.0:
-            return None
-        z = P.vertices[idx].copy()
-    sq = float(np.sum((z - y) ** 2))
-    return NormalRecord((dim, idx), z, sq, (P.dim - 1) - dim)
+    active, near = _face_tests(P, y[None, :])[_face_keys(P).index(dim)]
+    if near[0, idx]:
+        raise OnBifurcationSet(f"face {(dim, idx)} test within tolerance of its boundary")
+    if not active[0, idx]:
+        return None
+    return _record(P, (dim, idx), y)
 
 
-def normals_from_point(P, y, rel_margin=REL_MARGIN, cone_margin=CONE_MARGIN):
+def normals_from_point(P, y):
     """All normals from an interior point, sorted by squared length.
 
     Raises OnBifurcationSet for non-generic points and ValueError for points
@@ -164,36 +180,13 @@ def normals_from_point(P, y, rel_margin=REL_MARGIN, cone_margin=CONE_MARGIN):
     y = np.asarray(y, dtype=float)
     if not contains_interior(P, y, tol=P.tol * max(1.0, P.diameter)):
         raise ValueError("query point is not strictly interior")
-    Y = y[None, :]
+    tests = _face_tests(P, y[None, :])
     records = []
-    fm = _facet_margins(P, Y)[0]
-    if (np.abs(fm) < rel_margin).any():
-        raise OnBifurcationSet("facet rim test within tolerance")
-    for f in np.nonzero(fm > 0.0)[0]:
-        n = P.facet_normals[f]
-        z = y - (y @ n - P.facet_offsets[f]) * n
-        records.append(NormalRecord((P.dim - 1, int(f)), z,
-                                    float(np.sum((z - y) ** 2)), 0))
-    if P.dim == 3:
-        rel, cone = _edge_margins(P, Y)
-        rel, cone = rel[0], cone[0]
-        bad = (((np.abs(rel) < rel_margin) & (cone > -cone_margin))
-               | ((np.abs(cone) < cone_margin) & (rel > -rel_margin)))
-        if bad.any():
-            raise OnBifurcationSet("edge test within tolerance")
-        for e in np.nonzero((rel > 0.0) & (cone > 0.0))[0]:
-            a = P._edge_origin[e]
-            t = (y - a) @ P._edge_dir[e]
-            z = a + t * P._edge_dir[e]
-            records.append(NormalRecord((1, int(e)), z,
-                                        float(np.sum((z - y) ** 2)), 1))
-    vm = _vertex_margins(P, Y)[0]
-    if (np.abs(vm) < cone_margin).any():
-        raise OnBifurcationSet("vertex cone test within tolerance")
-    for v in np.nonzero(vm > 0.0)[0]:
-        z = P.vertices[v]
-        records.append(NormalRecord((0, int(v)), z.copy(),
-                                    float(np.sum((z - y) ** 2)), P.dim - 1))
+    for dim, (active, near) in zip(_face_keys(P), tests):
+        if near.any():
+            face = (dim, int(near[0].argmax()))
+            raise OnBifurcationSet(f"face {face} test within tolerance of its boundary")
+        records.extend(_record(P, (dim, int(i)), y) for i in np.nonzero(active[0])[0])
     records.sort(key=lambda r: r.sq_dist)
     return records
 
@@ -220,16 +213,15 @@ def check_profile(profile, dim):
         raise InvariantViolation(f"normal count must be even: ({m}, {s}, {M})")
 
 
-def morse_profile(P, y, rel_margin=REL_MARGIN, cone_margin=CONE_MARGIN):
+def morse_profile(P, y):
     """Morse profile at a generic interior point, with invariants asserted."""
-    records = normals_from_point(P, y, rel_margin, cone_margin)
+    records = normals_from_point(P, y)
     profile = profile_of(records)
     check_profile(profile, P.dim)
     return profile
 
 
-def perturb_to_generic(P, y, rng=None, max_tries=100,
-                       rel_margin=REL_MARGIN, cone_margin=CONE_MARGIN):
+def perturb_to_generic(P, y, rng=None, max_tries=100):
     """Nudge y off the bifurcation set without losing stable normals.
 
     Returns y itself when it is already generic.  Otherwise samples nearby
@@ -243,11 +235,11 @@ def perturb_to_generic(P, y, rng=None, max_tries=100,
     interior_tol = P.tol * max(1.0, P.diameter)
     if not contains_interior(P, y, tol=interior_tol):
         raise ValueError("query point is not strictly interior")
-    m, s, M, marginal = count_normals_batch(P, y[None, :], rel_margin, cone_margin)
-    if not marginal[0]:
+    tests = _face_tests(P, y[None, :])
+    if not any(near.any() for _, near in tests):
         return y
     # stable lower bound: faces active with a full margin survive any nearby move
-    stable = int(_stable_count(P, y, rel_margin, cone_margin))
+    stable = sum(int((active & ~near).sum()) for active, near in tests)
     best, best_count = None, -1
     step = max(P.diameter * 1e-7, 10.0 * interior_tol)
     found = 0
@@ -255,7 +247,7 @@ def perturb_to_generic(P, y, rng=None, max_tries=100,
         cand = y + step * _random_unit(rng, P.dim)
         if not contains_interior(P, cand, tol=interior_tol):
             continue
-        cm, cs, cM, cmarg = count_normals_batch(P, cand[None, :], rel_margin, cone_margin)
+        cm, cs, cM, cmarg = count_normals_batch(P, cand[None, :])
         if cmarg[0]:
             if attempt % 8 == 7:
                 step *= 2.0
@@ -279,14 +271,3 @@ def _random_unit(rng, dim):
         n = np.linalg.norm(v)
     return v / n
 
-
-def _stable_count(P, y, rel_margin, cone_margin):
-    Y = y[None, :]
-    fm = _facet_margins(P, Y)[0]
-    total = int((fm > rel_margin).sum())
-    vm = _vertex_margins(P, Y)[0]
-    total += int((vm > cone_margin).sum())
-    if P.dim == 3:
-        rel, cone = _edge_margins(P, Y)
-        total += int(((rel[0] > rel_margin) & (cone[0] > cone_margin)).sum())
-    return total

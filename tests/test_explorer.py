@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from polynormal import fixtures
-from polynormal.bifurcation import max_normals
+from polynormal import explorer, fixtures
+from polynormal.bifurcation import Chamber, max_normals
 from polynormal.explorer import (
     ScanConfig,
     random_polytope,
@@ -11,6 +11,7 @@ from polynormal.explorer import (
     witness_lower_bound,
 )
 from polynormal.geometry import dihedral_angle, planar_angle
+from polynormal.normals import MorseProfile
 
 
 def test_tangent_planes_k4_is_tetrahedron():
@@ -115,3 +116,34 @@ def test_prism_scan_min_ten():
     assert report.summary["min_N"] >= 10
     for row in report.rows:
         assert row["nice_vertices"] >= 1
+
+
+def _eight_normal_chambers(P, **kwargs):
+    # one fake chamber holding the whole body at the conjectured floor of 8
+    return [Chamber(P.vertices, P.centroid, P.volume, 8, MorseProfile(2, 3, 3))]
+
+
+_LOW_PRISM_SCAN = dict(seed=3, n_polytopes=2, shape_family="perturbed_prism",
+                       sigma=0.12, mc_samples=1000)
+
+
+def test_low_count_beside_nice_vertex_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(explorer, "chamber_decomposition", _eight_normal_chambers)
+    report = scan(ScanConfig(**_LOW_PRISM_SCAN))
+    assert report.summary["failures"] == 2
+    assert report.summary["candidates_below_10"] == []
+    for row in report.rows:
+        assert row["N"] == 8
+        assert row["error"].startswith("InvariantViolation")
+        assert "candidate" not in row
+
+
+def test_low_count_without_nice_vertex_is_a_candidate(monkeypatch):
+    monkeypatch.setattr(explorer, "chamber_decomposition", _eight_normal_chambers)
+    monkeypatch.setattr(explorer, "ten_normals_certificate", lambda P: None)
+    report = scan(ScanConfig(**_LOW_PRISM_SCAN))
+    assert report.summary["failures"] == 0
+    assert [c["index"] for c in report.summary["candidates_below_10"]] == [0, 1]
+    for row, cand in zip(report.rows, report.summary["candidates_below_10"]):
+        assert row["candidate"] is True and "error" not in row
+        assert cand["N"] == 8 and len(cand["vertices"]) == 6

@@ -193,6 +193,23 @@ def test_cli_scan(tmp_path, capsys):
     assert "summary" in json.loads(lines[-1])
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"foo": 1}, "'foo'"),
+    ({"facet_range": 5}, "'facet_range'"),
+    ({"seed": 1, "tighten_factor": 100.0}, "'tighten_factor'"),
+    ({"n_polytopes": "3"}, "'n_polytopes'"),
+    ({"facet_range": [4, 5.5]}, "'facet_range'"),
+    ([4, 6], "JSON object"),
+])
+def test_cli_scan_bad_config_is_a_validation_error(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["scan", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert key in captured.err
+
+
 def test_cli_exit_codes(tetra_off, tmp_path, capsys):
     code, _ = run_cli(capsys, "count", "--point", "0,0", str(tetra_off))
     assert code == 2

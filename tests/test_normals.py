@@ -227,3 +227,45 @@ def test_nonsimple_vertex_counts():
     prof = morse_profile(O, y)
     assert prof.total == O.n_faces == 26
     assert prof.as_tuple() == (8, 12, 6)
+
+
+def _every_face(P):
+    return [(d, i) for d in range(P.dim) for i in range(len(P.faces[d]))]
+
+
+def test_face_normal_from_agrees_with_normals_from_point(obtuse_triangle, regular_tetra):
+    # each face asked on its own must reproduce the full record list: same
+    # keys, base points and squared lengths (the edge branch included)
+    octahedron = hull_from_points([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                   (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    rng = default_rng(12)
+    for P in (obtuse_triangle, regular_tetra, fixtures.generic_prism(seed=2), octahedron):
+        pts = sample_interior(P, 80, rng)
+        m, s, M, marg = count_normals_batch(P, pts)
+        edge_records = 0
+        for y in pts[~marg][:20]:
+            expected = {r.face_key: r for r in normals_from_point(P, y)}
+            got = {}
+            for face in _every_face(P):
+                rec = face_normal_from(P, face, y)
+                if rec is not None:
+                    got[rec.face_key] = rec
+            assert got.keys() == expected.keys()
+            for key, rec in got.items():
+                assert np.array_equal(rec.base_point, expected[key].base_point)
+                assert rec.sq_dist == expected[key].sq_dist
+                assert rec.morse_index == expected[key].morse_index
+            edge_records += sum(1 for k in got if k[0] == 1 and P.dim == 3)
+        assert edge_records > 0 or P.dim == 2
+
+
+def test_face_normal_from_raises_on_sheet(obtuse_triangle):
+    ev = crossing_audit(obtuse_triangle, [0.0, 0.12], [-0.7, 0.03])
+    y_on = ev[0].point
+    raised = 0
+    for face in _every_face(obtuse_triangle):
+        try:
+            face_normal_from(obtuse_triangle, face, y_on)
+        except OnBifurcationSet:
+            raised += 1
+    assert raised >= 1
