@@ -16,7 +16,6 @@ config = ScanConfig(
     n_polytopes=12,
     facet_range=(4, 8),
     shape_family="tangent_planes",
-    mc_samples=4000,
 )
 report = scan(config)
 

@@ -4,12 +4,16 @@ The active-region boundaries lie in finitely many planes: one per
 (facet, boundary edge) incidence, orthogonal to the facet through the edge
 ("blue", minimum/saddle events), and one per (edge, endpoint) incidence,
 orthogonal to the edge through the endpoint ("red", maximum/saddle events).
+These are the boundary rows of the face-test table the counting kernel
+reads: a blue plane is a facet rim row of ``Polytope._facet_rims`` and a red
+plane is an edge direction ``Polytope._edge_dir`` placed at an endpoint, so
+the sheet planes are taken from that table rather than rebuilt.
 Splitting the body by the full affine hull of every sheet over-refines the
 true chamber complex but never crosses a sheet, so the count is constant on
 every cell.  In 2-D both sheet families coincide: the lines through each
-vertex orthogonal to its incident edges bound edge strips and vertex cones
-alike, and crossings trade a minimum and a maximum instead of touching
-saddles.
+vertex orthogonal to its incident edges (the polygon's rim rows) bound edge
+strips and vertex cones alike, and crossings trade a minimum and a maximum
+instead of touching saddles.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from .errors import NonTransversal, OnBifurcationSet, TooManyChambers
 from .geometry import unit
 from .normals import MorseProfile, count_normals_batch, perturb_to_generic
 
-PLANE_TOL = 1e-9
+PLANE_TOL = 1e-9        # coincidence of sheet planes: normal cosine and offset
+ON_SHEET_TOL = 1e-7     # point_on_sheet slack, relative to the body's scale
+MIN_REL_VOLUME = 1e-12  # cells below this fraction of Vol P are degenerate
 
 
 @dataclass(frozen=True)
@@ -40,9 +46,6 @@ class SheetPlane:
     color: str
     sources: tuple
 
-    def side(self, points):
-        return np.atleast_2d(points) @ self.normal - self.offset
-
 
 @dataclass
 class Chamber:
@@ -55,80 +58,82 @@ class Chamber:
     profile: MorseProfile
 
 
-def _canonical(normal, offset):
-    n = unit(normal)
-    if n[int(np.argmax(np.abs(n)))] < 0:
-        n, offset = -n, -offset
-    return n, float(offset)
+def _merge(normals, offsets, scale):
+    """Groups of coincident planes, as index arrays in order of first member.
+
+    Planes i and j coincide when |<n_i, n_j> - 1| and |b_i - b_j| / scale are
+    below PLANE_TOL.  Planes whose first coincident plane is the same form one
+    group, and its first member represents it: for planes that coincide only
+    up to rounding noise this is the first-match merge in input order.
+    """
+    first = ((np.abs(normals @ normals.T - 1.0) < PLANE_TOL)
+             & (np.abs(offsets[:, None] - offsets[None, :]) < PLANE_TOL * scale)).argmax(axis=1)
+    order = np.argsort(first, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(first[order])) + 1)
 
 
-def _dedup(raw, scale):
-    """Merge coincident (normal, offset, source) triples into SheetPlanes."""
-    out = []
-    for n, b, color, src in raw:
-        for n0, b0, c0, srcs in out:
-            if c0 == color and abs(n @ n0 - 1.0) < PLANE_TOL and abs(b - b0) < PLANE_TOL * scale:
-                srcs.append(src)
-                break
-        else:
-            out.append((n, b, color, [src]))
-    return [SheetPlane(n, b, c, tuple(srcs)) for n, b, c, srcs in out]
+def _sheets(P, normals, offsets, color, sources):
+    """SheetPlanes of one color from stacked (normal, offset) rows and their sources."""
+    # sign convention: the largest-magnitude normal component is positive
+    pivot = normals[np.arange(len(normals)), np.abs(normals).argmax(axis=1)]
+    sign = np.where(pivot < 0, -1.0, 1.0)
+    normals, offsets = normals * sign[:, None], offsets * sign
+    return [SheetPlane(normals[g[0]], float(offsets[g[0]]), color,
+                       tuple(sources[i] for i in g))
+            for g in _merge(normals, offsets, max(1.0, P.diameter))]
 
 
 def sheet_planes(P):
     """All sheet planes of the bifurcation set, deduplicated per color.
 
     Raw incidence counts (sum of len(sources) per color) are 2E for blue and
-    2E for red in 3-D.
+    2E for red in 3-D.  Blue rows are the facet rim rows in cycle order, red
+    rows the edge directions at each endpoint; in 2-D the rim rows are the
+    lines through each vertex orthogonal to its edge, all blue.
     """
-    scale = max(1.0, P.diameter)
-    raw = []
-    if P.dim == 3:
-        for f, cycle in enumerate(P.facet_cycles):
-            nf = P.facet_normals[f]
-            k = len(cycle)
-            for i in range(k):
-                a, b = int(cycle[i]), int(cycle[(i + 1) % k])
-                e = P.edge_index(a, b)
-                d = unit(P.vertices[b] - P.vertices[a])
-                n = unit(np.cross(d, nf))
-                n, off = _canonical(n, float(n @ P.vertices[a]))
-                raw.append((n, off, "blue", (f, e)))
-        for e, (a, b) in enumerate(P.edges):
-            d = unit(P.vertices[b] - P.vertices[a])
-            for v in (int(a), int(b)):
-                n, off = _canonical(d, float(d @ P.vertices[v]))
-                raw.append((n, off, "red", (e, v)))
-    else:
-        # one family: per (edge, endpoint), the line through the endpoint
-        # orthogonal to the edge
-        for e, (a, b) in enumerate(P.edges):
-            d = unit(P.vertices[b] - P.vertices[a])
-            for v in (int(a), int(b)):
-                n, off = _canonical(d, float(d @ P.vertices[v]))
-                raw.append((n, off, "blue", (e, v)))
-    return _dedup(raw, scale)
+    rims = np.vstack([W for W, _, _ in P._facet_rims])
+    rim_offsets = np.concatenate([c for _, c, _ in P._facet_rims])
+    ends = [(e, v) for e, pair in enumerate(P.edges.tolist()) for v in pair]
+    if P.dim == 2:
+        return _sheets(P, rims, rim_offsets, "blue", ends)
+    edge_id = {(a, b): e for e, (a, b) in enumerate(P.edges.tolist())}
+    rim_edges = [(f, edge_id[min(a, b), max(a, b)])
+                 for f, cycle in enumerate(P.facet_cycles)
+                 for a, b in zip(cycle.tolist(), np.roll(cycle, -1).tolist())]
+    dirs = np.repeat(P._edge_dir, 2, axis=0)
+    dir_offsets = np.einsum("ij,ij->i", dirs, P.vertices[P.edges.ravel()])
+    return (_sheets(P, rims, rim_offsets, "blue", rim_edges)
+            + _sheets(P, dirs, dir_offsets, "red", ends))
 
 
-def arrangement_planes(P, planes=None):
+def arrangement_planes(P):
     """Distinct cutting planes across colors, with the colors each carries."""
-    if planes is None:
-        planes = sheet_planes(P)
-    scale = max(1.0, P.diameter)
-    merged = []
-    for sp in planes:
-        for rec in merged:
-            if (abs(sp.normal @ rec["normal"] - 1.0) < PLANE_TOL
-                    and abs(sp.offset - rec["offset"]) < PLANE_TOL * scale):
-                rec["colors"].add(sp.color)
-                break
-        else:
-            merged.append({"normal": sp.normal, "offset": sp.offset,
-                           "colors": {sp.color}})
-    return merged
+    planes = sheet_planes(P)
+    normals = np.array([sp.normal for sp in planes])
+    offsets = np.array([sp.offset for sp in planes])
+    return [{"normal": planes[g[0]].normal, "offset": planes[g[0]].offset,
+             "colors": {planes[i].color for i in g}}
+            for g in _merge(normals, offsets, max(1.0, P.diameter))]
 
 
-def point_on_sheet(P, sheet, q, tol=1e-7):
+def _line_crossings(planes, origin, direction, lo, hi, eps):
+    """Sorted parameters t where origin + t*direction crosses a plane, and the plane indices.
+
+    Only crossings with lo < t < hi count; planes with |<n, direction>| < eps
+    are taken as parallel to the line.
+    """
+    normals = np.array([rec["normal"] for rec in planes])
+    offsets = np.array([rec["offset"] for rec in planes])
+    dn = normals @ direction
+    idx = np.flatnonzero(np.abs(dn) >= eps)
+    t = (offsets[idx] - normals[idx] @ origin) / dn[idx]
+    keep = (lo < t) & (t < hi)
+    t, idx = t[keep], idx[keep]
+    order = np.argsort(t, kind="stable")
+    return t[order], idx[order]
+
+
+def point_on_sheet(P, sheet, q):
     """Whether q lies on an actual sheet region carried by ``sheet``.
 
     The plane extends beyond the true sheet; this checks q against each
@@ -136,34 +141,27 @@ def point_on_sheet(P, sheet, q, tol=1e-7):
     cone for red).
     """
     q = np.asarray(q, dtype=float)
-    scale = max(1.0, P.diameter)
-    if abs(float(sheet.normal @ q - sheet.offset)) > tol * scale:
+    slack = ON_SHEET_TOL * max(1.0, P.diameter)
+    if abs(float(sheet.normal @ q - sheet.offset)) > slack:
         return False
     for src in sheet.sources:
         if sheet.color == "blue" and P.dim == 3:
             f, e = src
-            a, b = P.edges[e]
-            d = unit(P.vertices[b] - P.vertices[a])
-            t = (q - P.vertices[a]) @ d
-            L = np.linalg.norm(P.vertices[b] - P.vertices[a])
-            if -tol * scale <= t <= L + tol * scale:
-                foot = P.vertices[a] + t * d
-                depth = (q - foot) @ (-P.facet_normals[f])
-                if depth >= -tol * scale:
+            a, d = P._edge_origin[e], P._edge_dir[e]
+            t = (q - a) @ d
+            if -slack <= t <= P._edge_len[e] + slack:
+                foot = a + t * d
+                if (q - foot) @ (-P.facet_normals[f]) >= -slack:
                     return True
         else:
             e, v = src
-            a, b = P.edges[e]
-            d = unit(P.vertices[b] - P.vertices[a])
             w = q - P.vertices[v]
-            if np.linalg.norm(w) < tol * scale:
+            if np.linalg.norm(w) < slack:
                 return True
-            support = P.faces[1][e].cone_support if P.dim == 3 else None
-            if support is None:
-                nf = P.facet_normals[e]
-                ok = (w @ (-nf)) >= -tol * scale
+            if P.dim == 3:
+                ok = (P._edge_support[e] @ w).min() >= -ON_SHEET_TOL * np.linalg.norm(w)
             else:
-                ok = (support @ w).min() >= -tol * np.linalg.norm(w)
+                ok = (w @ (-P.facet_normals[e])) >= -slack
             if ok:
                 return True
     return False
@@ -246,13 +244,11 @@ def _cell_volume(verts, dim):
         return 0.0
 
 
-def split_by_planes(P, planes=None, cap=10**6):
+def split_by_planes(P, cap=10**6):
     """Vertex sets of the arrangement cells inside P (over-refined chambers)."""
-    if planes is None:
-        planes = arrangement_planes(P)
     eps = 1e-12 * max(1.0, P.diameter)
     cells = [P.vertices.copy()]
-    for rec in planes:
+    for rec in arrangement_planes(P):
         n, b = rec["normal"], rec["offset"]
         nxt = []
         for verts in cells:
@@ -279,18 +275,17 @@ def _interior_rep(verts, rng):
     return (verts * w[:, None]).sum(axis=0) / w.sum()
 
 
-def chamber_decomposition(P, planes=None, cap=10**6, rng=None,
-                          min_rel_volume=1e-12):
+def chamber_decomposition(P, cap=10**6, rng=None):
     """Chambers of constant normal count, with volumes and Morse profiles.
 
-    Cells thinner than ``min_rel_volume`` (relative to Vol P) are discarded as
+    Cells thinner than MIN_REL_VOLUME (relative to Vol P) are discarded as
     degenerate.  Representative points are interior vertex-weight jitters so
     they stay inside their own cell even when it is tiny.
     """
     rng = default_rng(0) if rng is None else rng
-    cells = split_by_planes(P, planes, cap)
+    cells = split_by_planes(P, cap)
     kept, volumes = [], []
-    floor = min_rel_volume * P.volume
+    floor = MIN_REL_VOLUME * P.volume
     for verts in cells:
         vol = _cell_volume(verts, P.dim)
         if vol > floor:
@@ -337,25 +332,25 @@ def spot_check_chamber(P, chamber, rng=None, samples=5):
     return True
 
 
-def max_normals(P, chambers=None, cap=10**6, rng=None):
+def max_normals(P, chambers=None):
     """(N, witness chamber): the maximum normal count over all chambers."""
     if chambers is None:
-        chambers = chamber_decomposition(P, cap=cap, rng=rng)
+        chambers = chamber_decomposition(P)
     best = max(chambers, key=lambda c: c.count)
     return best.count, best
 
 
-def exact_average(P, chambers=None, cap=10**6, rng=None):
+def exact_average(P, chambers=None):
     """Volume-weighted average normal count over the chamber decomposition."""
     if chambers is None:
-        chambers = chamber_decomposition(P, cap=cap, rng=rng)
+        chambers = chamber_decomposition(P)
     return float(sum(c.volume * c.count for c in chambers) / P.volume)
 
 
-def chamber_report(P, chambers=None, cap=10**6, rng=None):
+def chamber_report(P, chambers=None):
     """JSON-ready chamber summary: per-cell volume and count, EN and N."""
     if chambers is None:
-        chambers = chamber_decomposition(P, cap=cap, rng=rng)
+        chambers = chamber_decomposition(P)
     return {
         "chambers": [{"volume": float(c.volume), "count": int(c.count)}
                      for c in chambers],
@@ -413,7 +408,7 @@ class CrossingEvent:
         return self.profile_after.total
 
 
-def crossing_audit(P, start, end, rng=None, planes=None):
+def crossing_audit(P, start, end, rng=None):
     """Crossing events along an interior segment, with counts on both sides.
 
     Endpoints are perturbed to generic positions first.  Raises NonTransversal
@@ -422,25 +417,17 @@ def crossing_audit(P, start, end, rng=None, planes=None):
     rng = default_rng(0) if rng is None else rng
     a = perturb_to_generic(P, np.asarray(start, dtype=float), rng)
     b = perturb_to_generic(P, np.asarray(end, dtype=float), rng)
-    if planes is None:
-        planes = arrangement_planes(P)
+    planes = arrangement_planes(P)
     seg = b - a
     seg_len = np.linalg.norm(seg)
     tol_t = max(P.tol, 1e-12) * max(1.0, P.diameter) / max(seg_len, 1e-300)
-    hits = []
-    for rec in planes:
-        denom = float(rec["normal"] @ seg)
-        if abs(denom) < 1e-14 * max(1.0, P.diameter):
-            continue
-        t = (rec["offset"] - float(rec["normal"] @ a)) / denom
-        if tol_t < t < 1.0 - tol_t:
-            hits.append((t, rec))
-    hits.sort(key=lambda h: h[0])
-    for (t1, _), (t2, _) in zip(hits, hits[1:]):
-        if t2 - t1 < tol_t:
-            raise NonTransversal(f"two crossings within tolerance at t={t1:.6g}")
-    cuts = [0.0] + [t for t, _ in hits] + [1.0]
-    mids = np.array([a + 0.5 * (cuts[i] + cuts[i + 1]) * seg for i in range(len(cuts) - 1)])
+    ts, hit = _line_crossings(planes, a, seg, tol_t, 1.0 - tol_t,
+                              1e-14 * max(1.0, P.diameter))
+    close = np.flatnonzero(np.diff(ts) < tol_t)
+    if len(close):
+        raise NonTransversal(f"two crossings within tolerance at t={ts[close[0]]:.6g}")
+    cuts = np.concatenate([[0.0], ts, [1.0]])
+    mids = a + (0.5 * (cuts[:-1] + cuts[1:]))[:, None] * seg
     m, s, M, marg = count_normals_batch(P, mids)
     for i in np.nonzero(marg)[0]:
         lo_t, hi_t = cuts[i], cuts[i + 1]
@@ -453,11 +440,9 @@ def crossing_audit(P, start, end, rng=None, planes=None):
         else:
             raise OnBifurcationSet(f"no generic probe inside interval {i}")
     profiles = [MorseProfile(int(m[i]), int(s[i]), int(M[i])) for i in range(len(mids))]
-    events = []
-    for i, (t, rec) in enumerate(hits):
-        events.append(CrossingEvent(t, a + t * seg, frozenset(rec["colors"]),
-                                    profiles[i], profiles[i + 1]))
-    return events
+    return [CrossingEvent(float(t), a + t * seg, frozenset(planes[j]["colors"]),
+                          profiles[i], profiles[i + 1])
+            for i, (t, j) in enumerate(zip(ts, hit))]
 
 
 def check_crossing_rule(event, dim):

@@ -3,8 +3,9 @@
 Every command prints one key-sorted JSON envelope to stdout carrying the tool
 version, a digest of the input file, the effective parameters (seeds and
 tolerances included, even when defaulted) and the command payload.  Exit
-codes: 0 success, 2 validation error, 3 invariant violation.  The
-POLYNORMAL_TOL environment variable overrides the default tolerance when
+codes: 0 success, 2 validation error, 3 invariant violation.  Each command
+accepts only the flags it reads; any other flag is a usage error (exit 2).
+The POLYNORMAL_TOL environment variable overrides the default tolerance when
 --tol is not given.
 """
 
@@ -255,28 +256,34 @@ def build_parser():
         description="Count, chamber and average concurrent normals of convex polytopes.")
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    env_tol = os.environ.get("POLYNORMAL_TOL")
-    common.add_argument("--tol", type=float,
-                        default=float(env_tol) if env_tol else DEFAULT_TOL,
-                        help="geometric tolerance (default 1e-9 or POLYNORMAL_TOL)")
-    common.add_argument("--chamber-cap", type=int, default=10**6, dest="chamber_cap")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for every randomized step (always reported)")
     common.add_argument("--quiet", action="store_true", help="suppress stdout")
+    with_tol = argparse.ArgumentParser(add_help=False)
+    env_tol = os.environ.get("POLYNORMAL_TOL")
+    with_tol.add_argument("--tol", type=float,
+                          default=float(env_tol) if env_tol else DEFAULT_TOL,
+                          help="geometric tolerance (default 1e-9 or POLYNORMAL_TOL)")
+    with_seed = argparse.ArgumentParser(add_help=False)
+    with_seed.add_argument("--seed", type=int, default=0,
+                           help="seed for every randomized step (always reported)")
+    with_cap = argparse.ArgumentParser(add_help=False)
+    with_cap.add_argument("--chamber-cap", type=int, default=10**6, dest="chamber_cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="normals from a point")
+    p = sub.add_parser("count", parents=[common, with_tol, with_seed],
+                       help="normals from a point")
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("file")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("max", parents=[common], help="maximum count over chambers")
+    p = sub.add_parser("max", parents=[common, with_tol, with_seed, with_cap],
+                       help="maximum count over chambers")
     p.add_argument("--chambers", action="store_true",
                    help="embed the full per-chamber volume/count report")
     p.add_argument("file")
     p.set_defaults(func=cmd_max)
 
-    p = sub.add_parser("average", parents=[common], help="average normal count")
+    p = sub.add_parser("average", parents=[common, with_tol, with_seed, with_cap],
+                       help="average normal count")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", default=True)
     group.add_argument("--mc", type=int, default=None, metavar="N",
@@ -284,17 +291,18 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_average)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, with_tol],
                        help="nice/skew vertex table and certificates")
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("sheets", parents=[common], help="bifurcation sheet planes")
+    p = sub.add_parser("sheets", parents=[common, with_tol], help="bifurcation sheet planes")
     p.add_argument("--export", choices=("json", "off"), default="json")
     p.add_argument("file")
     p.set_defaults(func=cmd_sheets)
 
-    p = sub.add_parser("audit", parents=[common], help="crossing audit along a segment")
+    p = sub.add_parser("audit", parents=[common, with_tol, with_seed],
+                       help="crossing audit along a segment")
     p.add_argument("--from", required=True, help="segment start x,y[,z]")
     p.add_argument("--to", required=True, help="segment end x,y[,z]")
     p.add_argument("file")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .bifurcation import arrangement_planes, chamber_decomposition, exact_average, monte_carlo_average
+from .bifurcation import arrangement_planes, chamber_decomposition, exact_average
 from .errors import InvariantViolation, PolytopeError, RejectionLimit
 from .fixtures import _random_prism, regular_tetrahedron
 from .geometry import chebyshev_center, hull_from_points, polytope_from_halfspaces, right_angle_defect
@@ -133,8 +133,6 @@ class ScanConfig:
     shape_family: str = "tangent_planes"
     sigma: float = 0.25
     chamber_cap: int = 200_000
-    mc_samples: int = 10_000
-    use_exact_average: bool = False
 
     def __post_init__(self):
         lo, hi = self.facet_range
@@ -166,6 +164,7 @@ def _params_for(config, rng):
 def scan(config):
     """Generate, measure and summarize random polytopes per the config.
 
+    Each row's N and exact EN come from one chamber decomposition.
     Per-polytope failures are recorded in their row and do not stop the scan.
     A simple polytope whose maximum count lands below 10 is reported as a
     conjecture candidate only when ``ten_normals_certificate`` finds no nice
@@ -191,15 +190,7 @@ def scan(config):
             N = max(c.count for c in chambers)
             row["N"] = int(N)
             row["chambers"] = len(chambers)
-            if config.use_exact_average:
-                row["EN"] = exact_average(P, chambers=chambers)
-                row["EN_method"] = "exact"
-            else:
-                est, err = monte_carlo_average(P, config.mc_samples,
-                                               seed=int(rng.integers(2**31)))
-                row["EN"] = est
-                row["EN_stderr"] = err
-                row["EN_method"] = "mc"
+            row["EN"] = exact_average(P, chambers=chambers)
             row["nice_vertices"] = _nice_vertex_count(P)
             n_values.append(int(N))
             if N < 10 and P.is_simple():

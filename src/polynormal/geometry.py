@@ -418,17 +418,20 @@ def _chebyshev_lp(normals, offsets):
     return res.x[:n], float(res.x[n])
 
 
-def _assert_bounded(normals, offsets):
-    A = np.asarray(normals, dtype=float)
-    n = A.shape[1]
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[j] = -sign
-            res = linprog(c, A_ub=A, b_ub=offsets, bounds=[(None, None)] * n,
-                          method="highs")
-            if res.status == 3:
-                raise Unbounded("halfspace intersection is unbounded")
+def _assert_bounded(normals):
+    """Raise Unbounded unless the origin lies strictly inside conv(normals).
+
+    {x : <n_i, x> <= b_i} with a nonempty interior is bounded exactly when
+    its unit normals positively span space; too few or coplanar normals make
+    Qhull fail and leave a direction of recession.  The 1e-12 margin is above
+    the rounding noise of unit normals.
+    """
+    try:
+        hull = ConvexHull(normals)
+    except QhullError as exc:
+        raise Unbounded("halfspace intersection is unbounded") from exc
+    if not (hull.equations[:, -1] < -1e-12).all():
+        raise Unbounded("halfspace intersection is unbounded")
 
 
 def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
@@ -454,7 +457,7 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     scale = max(1.0, float(np.abs(offsets).max()))
     if radius <= tol * scale:
         raise Empty("halfspace intersection has empty interior")
-    _assert_bounded(normals, offsets)
+    _assert_bounded(normals)
     hs = np.column_stack([normals, -offsets])
     try:
         inter = HalfspaceIntersection(hs, center)

@@ -101,23 +101,28 @@ def _face_keys(P):
     return tuple(range(P.dim - 1, -1, -1))
 
 
-def _face_tests(P, Y):
-    """The face-test table: one (active, near) pair of (npts, faces) masks per family.
+def _family_tests(P, dim, Y):
+    """One face family's rows of the face-test table: (active, near) (npts, faces) masks.
 
     ``active`` says the face's test holds (foot inside the face, offset inside
     its normal cone); ``near`` says the test lands within tolerance of its
     boundary, where the count is unreliable.
     """
-    fm = _facet_margins(P, Y)
-    tests = [(fm > 0.0, np.abs(fm) < REL_MARGIN)]
-    if P.dim == 3:
+    if dim == P.dim - 1:
+        fm = _facet_margins(P, Y)
+        return fm > 0.0, np.abs(fm) < REL_MARGIN
+    if dim == 1:
         rel, cone = _edge_margins(P, Y)
         near = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
                 | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
-        tests.append(((rel > 0.0) & (cone > 0.0), near))
+        return (rel > 0.0) & (cone > 0.0), near
     vm = _vertex_margins(P, Y)
-    tests.append((vm > 0.0, np.abs(vm) < CONE_MARGIN))
-    return tests
+    return vm > 0.0, np.abs(vm) < CONE_MARGIN
+
+
+def _face_tests(P, Y):
+    """The face-test table: one (active, near) mask pair per family of ``_face_keys``."""
+    return [_family_tests(P, dim, Y) for dim in _face_keys(P)]
 
 
 def _record(P, key, y):
@@ -162,8 +167,10 @@ def face_normal_from(P, face, y):
     if not isinstance(face, tuple):
         face = face.key
     dim, idx = face
+    if dim not in _face_keys(P):
+        raise ValueError(f"no face dimension {dim} in a {P.dim}-polytope")
     y = np.asarray(y, dtype=float)
-    active, near = _face_tests(P, y[None, :])[_face_keys(P).index(dim)]
+    active, near = _family_tests(P, dim, y[None, :])
     if near[0, idx]:
         raise OnBifurcationSet(f"face {(dim, idx)} test within tolerance of its boundary")
     if not active[0, idx]:

@@ -475,35 +475,23 @@ def ray_scan_counts(P, v, direction, planes=None):
     ray, which covers every chamber the ray visits; the maximum sampled count
     is a certified lower bound for the chamber maximum.
     """
-    from .bifurcation import arrangement_planes
+    from .bifurcation import _line_crossings, arrangement_planes
 
     if planes is None:
         planes = arrangement_planes(P)
     origin = P.vertices[v]
     d = unit(np.asarray(direction, dtype=float))
-    # exit parameter
-    t_exit = np.inf
-    for f in range(P.n_facets):
-        dn = float(P.facet_normals[f] @ d)
-        if dn > 1e-14:
-            t_exit = min(t_exit, (P.facet_offsets[f] - float(P.facet_normals[f] @ origin)) / dn)
+    dn = P.facet_normals @ d
+    ahead = dn > 1e-14
+    t_exit = ((P.facet_offsets - P.facet_normals @ origin)[ahead] / dn[ahead]).min(initial=np.inf)
     if not np.isfinite(t_exit) or t_exit <= 0:
         return np.array([], dtype=int)
-    ts = {1e-4 * t_exit, 0.5 * t_exit, (1.0 - 1e-4) * t_exit}
-    cuts = []
-    for rec in planes:
-        dn = float(rec["normal"] @ d)
-        if abs(dn) < 1e-14:
-            continue
-        t = (rec["offset"] - float(rec["normal"] @ origin)) / dn
-        if 0.0 < t < t_exit:
-            cuts.append(t)
-    cuts = sorted(set(cuts))
-    grid = [0.0] + cuts + [t_exit]
-    for lo, hi in zip(grid, grid[1:]):
-        if hi - lo > 1e-12 * max(1.0, t_exit):
-            ts.add(0.5 * (lo + hi))
-    pts = origin[None, :] + np.array(sorted(ts))[:, None] * d[None, :]
+    cuts, _ = _line_crossings(planes, origin, d, 0.0, t_exit, 1e-14)
+    grid = np.concatenate([[0.0], cuts, [t_exit]])
+    wide = np.diff(grid) > 1e-12 * max(1.0, t_exit)
+    ts = np.unique(np.concatenate([[1e-4 * t_exit, 0.5 * t_exit, (1.0 - 1e-4) * t_exit],
+                                   0.5 * (grid[:-1] + grid[1:])[wide]]))
+    pts = origin[None, :] + ts[:, None] * d[None, :]
     tol = P.tol * max(1.0, P.diameter)
     inside = (pts @ P.facet_normals.T <= P.facet_offsets - tol).all(axis=1)
     pts = pts[inside]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
+from scipy.optimize import linear_sum_assignment
 
 from conftest import sample_interior
 from polynormal import fixtures
@@ -18,7 +21,8 @@ from polynormal.bifurcation import (
     spot_check_chamber,
 )
 from polynormal.errors import NonTransversal, TooManyChambers
-from polynormal.geometry import chebyshev_center, unit
+from polynormal.explorer import random_polytope
+from polynormal.geometry import chebyshev_center, hull_from_points, unit
 
 
 def test_sheet_counts_regular_tetra(regular_tetra):
@@ -50,6 +54,127 @@ def test_cube_sheets_lie_on_facet_planes(cube):
         assert hits, f"sheet plane {p} is not a facet plane"
     assert len([p for p in planes if p.color == "blue"]) == 6
     assert len([p for p in planes if p.color == "red"]) == 6
+
+
+def _per_incidence_planes(P):
+    """Reference construction: one plane per incidence, built from the raw
+    geometry and merged greedily into the first coincident plane of its color;
+    returns (sheet planes, arrangement planes) as plain tuples."""
+    def canonical(n, offset):
+        n = unit(n)
+        if n[int(np.argmax(np.abs(n)))] < 0:
+            n, offset = -n, -offset
+        return n, float(offset)
+
+    def coincide(n, b, n0, b0):
+        return abs(n @ n0 - 1.0) < 1e-9 and abs(b - b0) < 1e-9 * max(1.0, P.diameter)
+
+    raw = []
+    if P.dim == 3:
+        for f, cycle in enumerate(P.facet_cycles):
+            k = len(cycle)
+            for i in range(k):
+                a, b = int(cycle[i]), int(cycle[(i + 1) % k])
+                n = unit(np.cross(unit(P.vertices[b] - P.vertices[a]), P.facet_normals[f]))
+                raw.append((*canonical(n, n @ P.vertices[a]), "blue", (f, P.edge_index(a, b))))
+    color = "red" if P.dim == 3 else "blue"
+    for e, (a, b) in enumerate(P.edges):
+        d = unit(P.vertices[b] - P.vertices[a])
+        for v in (int(a), int(b)):
+            raw.append((*canonical(d, d @ P.vertices[v]), color, (e, v)))
+    sheets = []
+    for n, b, c, src in raw:
+        for n0, b0, c0, srcs in sheets:
+            if c0 == c and coincide(n, b, n0, b0):
+                srcs.append(src)
+                break
+        else:
+            sheets.append((n, b, c, [src]))
+    cutting = []
+    for n, b, c, _ in sheets:
+        for n0, b0, colors in cutting:
+            if coincide(n, b, n0, b0):
+                colors.add(c)
+                break
+        else:
+            cutting.append((n, b, {c}))
+    return sheets, cutting
+
+
+def _oracle_bodies():
+    bodies = [fixtures.regular_tetrahedron(), fixtures.cube(), fixtures.box(1.0, 2.0, 3.0),
+              fixtures.perturbed_cube(), fixtures.four_normal_tetrahedron(),
+              fixtures.flat_tetrahedron_10(), fixtures.flat_tetrahedron_12(),
+              fixtures.right_prism(), fixtures.generic_prism(seed=2),
+              fixtures.equilateral_triangle(), fixtures.isoceles_triangle(2.4),
+              fixtures.triangle_from_angles(1.2, 1.0)]
+    bodies += [random_polytope("tangent_planes", {"k": 5 + i % 8}, default_rng([31, i]))
+               for i in range(20)]
+    return bodies
+
+
+def test_sheet_planes_match_per_incidence_oracle():
+    for P in _oracle_bodies():
+        want_sheets, want_cutting = _per_incidence_planes(P)
+        got = sheet_planes(P)
+        assert len(got) == len(want_sheets)
+        for sp, (n, b, color, sources) in zip(got, want_sheets):
+            assert sp.color == color and sp.sources == tuple(sources)
+            assert np.abs(sp.normal - n).max() < 1e-12 and abs(sp.offset - b) < 1e-12
+        got = arrangement_planes(P)
+        assert len(got) == len(want_cutting)
+        for rec, (n, b, colors) in zip(got, want_cutting):
+            assert rec["colors"] == colors
+            assert np.abs(rec["normal"] - n).max() < 1e-12 and abs(rec["offset"] - b) < 1e-12
+
+
+def _sheet_rows(P):
+    return [(sp.normal, sp.offset, sp.color) for sp in sheet_planes(P)]
+
+
+def _canonical_rows(rows):
+    """Per color, the [normal, offset] rows with the largest normal component positive."""
+    out = {}
+    for n, b, color in rows:
+        sign = -1.0 if n[np.argmax(np.abs(n))] < 0 else 1.0
+        out.setdefault(color, []).append(sign * np.append(n, b))
+    return {c: np.array(r) for c, r in out.items()}
+
+
+def _same_rows(want, got):
+    """The two row multisets agree within 1e-9 under some one-to-one matching."""
+    want, got = _canonical_rows(want), _canonical_rows(got)
+    assert want.keys() == got.keys()
+    for c in want:
+        assert want[c].shape == got[c].shape
+        cost = np.abs(want[c][:, None, :] - got[c][None, :, :]).max(axis=2)
+        i, j = linear_sum_assignment(cost)
+        assert cost[i, j].max() < 1e-9
+
+
+def _rotation(a, b, c):
+    ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
+    rz = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
+    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
+    rx = np.array([[1, 0, 0], [0, cc, -sc], [0, sc, cc]])
+    return rz @ ry @ rx
+
+
+_angle = st.floats(-np.pi, np.pi)
+_shift = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(5, 10), data=st.data(),
+       angles=st.tuples(_angle, _angle, _angle), t=st.tuples(_shift, _shift, _shift))
+def test_sheet_rows_invariant_under_permutation_and_rigid_motion(seed, k, data, angles, t):
+    pts = default_rng(seed).standard_normal((k, 3))
+    rows = _sheet_rows(hull_from_points(pts))
+    perm = data.draw(st.permutations(range(k)))
+    _same_rows(rows, _sheet_rows(hull_from_points(pts[perm])))
+    R, t = _rotation(*angles), np.array(t)
+    moved = [(R @ n, b + (R @ n) @ t, c) for n, b, c in rows]
+    _same_rows(moved, _sheet_rows(hull_from_points(pts @ R.T + t)))
 
 
 def test_blue_red_plane_geometry(flat_tetra_10):

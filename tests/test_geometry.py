@@ -56,6 +56,9 @@ def test_halfspaces_cube_and_tetra():
 def test_halfspaces_unbounded_and_empty():
     with pytest.raises(Unbounded):
         polytope_from_halfspaces([([1, 0, 0], 1), ([-1, 0, 0], 1), ([0, 1, 0], 1)])
+    with pytest.raises(Unbounded):
+        # open box: the origin lies on the boundary of conv(normals)
+        polytope_from_halfspaces(CUBE_PLANES[:5])
     with pytest.raises(Empty):
         polytope_from_halfspaces(CUBE_PLANES + [([1, 0, 0], -2)])
 

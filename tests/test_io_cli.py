@@ -185,7 +185,7 @@ def test_cli_audit(tmp_path, capsys, obtuse_triangle):
 def test_cli_scan(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "n_polytopes": 2, "facet_range": [4, 5],
-                               "shape_family": "tangent_planes", "mc_samples": 1000}))
+                               "shape_family": "tangent_planes"}))
     code, out = run_cli(capsys, "scan", "--config", str(cfg))
     assert code == 0
     lines = out.strip().splitlines()
@@ -200,6 +200,7 @@ def test_cli_scan(tmp_path, capsys):
     ({"n_polytopes": "3"}, "'n_polytopes'"),
     ({"facet_range": [4, 5.5]}, "'facet_range'"),
     ([4, 6], "JSON object"),
+    ({"mc_samples": 1000}, "'mc_samples'"),
 ])
 def test_cli_scan_bad_config_is_a_validation_error(tmp_path, capsys, doc, key):
     cfg = tmp_path / "cfg.json"
@@ -208,6 +209,26 @@ def test_cli_scan_bad_config_is_a_validation_error(tmp_path, capsys, doc, key):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert key in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--seed", "99"],
+    ["scan", "--tol", "0.5"],
+    ["scan", "--chamber-cap", "1"],
+    ["classify", "--seed", "5"],
+    ["classify", "--chamber-cap", "1"],
+    ["count", "--point", "0,0,0", "--chamber-cap", "1"],
+    ["sheets", "--seed", "1"],
+    ["audit", "--from", "0,0,0", "--to", "0,0,0.1", "--chamber-cap", "1"],
+])
+def test_cli_flag_not_read_by_command_is_an_error(argv, tetra_off, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_polytopes": 1}))
+    target = ["--config", str(cfg)] if argv[0] == "scan" else [str(tetra_off)]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + target)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tetra_off, tmp_path, capsys):
