@@ -14,6 +14,14 @@ every cell.  In 2-D both sheet families coincide: the lines through each
 vertex orthogonal to its incident edges (the polygon's rim rows) bound edge
 strips and vertex cones alike, and crossings trade a minimum and a maximum
 instead of touching saddles.
+
+The split keeps every cell's vertices in one stacked array.  Each plane
+takes the signed distances of all vertices in one product, and the extreme
+distance per cell (``reduceat`` over the cell starts) picks the cells it
+straddles; only those are cut.  A cut polygon is the Qhull hull of the
+crossing points and on-plane vertices, in a plane basis built once per
+plane, and each half is the strict side's vertices plus that polygon, so no
+point set is rounded to a grid.
 """
 
 from __future__ import annotations
@@ -179,35 +187,35 @@ def _plane_basis(normal):
     return np.array([u, np.cross(n, u)])
 
 
-def _prune_section(points, normal):
-    """Extreme points of a coplanar point cloud (the cut polygon's vertices)."""
+def _prune_section(points, basis, eps):
+    """Extreme points of a coplanar point cloud (the cut polygon's vertices).
+
+    ``basis`` holds orthonormal rows spanning the plane (``_plane_basis``).
+    Qhull keeps two hull vertices that differ by rounding noise (an on-plane
+    cell vertex and a crossing point that lands on it), so a polygon vertex
+    within ``eps`` of the next one in hull order is dropped.
+    """
     if len(points) <= 2:
         return points
-    basis = _plane_basis(normal)
     flat = (points - points[0]) @ basis.T
     if flat.shape[1] == 1:
         imin, imax = int(np.argmin(flat[:, 0])), int(np.argmax(flat[:, 0]))
         return points[[imin, imax]]
     try:
-        hull = ConvexHull(flat)
-        return points[hull.vertices]
+        ring = points[ConvexHull(flat).vertices]
+        return ring[np.abs(ring - np.concatenate((ring[1:], ring[:1]))).max(axis=1) > eps]
     except QhullError:
         span = flat[:, 0] if np.ptp(flat[:, 0]) >= np.ptp(flat[:, 1]) else flat[:, 1]
         return points[[int(np.argmin(span)), int(np.argmax(span))]]
 
 
-def _dedup_points(points, eps):
-    grid = np.round(points / eps)
-    _, idx = np.unique(grid, axis=0, return_index=True)
-    return points[np.sort(idx)]
-
-
-def _section(verts, s, normal, eps):
+def _section(verts, s, basis, eps):
     """Vertices of the polygon a plane cuts from a convex cell.
 
     ``s`` holds the signed plane distances of ``verts``.  Crossing points of
     all straddling vertex pairs lie in the cut polygon, and its true vertices
-    (cell-edge crossings and on-plane cell vertices) are among them.
+    (cell-edge crossings and on-plane cell vertices) are among them;
+    ``_prune_section`` keeps one copy of each.
     """
     plus = s > eps
     minus = s < -eps
@@ -219,20 +227,18 @@ def _section(verts, s, normal, eps):
     cross = vi[:, None, :] + lam[..., None] * (vj[None, :, :] - vi[:, None, :])
     cross = cross.reshape(-1, verts.shape[1])
     section = np.vstack([cross, verts[on]]) if on.any() else cross
-    return _prune_section(_dedup_points(section, max(eps, 1e-13)), normal)
+    return _prune_section(section, basis, eps)
 
 
-def _split_cell(verts, normal, offset, eps):
-    """Split a convex cell (vertex array) by a plane; returns (minus, plus)."""
-    s = verts @ normal - offset
-    if s.max() <= eps:
-        return verts, None
-    if s.min() >= -eps:
-        return None, verts
-    section = _section(verts, s, normal, eps)
-    lo = _dedup_points(np.vstack([verts[s <= eps], section]), max(eps, 1e-13))
-    hi = _dedup_points(np.vstack([verts[s >= -eps], section]), max(eps, 1e-13))
-    return lo, hi
+def _split_cell(verts, s, basis, eps):
+    """(minus, plus) halves of a cell straddling a plane; ``s`` as in ``_section``.
+
+    The cut polygon holds the on-plane vertices, so each half is the strict
+    side's vertices plus the cut polygon.
+    """
+    section = _section(verts, s, basis, eps)
+    return (np.vstack([verts[s < -eps], section]),
+            np.vstack([verts[s > eps], section]))
 
 
 def _cell_volume(verts, dim):
@@ -245,28 +251,43 @@ def _cell_volume(verts, dim):
 
 
 def split_by_planes(P, cap=10**6):
-    """Vertex sets of the arrangement cells inside P (over-refined chambers)."""
+    """Vertex sets of the arrangement cells inside P (over-refined chambers).
+
+    The cells are one stacked vertex array with per-cell sizes.  Each plane
+    takes the signed distances of all vertices at once; only the cells whose
+    extreme distances straddle it are split, the minus half before the plus
+    half, and every other cell stays where it is.
+    """
     eps = 1e-12 * max(1.0, P.diameter)
-    cells = [P.vertices.copy()]
+    verts = P.vertices.copy()
+    sizes = np.array([len(verts)])
     for rec in arrangement_planes(P):
         n, b = rec["normal"], rec["offset"]
-        nxt = []
-        for verts in cells:
-            lo, hi = _split_cell(verts, n, b, eps)
-            if lo is not None:
-                nxt.append(lo)
-            if hi is not None:
-                nxt.append(hi)
-        cells = nxt
-        if len(cells) > cap:
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        s = verts @ n - b
+        cut = np.flatnonzero((np.maximum.reduceat(s, starts) > eps)
+                             & (np.minimum.reduceat(s, starts) < -eps))
+        if len(cut):
+            basis = _plane_basis(n)
+            blocks, block_sizes, pos, at = [], [], 0, 0
+            for c in cut.tolist():
+                lo, hi = _split_cell(verts[starts[c]:ends[c]], s[starts[c]:ends[c]], basis, eps)
+                blocks += [verts[pos:starts[c]], lo, hi]
+                block_sizes += [sizes[at:c], [len(lo), len(hi)]]
+                pos, at = ends[c], c + 1
+            blocks.append(verts[pos:])
+            block_sizes.append(sizes[at:])
+            verts, sizes = np.vstack(blocks), np.concatenate(block_sizes)
+        if len(sizes) > cap:
             raise TooManyChambers(f"arrangement exceeded {cap} cells")
-    return cells
+    return np.split(verts, np.cumsum(sizes)[:-1])
 
 
 def plane_section(P, normal, offset):
     """Ordered polygon where a plane cuts through the polytope, or None."""
     eps = 1e-12 * max(1.0, P.diameter)
-    pts = _section(P.vertices, P.vertices @ normal - offset, normal, eps)
+    pts = _section(P.vertices, P.vertices @ normal - offset, _plane_basis(normal), eps)
     return pts if len(pts) >= P.dim else None
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import (
@@ -81,10 +80,8 @@ class Polytope:
         self.facet_normals = np.array(facet_normals, dtype=float)
         self.facet_offsets = np.array(facet_offsets, dtype=float)
         self.facet_cycles = [np.array(c, dtype=int) for c in facet_cycles]
-        self.diameter = float(
-            max(np.linalg.norm(self.vertices[i] - self.vertices[j])
-                for i in range(len(self.vertices)) for j in range(i + 1, len(self.vertices)))
-        )
+        D = self.vertices[:, None, :] - self.vertices[None, :, :]
+        self.diameter = float(np.sqrt((D[..., None, :] @ D[..., :, None]).max()))
         self._validate_basic()
         if self.dim == 3:
             self._build_edges_3d()
@@ -401,6 +398,9 @@ def _polytope_from_hull_3d(pts, hull, tol):
 
 def _chebyshev_lp(normals, offsets):
     """(center, radius) of the largest inscribed ball of {x : <n, x> <= b}."""
+    # imported here so that reading an OFF file never loads scipy.optimize
+    from scipy.optimize import linprog
+
     A = np.asarray(normals, dtype=float)
     b = np.asarray(offsets, dtype=float)
     m, n = A.shape
@@ -524,6 +524,8 @@ def chebyshev_center(P, rng=None):
     When the optimum center is not unique the optimizer is swept to a vertex
     of the optimal set, which always carries at least dim + 1 tangent facets.
     """
+    from scipy.optimize import linprog
+
     center, radius = _chebyshev_lp(P.facet_normals, P.facet_offsets)
     rng = default_rng(0) if rng is None else rng
     scale = max(1.0, P.diameter)

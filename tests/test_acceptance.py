@@ -2,10 +2,11 @@
 
 Each test prints a PASS line on success (visible with pytest -s); the
 criterion number is in the test name.  Runtime budgets are asserted where
-stated.  Criterion 5 runs the exact chamber maximum on the small-facet
-subset and certifies the rest through sound point-count lower bounds: a full
-arrangement for twelve tangent planes costs tens of seconds per body, which
-does not fit the five-minute budget for a hundred bodies in pure Python.
+stated.  Criterion 5 runs the exact chamber maximum on the bodies with at
+most eight facets and certifies the rest through sound point-count lower
+bounds: a full arrangement for twelve tangent planes costs seconds to tens of
+seconds per body, which does not fit the five-minute budget for a hundred
+bodies in pure Python.
 """
 
 import time
@@ -172,7 +173,7 @@ def test_criterion_05_floor_eight_on_random_polytopes():
         assert prof.total <= P.n_faces
         wlb = witness_lower_bound(P, rng)
         assert 8 <= wlb <= P.n_faces and wlb % 2 == 0
-        if k <= 7:
+        if k <= 8:
             N, _ = max_normals(P)
             assert N >= 8 and N % 2 == 0 and N <= P.n_faces
             assert N >= prof.total

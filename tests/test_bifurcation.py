@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import ConvexHull, QhullError
 
 from conftest import sample_interior
-from polynormal import fixtures
+from polynormal import bifurcation, fixtures
 from polynormal.bifurcation import (
+    _plane_basis,
     arrangement_planes,
     chamber_decomposition,
     check_crossing_rule,
@@ -18,6 +20,7 @@ from polynormal.bifurcation import (
     plane_section,
     point_on_sheet,
     sheet_planes,
+    split_by_planes,
     spot_check_chamber,
 )
 from polynormal.errors import NonTransversal, TooManyChambers
@@ -355,8 +358,99 @@ def test_chamber_cap(flat_tetra_10):
         chamber_decomposition(flat_tetra_10, cap=2)
 
 
+def _grid_split_by_planes(P, cap=10**6):
+    """Reference split: one cell at a time, each cut polygon and each half
+    deduplicated on a rounding grid of the cut tolerance, then pruned by Qhull."""
+    eps = 1e-12 * max(1.0, P.diameter)
+
+    def dedup(points):
+        _, idx = np.unique(np.round(points / eps), axis=0, return_index=True)
+        return points[np.sort(idx)]
+
+    def prune(points, normal):
+        if len(points) <= 2:
+            return points
+        flat = (points - points[0]) @ _plane_basis(normal).T
+        if flat.shape[1] == 1:
+            return points[[int(np.argmin(flat[:, 0])), int(np.argmax(flat[:, 0]))]]
+        try:
+            return points[ConvexHull(flat).vertices]
+        except QhullError:
+            span = flat[:, 0] if np.ptp(flat[:, 0]) >= np.ptp(flat[:, 1]) else flat[:, 1]
+            return points[[int(np.argmin(span)), int(np.argmax(span))]]
+
+    def split(verts, normal, offset):
+        s = verts @ normal - offset
+        if s.max() <= eps:
+            return verts, None
+        if s.min() >= -eps:
+            return None, verts
+        plus, minus = s > eps, s < -eps
+        vi, vj, si, sj = verts[plus], verts[minus], s[plus], s[minus]
+        lam = si[:, None] / (si[:, None] - sj[None, :])
+        cross = (vi[:, None, :] + lam[..., None] * (vj[None, :, :] - vi[:, None, :]))
+        section = np.vstack([cross.reshape(-1, P.dim), verts[~plus & ~minus]])
+        section = prune(dedup(section), normal)
+        return (dedup(np.vstack([verts[s <= eps], section])),
+                dedup(np.vstack([verts[s >= -eps], section])))
+
+    cells = [P.vertices.copy()]
+    for rec in arrangement_planes(P):
+        cells = [half for verts in cells
+                 for half in split(verts, rec["normal"], rec["offset"]) if half is not None]
+        if len(cells) > cap:
+            raise TooManyChambers(f"arrangement exceeded {cap} cells")
+    return cells
+
+
+def _closest_pair(cells):
+    """Smallest distance between two vertices of one cell, over all cells."""
+    def gap(verts):
+        d = np.linalg.norm(verts[:, None] - verts[None], axis=2)
+        return d[np.triu_indices(len(verts), 1)].min()
+    return min(gap(v) for v in cells)
+
+
+def test_split_matches_grid_dedup_oracle(monkeypatch):
+    bodies = [fixtures.cube(), fixtures.regular_tetrahedron(), fixtures.flat_tetrahedron_10(),
+              fixtures.flat_tetrahedron_12(), fixtures.four_normal_tetrahedron(),
+              fixtures.generic_prism(seed=2), fixtures.perturbed_cube(),
+              fixtures.equilateral_triangle(), fixtures.isoceles_triangle(2.4),
+              fixtures.triangle_from_angles(1.2, 1.0)]
+    bodies += [random_polytope("tangent_planes", {"k": k}, default_rng([43, k]))
+               for k in (5, 6, 7, 8)]
+    for P in bodies:
+        cells, ref = split_by_planes(P), _grid_split_by_planes(P)
+        assert len(cells) == len(ref)
+        got = chamber_decomposition(P)
+        with monkeypatch.context() as m:
+            m.setattr(bifurcation, "split_by_planes", lambda P, cap: ref)
+            want = chamber_decomposition(P)
+        assert [c.count for c in got] == [c.count for c in want]
+        vol_got = np.array([c.volume for c in got])
+        vol_want = np.array([c.volume for c in want])
+        assert (np.abs(vol_got - vol_want) <= 1e-9 * vol_want).all()
+        # no rounding-noise twins: vertex pairs closer than 1e-9 * diameter
+        # occur only where the grid route has them too (real thin cells)
+        assert _closest_pair(cells) > min(1e-9 * P.diameter, 0.5 * _closest_pair(ref))
+
+
 def test_plane_section(cube):
     sec = plane_section(cube, np.array([0.0, 0.0, 1.0]), 0.0)
     assert sec is not None and len(sec) == 4
     assert np.allclose(sec[:, 2], 0.0, atol=1e-12)
     assert plane_section(cube, np.array([0.0, 0.0, 1.0]), 5.0) is None
+    # the diagonal plane x = y passes through 4 vertices and crosses 2 edges
+    # at their midpoints, which lie on the section's sides
+    sec = plane_section(cube, unit(np.array([1.0, -1.0, 0.0])), 0.0)
+    assert sec is not None and len(sec) == 4
+    assert {tuple(p) for p in np.round(sec, 9)} == {
+        (x, x, z) for x in (-1.0, 1.0) for z in (-1.0, 1.0)}
+    # a facet's own plane returns that facet's vertices
+    f = int(np.argmax(cube.facet_normals[:, 2]))
+    sec = plane_section(cube, cube.facet_normals[f], cube.facet_offsets[f])
+    assert sec is not None and len(sec) == 4
+    assert ({tuple(p) for p in np.round(sec, 9)}
+            == {tuple(p) for p in np.round(cube.vertices[cube.facet_cycles[f]], 9)})
+    # a plane that touches only an edge cuts no polygon
+    assert plane_section(cube, unit(np.array([1.0, 1.0, 0.0])), np.sqrt(2.0)) is None

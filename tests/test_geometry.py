@@ -204,3 +204,21 @@ def test_facet_normals_unit_and_outward(cube, regular_tetra):
         slack = P.vertices @ P.facet_normals.T - P.facet_offsets
         assert slack.max() < 1e-9
         assert contains_interior(P, P.centroid)
+
+
+def test_diameter_equals_pair_loop():
+    # the stacked product must give the pair loop's value bit for bit
+    from polynormal.explorer import random_polytope
+
+    bodies = [fixtures.regular_tetrahedron(), fixtures.cube(), fixtures.box(1.0, 2.0, 3.0),
+              fixtures.perturbed_cube(), fixtures.generic_prism(seed=2),
+              fixtures.equilateral_triangle(), fixtures.isoceles_triangle(2.4)]
+    bodies += [hull_from_points(default_rng([17, i]).standard_normal((6 + 4 * i, 3)))
+               for i in range(10)]
+    bodies += [random_polytope("tangent_planes", {"k": k}, default_rng([19, k]))
+               for k in (6, 12, 24, 48)]
+    for P in bodies:
+        V = P.vertices
+        want = max(np.linalg.norm(V[i] - V[j])
+                   for i in range(len(V)) for j in range(i + 1, len(V)))
+        assert P.diameter == want

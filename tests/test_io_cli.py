@@ -252,3 +252,21 @@ def test_cli_env_tolerance(tetra_off, capsys, monkeypatch):
 def test_cli_quiet(tetra_off, capsys):
     code, out = run_cli(capsys, "count", "--point", "0,0,0", "--quiet", str(tetra_off))
     assert code == 0 and out == ""
+
+
+def test_reading_off_does_not_load_scipy_optimize(tetra_off):
+    # only the halfspace path and chebyshev_center need linprog
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import polynormal
+
+    src = str(Path(polynormal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, polynormal; polynormal.read_polytope(sys.argv[1]); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tetra_off)],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
