@@ -106,13 +106,7 @@ def witness_lower_bound(P, rng=None):
         planes = arrangement_planes(P)
         for v in range(P.n_vertices):
             try:
-                tri = vertex_figure(P, v)
-                verdict = classify(tri)
-                if not verdict.is_nice:
-                    continue
-                witness = verdict.witness
-                if witness is None:
-                    witness = classify_by_definition(tri).witness
+                witness = classify_by_definition(vertex_figure(P, v)).witness
                 if witness is None:
                     continue
                 counts = ray_scan_counts(P, v, witness, planes=planes)

@@ -13,7 +13,10 @@ Every witness condition is linear in the witness: X must satisfy
 <X, h> > 0 for twelve fixed unit vectors h (three triangle sides, six
 projection hemispheres, three distance hemispheres).  The min-margin score
 is therefore maximized either at one of the h, or where two or three margins
-tie, so a closed-form candidate enumeration finds the global optimum.
+tie, so a closed-form candidate enumeration finds the global optimum.  The
+enumeration is one array pass per triangle over fixed pair and triple index
+tables of the twelve rows: at most 12 + 66 + 2 * 220 = 518 candidates, scored
+by one product with the rows.
 :func:`classify` is the one route the rest of the package takes: the
 side/angle lemma, or this witness search when the lemma is borderline.
 """
@@ -21,6 +24,7 @@ side/angle lemma, or this witness search when the lemma is borderline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -31,6 +35,10 @@ from .geometry import contains_interior, dihedral_angle, planar_angle, right_ang
 from .normals import _random_unit, count_normals_batch
 
 RIGHT = np.pi / 2
+WITNESS_MARGIN = 1e-7   # best witness margin needed for a nice verdict
+BORDERLINE_BAND = 1e-6  # |margin| below this marks a definition verdict borderline
+LEMMA_TOL = 1e-9        # lemma quantities this close to pi/2 raise Borderline
+RIGHT_ANGLE_TOL = 1e-9  # dihedral/planar angles this close to pi/2 are not generic
 
 
 def spherical_distance(x, y):
@@ -98,14 +106,6 @@ class SphericalTriangle:
         """Spherical excess, i.e. the area of the triangle."""
         return float(self.angles.sum() - np.pi)
 
-    def contains(self, x, margin=0.0):
-        v = self.verts
-        for k in range(3):
-            q = _interior_normal(v, k)
-            if float(q @ x) <= margin:
-                return False
-        return True
-
     def __repr__(self):
         s = np.round(self.sides, 4)
         return f"SphericalTriangle(sides={list(s)})"
@@ -168,33 +168,46 @@ def spherical_project(x, y, z):
 
 
 def witness_constraints(tri):
-    """Unit vectors h with <X, h> > 0 iff X is a valid nice-vertex witness."""
+    """Unit vectors h with <X, h> > 0 iff X is a valid nice-vertex witness.
+
+    Rows: the three interior side poles, then per side k the two projection
+    rows (beyond the perpendicular at its first endpoint, before the one at
+    its second), then the three vertices (distance below pi/2).
+    """
     v = tri.verts
-    rows = [_interior_normal(v, k) for k in range(3)]
-    for k in range(3):
-        y, z = v[(k + 1) % 3], v[(k + 2) % 3]
-        g = unit(np.cross(y, z))
-        rows.append(np.cross(g, y))   # beyond the perpendicular at y
-        rows.append(np.cross(z, g))   # before the perpendicular at z
-    rows.extend(v)                     # distance to each vertex below pi/2
-    return np.array(rows)
+    y, z = v[[1, 2, 0]], v[[2, 0, 1]]
+    g = np.cross(y, z)
+    g /= np.linalg.norm(g, axis=1)[:, None]
+    inward = np.where(np.einsum("ij,ij->i", g, v) > 0, 1.0, -1.0)[:, None] * g
+    projection = np.stack([np.cross(g, y), np.cross(z, g)], axis=1).reshape(6, 3)
+    return np.vstack([inward, projection, v])
+
+
+@lru_cache(maxsize=None)
+def _candidate_index(n):
+    """Pair and triple row indices of n witness rows, in combinations order."""
+    pairs = np.array(list(combinations(range(n), 2))).T
+    triples = np.array(list(combinations(range(n), 3))).T
+    return pairs, triples
 
 
 def _best_witness_enumeration(H):
-    """Global maximum of min_h <X, h> by closed-form candidate enumeration."""
-    cands = [H]
-    for i, j in combinations(range(len(H)), 2):
-        s = H[i] + H[j]
-        n = np.linalg.norm(s)
-        if n > 1e-9:
-            cands.append((s / n)[None, :])
-    for i, j, k in combinations(range(len(H)), 3):
-        c = np.cross(H[i] - H[j], H[j] - H[k])
-        n = np.linalg.norm(c)
-        if n > 1e-9:
-            cands.append((c / n)[None, :])
-            cands.append((-c / n)[None, :])
-    X = np.vstack(cands)
+    """Global maximum of min_h <X, h> by closed-form candidate enumeration.
+
+    Candidates, in order: the rows of H, the normalised sums of row pairs,
+    and for each row triple both unit normals (+c, -c) of the plane through
+    the three rows; the argmax breaks ties toward the earliest candidate.
+    """
+    (i, j), (a, b, c) = _candidate_index(len(H))
+    s = H[i] + H[j]
+    ns = np.linalg.norm(s, axis=1)
+    keep = ns > 1e-9
+    s = s[keep] / ns[keep, None]
+    t = np.cross(H[a] - H[b], H[b] - H[c])
+    nt = np.linalg.norm(t, axis=1)
+    keep = nt > 1e-9
+    t = t[keep] / nt[keep, None]
+    X = np.vstack([H, s, np.stack([t, -t], axis=1).reshape(-1, 3)])
     scores = (X @ H.T).min(axis=1)
     best = int(np.argmax(scores))
     return float(scores[best]), X[best]
@@ -215,20 +228,20 @@ class VertexClassification:
         return self.verdict == "nice"
 
 
-def classify_by_definition(tri, witness_margin=1e-7, borderline_band=1e-6):
+def classify_by_definition(tri):
     """Search the triangle interior for a nice-vertex witness.
 
     The candidate enumeration gives the best witness margin, the maximum
     over X of min_h <X, h>; the verdict is nice iff it clears
-    ``witness_margin`` and borderline when it lies within
-    ``borderline_band`` of zero.
+    ``WITNESS_MARGIN`` and borderline when it lies within
+    ``BORDERLINE_BAND`` of zero.
     """
     score, x = _best_witness_enumeration(witness_constraints(tri))
-    verdict = "nice" if score >= witness_margin else "skew"
+    verdict = "nice" if score >= WITNESS_MARGIN else "skew"
     return VertexClassification(
         verdict=verdict,
         witness=x if verdict == "nice" else None,
-        borderline=abs(score) < borderline_band,
+        borderline=abs(score) < BORDERLINE_BAND,
         score=score,
     )
 
@@ -255,15 +268,15 @@ def _foot_of_right_angle(tri, a, b, c):
     return None
 
 
-def classify_by_lemma(tri, threshold_tol=1e-9):
+def classify_by_lemma(tri):
     """Skew iff some relabeling satisfies all seven side/angle conditions.
 
     Raises Borderline when any compared quantity sits within
-    ``threshold_tol`` of its pi/2 threshold.
+    ``LEMMA_TOL`` of its pi/2 threshold.
     """
     sides_ok = np.abs(tri.sides - RIGHT)
     angles_ok = np.abs(tri.angles - RIGHT)
-    if sides_ok.min() < threshold_tol or angles_ok.min() < threshold_tol:
+    if sides_ok.min() < LEMMA_TOL or angles_ok.min() < LEMMA_TOL:
         raise Borderline("a side or angle is within tolerance of pi/2")
     table = []
     skew_found = False
@@ -283,7 +296,7 @@ def classify_by_lemma(tri, threshold_tol=1e-9):
                 conds.append(False)
             else:
                 az = float(tri.verts[a] @ z)
-                if abs(az) < threshold_tol:
+                if abs(az) < LEMMA_TOL:
                     raise Borderline("|AZ| is within tolerance of pi/2")
                 conds.append(bool(az < 0.0))
         else:
@@ -350,21 +363,21 @@ def local_critical_test(P, v, direction):
     return LocalCriticalReport(is_max, tuple(saddle_edges), tuple(min_facets))
 
 
-def _require_simple_generic(P, right_angle_tol):
+def _require_simple_generic(P):
     if P.dim != 3 or not P.is_simple():
         raise NotSimple("polytope has a non-simple vertex")
-    defect = right_angle_defect(P, right_angle_tol)
+    defect = right_angle_defect(P, RIGHT_ANGLE_TOL)
     if defect is not None:
         raise NotGeneric(defect)
 
 
-def ten_normals_certificate(P, right_angle_tol=1e-9):
+def ten_normals_certificate(P):
     """First nice vertex of a simple generic polytope, or None.
 
     A nice vertex certifies that the maximum concurrent-normal count is at
     least 10 (checked against the chamber maximum in the test suite).
     """
-    _require_simple_generic(P, right_angle_tol)
+    _require_simple_generic(P)
     for v in range(P.n_vertices):
         verdict = classify(vertex_figure(P, v))
         if verdict.is_nice and not verdict.borderline:
@@ -390,9 +403,9 @@ class VertexCensus:
                 and not self.acute_planar_between_acute_dihedrals[0])
 
 
-def acute_census(P, right_angle_tol=1e-9):
+def acute_census(P):
     """Per-vertex counts of acute dihedral and planar angles (simple P)."""
-    _require_simple_generic(P, right_angle_tol)
+    _require_simple_generic(P)
     out = []
     for v in range(P.n_vertices):
         acute_edges = tuple(int(e) for e in P.vertex_edges[v]

@@ -1,3 +1,6 @@
+import inspect
+from itertools import combinations
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -12,7 +15,10 @@ from polynormal.errors import (
 )
 from polynormal.geometry import chebyshev_center, dihedral_angle, hull_from_points
 from polynormal.normals import normals_from_point, perturb_to_generic, profile_of
+from polynormal.geometry import unit
 from polynormal.spherical import (
+    BORDERLINE_BAND,
+    WITNESS_MARGIN,
     SphericalTriangle,
     _best_witness_enumeration,
     acute_census,
@@ -230,6 +236,77 @@ def test_enumeration_dominates_grid_search():
     for tri in tris:
         H = witness_constraints(tri)
         assert _best_witness_enumeration(H)[0] >= _best_witness_grid(tri, H, 64) - 1e-12
+
+
+def _witness_constraints_loop(tri):
+    """Witness rows built one side at a time (reference for the stacked build)."""
+    v = tri.verts
+    rows = []
+    for k in range(3):
+        g = unit(np.cross(v[(k + 1) % 3], v[(k + 2) % 3]))
+        rows.append(g if float(g @ v[k]) > 0 else -g)
+    for k in range(3):
+        y, z = v[(k + 1) % 3], v[(k + 2) % 3]
+        g = unit(np.cross(y, z))
+        rows.append(np.cross(g, y))
+        rows.append(np.cross(z, g))
+    rows.extend(v)
+    return np.array(rows)
+
+
+def _best_witness_loop(H):
+    """Candidate enumeration one pair and one triple at a time."""
+    cands = [H]
+    for i, j in combinations(range(len(H)), 2):
+        s = H[i] + H[j]
+        n = np.linalg.norm(s)
+        if n > 1e-9:
+            cands.append((s / n)[None, :])
+    for i, j, k in combinations(range(len(H)), 3):
+        c = np.cross(H[i] - H[j], H[j] - H[k])
+        n = np.linalg.norm(c)
+        if n > 1e-9:
+            cands.append((c / n)[None, :])
+            cands.append((-c / n)[None, :])
+    X = np.vstack(cands)
+    scores = (X @ H.T).min(axis=1)
+    best = int(np.argmax(scores))
+    return float(scores[best]), X[best]
+
+
+def test_batched_enumeration_matches_loop_oracle():
+    # 2 000 random triangles plus the vertex figures of 100 tetrahedra and
+    # 100 prisms: the array enumeration reproduces the loop enumeration's
+    # rows, score, verdict, borderline flag and witness
+    from polynormal.explorer import random_polytope
+    rng = default_rng(88)
+    tris = [random_hemispheric_triangle(rng) for _ in range(2000)]
+    for family in ("perturbed_tetra", "perturbed_prism"):
+        for _ in range(100):
+            P = random_polytope(family, None, rng)
+            tris.extend(vertex_figure(P, v) for v in range(P.n_vertices))
+    assert len(tris) == 3000
+    nice = 0
+    for tri in tris:
+        H = witness_constraints(tri)
+        H_ref = _witness_constraints_loop(tri)
+        assert np.abs(H - H_ref).max() <= 1e-15
+        score_ref, x_ref = _best_witness_loop(H_ref)
+        score, x = _best_witness_enumeration(H)
+        assert abs(score - score_ref) <= 1e-15
+        assert np.abs(x - x_ref).max() <= 1e-12
+        got = classify_by_definition(tri)
+        assert got.score == score
+        assert got.verdict == ("nice" if score_ref >= WITNESS_MARGIN else "skew")
+        assert got.borderline == (abs(score_ref) < BORDERLINE_BAND)
+        nice += got.is_nice
+    assert 0 < nice < len(tris)
+
+
+def test_spherical_tolerances_are_constants():
+    for fn, arg in ((classify_by_definition, "tri"), (classify_by_lemma, "tri"),
+                    (ten_normals_certificate, "P"), (acute_census, "P")):
+        assert list(inspect.signature(fn).parameters) == [arg]
 
 
 def test_polar_dual_swap_and_involution(regular_tetra, cube):
