@@ -7,21 +7,19 @@ orthogonal to the edge through the endpoint ("red", maximum/saddle events).
 These are the boundary rows of the face-test table the counting kernel
 reads: a blue plane is a facet rim row of ``Polytope._facet_rims`` and a red
 plane is an edge direction ``Polytope._edge_dir`` placed at an endpoint, so
-the sheet planes are taken from that table rather than rebuilt.
-Splitting the body by the full affine hull of every sheet over-refines the
-true chamber complex but never crosses a sheet, so the count is constant on
-every cell.  In 2-D both sheet families coincide: the lines through each
-vertex orthogonal to its incident edges (the polygon's rim rows) bound edge
-strips and vertex cones alike, and crossings trade a minimum and a maximum
-instead of touching saddles.
+the sheet planes are taken from that table rather than rebuilt.  In 2-D both
+sheet families coincide: the lines through each vertex orthogonal to its
+incident edges (the polygon's rim rows) bound edge strips and vertex cones
+alike, and crossings trade a minimum and a maximum instead of touching
+saddles.
 
-The split keeps every cell's vertices in one stacked array.  Each plane
-takes the signed distances of all vertices in one product, and the extreme
-distance per cell (``reduceat`` over the cell starts) picks the cells it
-straddles; only those are cut.  A cut polygon is the Qhull hull of the
-crossing points and on-plane vertices, in a plane basis built once per
-plane, and each half is the strict side's vertices plus that polygon, so no
-point set is rounded to a grid.
+Chambers are cut along the region rows (``normals._region_rows``) only where
+a region is undecided, so each cell lies outside every region or inside its
+closure, and its count is read from the rows at its vertices, not sampled.
+All cells share one stacked vertex array: a row's signed distances are one
+product, ``reduceat`` over the cell starts picks the straddled cells, and a
+cut polygon is the Qhull hull of the crossing points and on-plane vertices,
+with no point set rounded to a grid.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NonTransversal, OnBifurcationSet, TooManyChambers
 from .geometry import unit
-from .normals import MorseProfile, count_normals_batch, perturb_to_generic
+from .normals import MorseProfile, _region_rows, count_normals_batch, perturb_to_generic
 
 PLANE_TOL = 1e-9        # coincidence of sheet planes: normal cosine and offset
 ON_SHEET_TOL = 1e-7     # point_on_sheet slack, relative to the body's scale
@@ -57,7 +55,7 @@ class SheetPlane:
 
 @dataclass
 class Chamber:
-    """A convex cell of the sheet arrangement with its constant normal count."""
+    """A convex cell on which every active region is decided, with its normal count."""
 
     vertices: np.ndarray
     rep_point: np.ndarray
@@ -251,36 +249,39 @@ def _cell_volume(verts, dim):
 
 
 def split_by_planes(P, cap=10**6):
-    """Vertex sets of the arrangement cells inside P (over-refined chambers).
+    """Vertex sets of cells inside P on which every active region is decided.
 
-    The cells are one stacked vertex array with per-cell sizes.  Each plane
-    takes the signed distances of all vertices at once; only the cells whose
-    extreme distances straddle it are split, the minus half before the plus
-    half, and every other cell stays where it is.
+    A cell straddling row r of face F is cut along r only while F is not
+    *out* on it (some row of F <= eps at every cell vertex); the minus half
+    comes before the plus half, and every other cell stays where it is.
     """
     eps = 1e-12 * max(1.0, P.diameter)
+    G, c, rows, _ = _region_rows(P)
     verts = P.vertices.copy()
     sizes = np.array([len(verts)])
-    for rec in arrangement_planes(P):
-        n, b = rec["normal"], rec["offset"]
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        s = verts @ n - b
-        cut = np.flatnonzero((np.maximum.reduceat(s, starts) > eps)
-                             & (np.minimum.reduceat(s, starts) < -eps))
-        if len(cut):
-            basis = _plane_basis(n)
-            blocks, block_sizes, pos, at = [], [], 0, 0
-            for c in cut.tolist():
-                lo, hi = _split_cell(verts[starts[c]:ends[c]], s[starts[c]:ends[c]], basis, eps)
-                blocks += [verts[pos:starts[c]], lo, hi]
-                block_sizes += [sizes[at:c], [len(lo), len(hi)]]
-                pos, at = ends[c], c + 1
-            blocks.append(verts[pos:])
-            block_sizes.append(sizes[at:])
-            verts, sizes = np.vstack(blocks), np.concatenate(block_sizes)
-        if len(sizes) > cap:
-            raise TooManyChambers(f"arrangement exceeded {cap} cells")
+    for a, b in zip(rows[:-1], rows[1:]):
+        S = verts @ G[a:b].T - c[a:b]
+        for r in range(b - a):
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            s = S[:, r]
+            cut = np.flatnonzero((np.maximum.reduceat(S, starts).min(axis=1) > eps)
+                                 & (np.minimum.reduceat(s, starts) < -eps))
+            if len(cut):
+                basis = _plane_basis(G[a + r])
+                blocks, block_sizes, pos, at = [], [], 0, 0
+                for i in cut.tolist():
+                    lo, hi = _split_cell(verts[starts[i]:ends[i]], s[starts[i]:ends[i]],
+                                         basis, eps)
+                    blocks += [verts[pos:starts[i]], lo, hi]
+                    block_sizes += [sizes[at:i], [len(lo), len(hi)]]
+                    pos, at = ends[i], i + 1
+                blocks.append(verts[pos:])
+                block_sizes.append(sizes[at:])
+                verts, sizes = np.vstack(blocks), np.concatenate(block_sizes)
+                S = verts @ G[a:b].T - c[a:b]
+            if len(sizes) > cap:
+                raise TooManyChambers(f"chamber split exceeded {cap} cells")
     return np.split(verts, np.cumsum(sizes)[:-1])
 
 
@@ -296,45 +297,29 @@ def _interior_rep(verts, rng):
     return (verts * w[:, None]).sum(axis=0) / w.sum()
 
 
-def chamber_decomposition(P, cap=10**6, rng=None):
+def chamber_decomposition(P, cap=10**6):
     """Chambers of constant normal count, with volumes and Morse profiles.
 
-    Cells thinner than MIN_REL_VOLUME (relative to Vol P) are discarded as
-    degenerate.  Representative points are interior vertex-weight jitters so
-    they stay inside their own cell even when it is tiny.
+    A face counts on a cell of ``split_by_planes`` when each of its region
+    rows exceeds eps at some cell vertex.  Cells below MIN_REL_VOLUME of
+    Vol P are discarded as degenerate; the representative is the vertex mean.
     """
-    rng = default_rng(0) if rng is None else rng
     cells = split_by_planes(P, cap)
-    kept, volumes = [], []
-    floor = MIN_REL_VOLUME * P.volume
-    for verts in cells:
-        vol = _cell_volume(verts, P.dim)
-        if vol > floor:
-            kept.append(verts)
-            volumes.append(vol)
-    reps = np.array([_interior_rep(v, rng) for v in kept])
-    m, s, M, marginal = count_normals_batch(P, reps)
-    drop = []
-    for i in np.nonzero(marginal)[0]:
-        for _ in range(50):
-            cand = _interior_rep(kept[i], rng)
-            cm, cs, cM, cmarg = count_normals_batch(P, cand[None, :])
-            if not cmarg[0]:
-                reps[i], m[i], s[i], M[i] = cand, cm[0], cs[0], cM[0]
-                break
-        else:
-            # the whole cell sits inside a margin band of some face test: a
-            # sub-tolerance sliver of the over-refinement, dropped like a
-            # zero-volume cell (conservation is guarded by the test suite)
-            drop.append(i)
-    chambers = []
-    for i, verts in enumerate(kept):
-        if i in drop:
-            continue
-        profile = MorseProfile(int(m[i]), int(s[i]), int(M[i]))
-        chambers.append(Chamber(verts, reps[i], volumes[i],
-                                profile.total, profile))
-    return chambers
+    volumes = np.array([_cell_volume(verts, P.dim) for verts in cells])
+    keep = np.flatnonzero(volumes > MIN_REL_VOLUME * P.volume)
+    cells = [cells[i] for i in keep]
+    verts = np.vstack(cells)
+    starts = np.cumsum([0] + [len(v) for v in cells[:-1]])
+    eps = 1e-12 * max(1.0, P.diameter)
+    G, c, rows, dims = _region_rows(P)
+    inside = np.column_stack([
+        (np.maximum.reduceat(verts @ G[a:b].T - c[a:b], starts) > eps).all(axis=1)
+        for a, b in zip(rows[:-1], rows[1:])])
+    slot = np.where(dims == 0, 2, P.dim - 1 - dims)  # minima, saddles, maxima
+    counts = np.column_stack([inside[:, slot == k].sum(axis=1) for k in range(3)])
+    profiles = [MorseProfile(*map(int, row)) for row in counts]
+    return [Chamber(cell, cell.mean(axis=0), float(vol), p.total, p)
+            for cell, vol, p in zip(cells, volumes[keep], profiles)]
 
 
 def spot_check_chamber(P, chamber, rng=None, samples=5):

@@ -130,16 +130,14 @@ def cmd_count(args):
 
 def cmd_max(args):
     P = read_polytope(args.file, tol=args.tol)
-    chambers = chamber_decomposition(P, cap=args.chamber_cap,
-                                     rng=default_rng(args.seed))
+    chambers = chamber_decomposition(P, cap=args.chamber_cap)
     N, witness = max_normals(P, chambers=chambers)
     payload = {"N": N, "witness_point": witness.rep_point,
                "chambers": len(chambers)}
     if args.chambers:
         payload = chamber_report(P, chambers=chambers)
         payload["witness_point"] = witness.rep_point
-    _emit(args, "max", {"seed": args.seed, "tol": args.tol,
-                        "chamber_cap": args.chamber_cap,
+    _emit(args, "max", {"tol": args.tol, "chamber_cap": args.chamber_cap,
                         "chambers": args.chambers}, payload, args.file)
     return 0
 
@@ -150,8 +148,7 @@ def cmd_average(args):
         est, err = monte_carlo_average(P, args.mc, seed=args.seed)
         payload = {"EN": est, "stderr": err, "method": "mc", "samples": args.mc}
     else:
-        chambers = chamber_decomposition(P, cap=args.chamber_cap,
-                                         rng=default_rng(args.seed))
+        chambers = chamber_decomposition(P, cap=args.chamber_cap)
         payload = {"EN": exact_average(P, chambers=chambers), "method": "exact",
                    "chambers": len(chambers)}
     _emit(args, "average", {"seed": args.seed, "tol": args.tol,
@@ -275,7 +272,7 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("max", parents=[common, with_tol, with_seed, with_cap],
+    p = sub.add_parser("max", parents=[common, with_tol, with_cap],
                        help="maximum count over chambers")
     p.add_argument("--chambers", action="store_true",
                    help="embed the full per-chamber volume/count report")

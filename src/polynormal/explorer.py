@@ -180,7 +180,7 @@ def scan(config):
             P = random_polytope(config.shape_family, params, rng)
             row["n_facets"] = P.n_facets
             row["n_faces_total"] = P.n_faces
-            chambers = chamber_decomposition(P, cap=config.chamber_cap, rng=rng)
+            chambers = chamber_decomposition(P, cap=config.chamber_cap)
             N = max(c.count for c in chambers)
             row["N"] = int(N)
             row["chambers"] = len(chambers)

@@ -36,26 +36,23 @@ def polytope_from_json(doc, tol=DEFAULT_TOL):
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     if "vertices" in doc:
-        arr = _float_array(doc["vertices"], 3, "vertices")
-        return _from_convex_vertices(arr, tol)
+        return _from_convex_vertices(_float_array(doc["vertices"], (3,), "vertices"), tol)
     if "polygon" in doc:
-        arr = _float_array(doc["polygon"], 2, "polygon")
-        return _from_convex_vertices(arr, tol)
+        return _from_convex_vertices(_float_array(doc["polygon"], (2,), "polygon"), tol)
     if "halfspaces" in doc:
-        rows = doc["halfspaces"]
-        if not rows or not all(len(r) in (3, 4) for r in rows):
-            raise ParseError("halfspaces must be rows [nx, ny, nz, b] or [nx, ny, b]")
-        return polytope_from_halfspaces([np.asarray(r, dtype=float) for r in rows], tol)
+        return polytope_from_halfspaces(_float_array(doc["halfspaces"], (3, 4), "halfspaces"), tol)
     raise ParseError("JSON object needs a 'vertices', 'polygon' or 'halfspaces' key")
 
 
-def _float_array(rows, width, what):
+def _float_array(rows, widths, what):
+    """Finite float rows of one width in ``widths``, or a ParseError naming ``what``."""
+    shape = ParseError(f"{what} must be rows of {' or '.join(map(str, widths))} numbers")
     try:
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"non-numeric entry in {what}") from exc
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ParseError(f"{what} must be rows of {width} numbers")
+        raise shape from exc
+    if arr.ndim != 2 or arr.shape[1] not in widths:
+        raise shape
     if not np.isfinite(arr).all():
         raise ParseError(f"non-finite entry in {what}")
     return arr

@@ -125,6 +125,26 @@ def _face_tests(P, Y):
     return [_family_tests(P, dim, Y) for dim in _face_keys(P)]
 
 
+def _region_rows(P):
+    """Active regions as rows (G, c, starts, dims), faces in ``_face_keys`` order.
+
+    Face i owns rows starts[i]:starts[i + 1] and has dimension dims[i]; y is in
+    its region exactly when G y - c > 0 on each: the face tests without their
+    positive normalisations.
+    """
+    families = [[(W, c) for W, c, _ in P._facet_rims]]
+    if P.dim == 3:
+        d, a, h = P._edge_dir, P._edge_origin, P._edge_support
+        da = np.einsum("ed,ed->e", d, a)
+        families.append(list(zip(np.stack([d, -d, h[:, 0], h[:, 1]], axis=1),
+                                 np.column_stack([da, -da - P._edge_len,
+                                                  np.einsum("ekd,ed->ek", h, a)]))))
+    families.append([(D, D @ P.vertices[v]) for v, D in enumerate(P._vertex_dirs)])
+    G, c = zip(*(face for family in families for face in family))
+    dims = np.repeat(_face_keys(P), [len(family) for family in families])
+    return np.vstack(G), np.concatenate(c), np.cumsum([0] + [len(g) for g in G]), dims
+
+
 def _record(P, key, y):
     """The normal from y based on face ``key``, whose test is known to hold."""
     dim, idx = key

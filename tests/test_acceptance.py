@@ -342,7 +342,7 @@ def test_criterion_10_averages():
     assert est == 14.0 and err == 0.0
     for i in range(50):
         P = random_polytope("perturbed_tetra", {"sigma": 0.35}, rng)
-        chambers = chamber_decomposition(P, rng=rng)
+        chambers = chamber_decomposition(P)
         en = exact_average(P, chambers=chambers)
         assert 4.0 < en <= 14.0 + 1e-12
         est, err = monte_carlo_average(P, 2000, seed=5000 + i)
@@ -364,7 +364,7 @@ def test_criterion_11_volume_conservation_and_constancy():
               fixtures.isoceles_triangle(2.8), fixtures.equilateral_triangle(),
               fixtures.perturbed_cube(), fixtures.generic_prism(seed=4)]
     for P in bodies:
-        chambers = chamber_decomposition(P, rng=rng)
+        chambers = chamber_decomposition(P)
         total = sum(c.volume for c in chambers)
         assert abs(total - P.volume) <= 1e-6 * P.volume
         assert all(spot_check_chamber(P, c, rng, samples=5) for c in chambers)

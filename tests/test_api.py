@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
 import polynormal
 
 # The public surface of the package.  Renaming or dropping a name breaks
@@ -33,3 +38,18 @@ PUBLIC = {
 
 def test_public_names_are_pinned():
     assert set(polynormal.__all__) == PUBLIC
+
+
+def test_tracer_extra_names_are_layer_functions():
+    # bench/spans.py wraps these by name; a refactor that renames or moves one
+    # would silently drop its spans and counters from a traced run
+    spec = importlib.util.spec_from_file_location(
+        "spans", Path(__file__).resolve().parent.parent / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.EXTRA
+    for layer, names in spans.EXTRA.items():
+        module = importlib.import_module(f"polynormal.{layer}")
+        for name in names:
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (layer, name)

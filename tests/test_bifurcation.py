@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from polynormal.bifurcation import (
 from polynormal.errors import NonTransversal, TooManyChambers
 from polynormal.explorer import random_polytope
 from polynormal.geometry import chebyshev_center, hull_from_points, unit
+from polynormal.normals import count_normals_batch
 
 
 def test_sheet_counts_regular_tetra(regular_tetra):
@@ -226,7 +229,7 @@ def test_volume_conservation_and_spot_checks(cube, regular_tetra, obtuse_triangl
     rng = default_rng(0)
     for P in (cube, regular_tetra, obtuse_triangle, flat_tetra_10,
               flat_tetra_12, four_normal_tetra):
-        chambers = chamber_decomposition(P, rng=rng)
+        chambers = chamber_decomposition(P)
         total = sum(c.volume for c in chambers)
         assert abs(total - P.volume) < 1e-6 * P.volume
         assert all(c.volume > 0 for c in chambers)
@@ -326,9 +329,8 @@ def test_crossing_audit_nontransversal(flat_tetra_10):
 
 
 def test_adjacent_chambers_differ_by_two_or_zero(obtuse_triangle, flat_tetra_10):
-    rng = default_rng(1)
     for P in (obtuse_triangle, flat_tetra_10):
-        chambers = chamber_decomposition(P, rng=rng)
+        chambers = chamber_decomposition(P)
         sheets = sheet_planes(P)
         eps = 1e-7 * P.diameter
         maps = []
@@ -411,28 +413,65 @@ def _closest_pair(cells):
     return min(gap(v) for v in cells)
 
 
-def test_split_matches_grid_dedup_oracle(monkeypatch):
-    bodies = [fixtures.cube(), fixtures.regular_tetrahedron(), fixtures.flat_tetrahedron_10(),
-              fixtures.flat_tetrahedron_12(), fixtures.four_normal_tetrahedron(),
-              fixtures.generic_prism(seed=2), fixtures.perturbed_cube(),
-              fixtures.equilateral_triangle(), fixtures.isoceles_triangle(2.4),
-              fixtures.triangle_from_angles(1.2, 1.0)]
-    bodies += [random_polytope("tangent_planes", {"k": k}, default_rng([43, k]))
-               for k in (5, 6, 7, 8)]
+def _sampled_counts(P, cells, rng):
+    """Reference counting: (count, volume) per cell above the volume floor,
+    the count read at a jittered interior point that is retried while
+    marginal; a cell marginal on every try is dropped."""
+    out = []
+    for verts in cells:
+        vol = bifurcation._cell_volume(verts, P.dim)
+        if vol <= bifurcation.MIN_REL_VOLUME * P.volume:
+            continue
+        for _ in range(50):
+            w = 1.0 + 0.25 * rng.random(len(verts))
+            m, s, M, marg = count_normals_batch(P, (verts * w[:, None]).sum(axis=0) / w.sum())
+            if not marg[0]:
+                out.append((int(m[0] + s[0] + M[0]), vol))
+                break
+    return out
+
+
+def _chamber_fixtures():
+    return [fixtures.cube(), fixtures.regular_tetrahedron(), fixtures.flat_tetrahedron_10(),
+            fixtures.flat_tetrahedron_12(), fixtures.four_normal_tetrahedron(),
+            fixtures.generic_prism(seed=2), fixtures.perturbed_cube(),
+            fixtures.equilateral_triangle(), fixtures.isoceles_triangle(2.4),
+            fixtures.triangle_from_angles(1.2, 1.0)]
+
+
+def test_split_matches_grid_dedup_oracle():
+    # the decided-region cells are coarser than the full arrangement by
+    # design; their counts, read from the region rows, must give the same N
+    # and the same volume at every count as sampling the arrangement cells
+    bodies = _chamber_fixtures() + [
+        random_polytope("tangent_planes", {"k": k}, default_rng([43, k])) for k in (5, 6, 7, 8)]
     for P in bodies:
-        cells, ref = split_by_planes(P), _grid_split_by_planes(P)
-        assert len(cells) == len(ref)
+        cells = split_by_planes(P)
+        ref = _grid_split_by_planes(P)
         got = chamber_decomposition(P)
-        with monkeypatch.context() as m:
-            m.setattr(bifurcation, "split_by_planes", lambda P, cap: ref)
-            want = chamber_decomposition(P)
-        assert [c.count for c in got] == [c.count for c in want]
-        vol_got = np.array([c.volume for c in got])
-        vol_want = np.array([c.volume for c in want])
-        assert (np.abs(vol_got - vol_want) <= 1e-9 * vol_want).all()
+        want = _sampled_counts(P, ref, default_rng(0))
+        assert max(c.count for c in got) == max(n for n, _ in want)
+        for n in {c.count for c in got} | {n for n, _ in want}:
+            vol_got = sum(c.volume for c in got if c.count == n)
+            vol_want = sum(v for k, v in want if k == n)
+            assert abs(vol_got - vol_want) <= 1e-9 * P.volume, (n, vol_got, vol_want)
         # no rounding-noise twins: vertex pairs closer than 1e-9 * diameter
         # occur only where the grid route has them too (real thin cells)
         assert _closest_pair(cells) > min(1e-9 * P.diameter, 0.5 * _closest_pair(ref))
+
+
+def test_chambers_are_deterministic_and_read_counts_from_rows():
+    assert "rng" not in inspect.signature(chamber_decomposition).parameters
+    for P in _chamber_fixtures():
+        first, again = chamber_decomposition(P), chamber_decomposition(P)
+        assert len(first) == len(again)
+        for a, b in zip(first, again):
+            assert np.array_equal(a.vertices, b.vertices)
+            assert np.array_equal(a.rep_point, b.rep_point)
+            assert (a.volume, a.count, a.profile) == (b.volume, b.count, b.profile)
+        m, s, M, _ = count_normals_batch(P, np.array([c.rep_point for c in first]))
+        assert list(m + s + M) == [c.count for c in first]
+        assert [c.profile.as_tuple() for c in first] == list(zip(m, s, M))
 
 
 def test_plane_section(cube):

@@ -83,6 +83,25 @@ def test_json_schemas(tmp_path):
         polytope_from_json({"vertices": [[1, 2], [3]]})
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("[5, 6, 7, 8]", "halfspaces must be rows of 3 or 4 numbers"),
+    ("[[1, 0, 0, NaN], [-1, 0, 0, 1]]", "non-finite entry in halfspaces"),
+    ("[[1, 0, 0, null], [-1, 0, 0, 1]]", "non-finite entry in halfspaces"),
+    ("[[1, 0, 0, Infinity], [-1, 0, 0, 1]]", "non-finite entry in halfspaces"),
+    ("[[1, 0, 1], [-1, 0, 0, 1]]", "halfspaces must be rows of 3 or 4 numbers"),
+    ("[[1, 0, 0, 0, 1]]", "halfspaces must be rows of 3 or 4 numbers"),
+    ("[]", "halfspaces must be rows of 3 or 4 numbers"),
+    ('[[1, 0, "x", 1]]', "halfspaces must be rows of 3 or 4 numbers"),
+])
+def test_cli_bad_halfspace_rows_are_parse_errors(rows, message, tmp_path, capsys):
+    path = tmp_path / "hs.json"
+    path.write_text('{"halfspaces": ' + rows + "}")
+    code = main(["max", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"ParseError: {message}\n"
+
+
 def test_nonconvex_input_rejected(tmp_path):
     doc = {"polygon": [[0, 0], [1, 0], [1, 1], [0.5, 0.4], [0, 1]]}
     p = tmp_path / "reflex.json"
@@ -219,6 +238,7 @@ def test_cli_scan_bad_config_is_a_validation_error(tmp_path, capsys, doc, key):
     ["classify", "--chamber-cap", "1"],
     ["count", "--point", "0,0,0", "--chamber-cap", "1"],
     ["sheets", "--seed", "1"],
+    ["max", "--seed", "1"],
     ["audit", "--from", "0,0,0", "--to", "0,0,0.1", "--chamber-cap", "1"],
 ])
 def test_cli_flag_not_read_by_command_is_an_error(argv, tetra_off, tmp_path, capsys):

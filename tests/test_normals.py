@@ -6,9 +6,13 @@ from conftest import sample_interior
 from polynormal import fixtures
 from polynormal.bifurcation import crossing_audit
 from polynormal.errors import FailedPerturbation, InvariantViolation, OnBifurcationSet
+from polynormal.explorer import random_polytope
 from polynormal.geometry import contains_interior, dihedral_angle, hull_from_points
 from polynormal.normals import (
     MorseProfile,
+    _face_keys,
+    _face_tests,
+    _region_rows,
     check_profile,
     count_normals_batch,
     face_normal_from,
@@ -269,3 +273,25 @@ def test_face_normal_from_raises_on_sheet(obtuse_triangle):
         except OnBifurcationSet:
             raised += 1
     assert raised >= 1
+
+
+def test_region_rows_agree_with_face_tests(obtuse_triangle):
+    # the region rows are the face tests without their positive
+    # normalisations: off the margin bands both give the same active faces
+    octahedron = hull_from_points([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                   (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    bodies = [fixtures.cube(), octahedron, fixtures.generic_prism(seed=2), obtuse_triangle,
+              fixtures.triangle_from_angles(1.2, 1.0),
+              random_polytope("tangent_planes", {"k": 12}, default_rng(5))]
+    rng = default_rng(21)
+    for P in bodies:
+        G, c, starts, dims = _region_rows(P)
+        assert len(starts) == len(dims) + 1 and starts[-1] == len(G) == len(c)
+        assert list(dims) == [d for d in _face_keys(P) for _ in P.faces[d]]
+        Y = sample_interior(P, 400, rng)
+        tests = _face_tests(P, Y)
+        active = np.hstack([a for a, _ in tests])
+        generic = ~np.hstack([near for _, near in tests]).any(axis=1)
+        inside = np.minimum.reduceat(Y @ G.T - c, starts[:-1], axis=1) > 0.0
+        assert generic.sum() > 300
+        assert np.array_equal(inside[generic], active[generic])
