@@ -4,18 +4,17 @@ The active-region boundaries lie in finitely many planes: one per
 (facet, boundary edge) incidence, orthogonal to the facet through the edge
 ("blue", minimum/saddle events), and one per (edge, endpoint) incidence,
 orthogonal to the edge through the endpoint ("red", maximum/saddle events).
-These are the boundary rows of the face-test table the counting kernel
-reads: a blue plane is a facet rim row of ``Polytope._facet_rims`` and a red
-plane is an edge direction ``Polytope._edge_dir`` placed at an endpoint, so
-the sheet planes are taken from that table rather than rebuilt.  In 2-D both
-sheet families coincide: the lines through each vertex orthogonal to its
-incident edges (the polygon's rim rows) bound edge strips and vertex cones
-alike, and crossings trade a minimum and a maximum instead of touching
-saddles.
+These are boundary rows of the region-row table (``Polytope._region_rows``)
+the counting kernel reads: a blue plane is a facet rim row and a red plane
+is an edge's slab row ``d`` placed at an endpoint, so the sheet planes are
+taken from that table rather than rebuilt.  In 2-D both sheet families
+coincide: the lines through each vertex orthogonal to its incident edges
+(the polygon's rim rows) bound edge strips and vertex cones alike, and
+crossings trade a minimum and a maximum instead of touching saddles.
 
-Chambers are cut along the region rows (``normals._region_rows``) only where
-a region is undecided, so each cell lies outside every region or inside its
-closure, and its count is read from the rows at its vertices, not sampled.
+Chambers are cut along the same rows only where a region is undecided, so
+each cell lies outside every region or inside its closure, and its count is
+read from the rows at its vertices, not sampled.
 All cells share one stacked vertex array: a row's signed distances are one
 product, ``reduceat`` over the cell starts picks the straddled cells, and a
 cut polygon is the Qhull hull of the crossing points and on-plane vertices,
@@ -32,7 +31,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NonTransversal, OnBifurcationSet, TooManyChambers
 from .geometry import unit
-from .normals import MorseProfile, _region_rows, count_normals_batch, perturb_to_generic
+from .normals import MorseProfile, count_normals_batch, perturb_to_generic
 
 PLANE_TOL = 1e-9        # coincidence of sheet planes: normal cosine and offset
 ON_SHEET_TOL = 1e-7     # point_on_sheet slack, relative to the body's scale
@@ -97,8 +96,8 @@ def sheet_planes(P):
     rows the edge directions at each endpoint; in 2-D the rim rows are the
     lines through each vertex orthogonal to its edge, all blue.
     """
-    rims = np.vstack([W for W, _, _ in P._facet_rims])
-    rim_offsets = np.concatenate([c for _, c, _ in P._facet_rims])
+    G, c, starts = P._region_rows[:3]
+    rims, rim_offsets = G[:starts[P.n_facets]], c[:starts[P.n_facets]]
     ends = [(e, v) for e, pair in enumerate(P.edges.tolist()) for v in pair]
     if P.dim == 2:
         return _sheets(P, rims, rim_offsets, "blue", ends)
@@ -256,7 +255,7 @@ def split_by_planes(P, cap=10**6):
     comes before the plus half, and every other cell stays where it is.
     """
     eps = 1e-12 * max(1.0, P.diameter)
-    G, c, rows, _ = _region_rows(P)
+    G, c, rows = P._region_rows[:3]
     verts = P.vertices.copy()
     sizes = np.array([len(verts)])
     for a, b in zip(rows[:-1], rows[1:]):
@@ -311,7 +310,7 @@ def chamber_decomposition(P, cap=10**6):
     verts = np.vstack(cells)
     starts = np.cumsum([0] + [len(v) for v in cells[:-1]])
     eps = 1e-12 * max(1.0, P.diameter)
-    G, c, rows, dims = _region_rows(P)
+    G, c, rows, dims = P._region_rows[:4]
     inside = np.column_stack([
         (np.maximum.reduceat(verts @ G[a:b].T - c[a:b], starts) > eps).all(axis=1)
         for a, b in zip(rows[:-1], rows[1:])])

@@ -143,17 +143,19 @@ def cmd_max(args):
 
 
 def cmd_average(args):
+    if args.mc is None and args.seed is not None:
+        raise ValueError("--seed is read only by the Monte-Carlo route (--mc N)")
     P = read_polytope(args.file, tol=args.tol)
+    parameters = {"tol": args.tol, "chamber_cap": args.chamber_cap, "mc": args.mc}
     if args.mc is not None:
-        est, err = monte_carlo_average(P, args.mc, seed=args.seed)
+        parameters["seed"] = args.seed or 0
+        est, err = monte_carlo_average(P, args.mc, seed=parameters["seed"])
         payload = {"EN": est, "stderr": err, "method": "mc", "samples": args.mc}
     else:
         chambers = chamber_decomposition(P, cap=args.chamber_cap)
         payload = {"EN": exact_average(P, chambers=chambers), "method": "exact",
                    "chambers": len(chambers)}
-    _emit(args, "average", {"seed": args.seed, "tol": args.tol,
-                            "chamber_cap": args.chamber_cap,
-                            "mc": args.mc}, payload, args.file)
+    _emit(args, "average", parameters, payload, args.file)
     return 0
 
 
@@ -279,12 +281,13 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_max)
 
-    p = sub.add_parser("average", parents=[common, with_tol, with_seed, with_cap],
+    p = sub.add_parser("average", parents=[common, with_tol, with_cap],
                        help="average normal count")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", default=True)
     group.add_argument("--mc", type=int, default=None, metavar="N",
                        help="Monte-Carlo with N samples instead of exact chambers")
+    p.add_argument("--seed", type=int, help="Monte-Carlo seed (default 0; only with --mc)")
     p.add_argument("file")
     p.set_defaults(func=cmd_average)
 

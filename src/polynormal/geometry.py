@@ -8,6 +8,9 @@ near-degenerate input instead of resolving it exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import NamedTuple
+
 import numpy as np
 from numpy.random import default_rng
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -63,6 +66,33 @@ class Face:
         return f"Face(dim={self.dim}, index={self.index}, vertices={list(self.vertex_ids)})"
 
 
+class RegionRows(NamedTuple):
+    """Every face's active region as rows; faces are ordered facets, edges (3-D), vertices.
+
+    y lies in the region of face i exactly when ``G[j] @ y > c[j]`` for every
+    j in ``starts[i]:starts[i + 1]``; ``dims[i]`` is the face's dimension.
+    The rows are the face tests without their positive normalisations (the
+    per-face fixed divisor is ``scale``: facet diameter, edge length, 1).
+    ``K`` has the columns ``(g, -c)`` for ``[y, 1] @ K``, laid out for
+    counting: per family row r of every face in one block (a short face
+    repeats its last row), facets, vertices, edges, then two frame rows per
+    edge orthogonal to it; ``ends`` close the facet and vertex blocks.
+    """
+
+    G: np.ndarray
+    c: np.ndarray
+    starts: np.ndarray
+    dims: np.ndarray
+    K: np.ndarray
+    ends: np.ndarray
+    scale: np.ndarray
+
+
+def _padded(starts, sizes):
+    """(max size, items) indices: row r of item i is starts[i] + min(r, sizes[i] - 1)."""
+    return starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)
+
+
 class Polytope:
     """Immutable convex polytope with a complete face lattice.
 
@@ -90,7 +120,6 @@ class Polytope:
         self._build_incidence()
         self._check_lattice()
         self._build_faces()
-        self._precompute_tests()
         self.volume, self.centroid = self._volume_centroid()
         for arr in (self.vertices, self.facet_normals, self.facet_offsets, self.edges):
             arr.setflags(write=False)
@@ -175,6 +204,11 @@ class Polytope:
                 support = np.array([unit(g1 - c * g2), unit(g2 - c * g1)])
                 faces[1].append(Face(1, e, self.edges[e].copy(), 0.5 * (V[a] + V[b]),
                                      d[None, :], np.array([g1, g2]), support))
+            a, b = V[self.edges[:, 0]], V[self.edges[:, 1]]
+            self._edge_origin = a
+            self._edge_len = np.linalg.norm(b - a, axis=1)
+            self._edge_dir = (b - a) / self._edge_len[:, None]
+            self._edge_support = np.array([face.cone_support for face in faces[1]])
         fd = self.dim - 1
         for f, cycle in enumerate(self.facet_cycles):
             n = self.facet_normals[f]
@@ -188,39 +222,46 @@ class Polytope:
                                   -n[None, :], np.zeros((0, self.dim))))
         self.faces = faces
 
-    def _precompute_tests(self):
-        """Per-face constraint data used by the normal-counting kernel."""
-        V = self.vertices
-        # facet relative-interior tests: in-plane inward normals per boundary edge
-        self._facet_rims = []
-        for f, cycle in enumerate(self.facet_cycles):
-            k = len(cycle)
-            if self.dim == 3:
-                n = self.facet_normals[f]
-                w_rows, c_rows = [], []
-                for i in range(k):
-                    a, b = V[cycle[i]], V[cycle[(i + 1) % k]]
-                    w = unit(np.cross(n, b - a))
-                    w_rows.append(w)
-                    c_rows.append(w @ a)
-                scale = max(np.linalg.norm(V[cycle[i]] - V[cycle[j]])
-                            for i in range(k) for j in range(i + 1, k))
-            else:
-                a, b = V[cycle[0]], V[cycle[1]]
-                d = unit(b - a)
-                w_rows = [d, -d]
-                c_rows = [d @ a, -d @ b]
-                scale = np.linalg.norm(b - a)
-            self._facet_rims.append((np.array(w_rows), np.array(c_rows), scale))
+    @cached_property
+    def _region_rows(self):
+        """The RegionRows table, built on first use and kept."""
+        V, cycles = self.vertices, self.facet_cycles
+        # facet rims: in-plane inward normals of the boundary edges (i, j); facet
+        # diameters from each cycle padded by repeating its last vertex
+        rims = np.array([len(cycle) for cycle in cycles])
+        i = np.concatenate(cycles)
+        W = V[np.concatenate([np.roll(cycle, -1) for cycle in cycles])] - V[i]
         if self.dim == 3:
-            a = V[self.edges[:, 0]]
-            b = V[self.edges[:, 1]]
-            self._edge_origin = a
-            self._edge_len = np.linalg.norm(b - a, axis=1)
-            self._edge_dir = (b - a) / self._edge_len[:, None]
-            self._edge_support = np.array([self.faces[1][e].cone_support
-                                           for e in range(len(self.edges))])
-        self._vertex_dirs = [self.faces[0][v].cone_support for v in range(len(V))]
+            W = np.cross(np.repeat(self.facet_normals, rims, axis=0), W)
+        W /= np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]
+        X = V[i[_padded(np.cumsum(rims) - rims, rims)]]
+        X = X[:, None] - X[None, :]
+        dirs = [face.cone_support for face in self.faces[0]]
+        # per family (facets, edges in 3-D, vertices): rows, offsets, rows per face, divisors
+        families = [(W, (W[:, None, :] @ V[i][:, :, None])[:, 0, 0], rims,
+                     np.sqrt((X[..., None, :] @ X[..., :, None]).max(axis=(0, 1, 3, 4)))),
+                    (np.vstack(dirs), np.concatenate([U @ v for U, v in zip(dirs, V)]),
+                     np.array([len(U) for U in dirs]), np.ones(len(V)))]
+        frame = np.zeros((0, self.dim + 1))
+        if self.dim == 3:
+            d, a, h, L = self._edge_dir, self._edge_origin, self._edge_support, self._edge_len
+            da = np.einsum("ed,ed->e", d, a)
+            c = np.column_stack([da, -da - L, np.einsum("ekd,ed->ek", h, a)]).ravel()
+            families.insert(1, (np.stack([d, -d, h[:, 0], h[:, 1]], axis=1).reshape(-1, 3), c,
+                                np.full(len(d), 4), L))
+            u = h[:, 0] - np.einsum("ed,ed->e", h[:, 0], d)[:, None] * d
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            u = np.stack([u, np.cross(d, u)])
+            frame = np.column_stack([u.reshape(-1, 3), -np.einsum("fed,ed->fe", u, a).ravel()])
+        G, c, sizes, scale = (np.concatenate(x) for x in zip(*families))
+        counts = [len(f[2]) for f in families]
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        pad = [_padded(starts[f], sizes[f]).ravel()
+               for f in np.split(np.arange(len(sizes)), np.cumsum(counts)[:-1])]
+        order = np.concatenate([pad[0], pad[-1], *pad[1:-1]])  # facets, vertices, edges
+        K = np.vstack([np.column_stack([G[order], -c[order]]), frame]).T
+        dims = np.repeat(np.arange(self.dim - 1, -1, -1), counts)
+        return RegionRows(G, c, starts, dims, K, np.cumsum([len(pad[0]), len(pad[-1])]), scale)
 
     def _volume_centroid(self):
         V = self.vertices

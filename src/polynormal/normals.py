@@ -7,11 +7,16 @@ normal cone.  Minima live on facets, saddles on edges, maxima on vertices
 an active-region boundary raise OnBifurcationSet instead of returning an
 unstable count.
 
-One table drives all counting: ``_face_tests`` evaluates every face's test
-once per point, as an ``active`` mask and a ``near`` (within tolerance of the
-test's boundary) mask per face family.  Batch counts, single-face records,
-full record lists and the stable count of ``perturb_to_generic`` all read it,
-with the fixed margins REL_MARGIN and CONE_MARGIN.
+One row table drives counting and chambers alike: ``Polytope._region_rows``
+(facet rims; edge slab ``+-d`` and support rows; vertex edge directions),
+built once per body.  ``_face_tests`` takes one product of each block of
+points with it and a min over each face's rows, then normalises per family:
+facet margins by the facet diameter, edge slab margins by the edge length
+and support margins by the distance |w| to the edge line, vertex margins by
+|y - v|.  Batch counts, single-face records, full record lists and
+``perturb_to_generic`` all read its ``active`` and ``near`` (within tolerance
+of the test's boundary) masks, with the fixed margins REL_MARGIN and
+CONE_MARGIN.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .geometry import contains_interior
 
 REL_MARGIN = 1e-8   # relative-interior margin, barycentric units
 CONE_MARGIN = 1e-9  # cone membership margin, sine units
+BLOCK = 512         # points per row product in ``_face_tests``
 
 
 @dataclass(frozen=True)
@@ -54,95 +60,45 @@ class MorseProfile:
         return (self.minima, self.saddles, self.maxima)
 
 
-def _facet_margins(P, Y):
-    """(npts, F) scaled margins of the projected feet inside their facets."""
-    npts = Y.shape[0]
-    out = np.empty((npts, P.n_facets))
-    for f in range(P.n_facets):
-        n = P.facet_normals[f]
-        d = Y @ n - P.facet_offsets[f]
-        Z = Y - d[:, None] * n
-        W, c, scale = P._facet_rims[f]
-        out[:, f] = (Z @ W.T - c).min(axis=1) / scale
-    return out
-
-
-def _edge_margins(P, Y):
-    """(npts, E) relative-interior and cone margins for every edge (3-D)."""
-    a = P._edge_origin
-    d = P._edge_dir
-    L = P._edge_len
-    diff = Y[:, None, :] - a[None, :, :]
-    t = np.einsum("ped,ed->pe", diff, d)
-    rel = np.minimum(t, L[None, :] - t) / L[None, :]
-    w = diff - t[..., None] * d[None, :, :]
-    wn = np.linalg.norm(w, axis=2)
-    wn = np.where(wn == 0.0, 1.0, wn)
-    h = P._edge_support  # (E, 2, 3)
-    cone = np.minimum(np.einsum("ped,ed->pe", w, h[:, 0]),
-                      np.einsum("ped,ed->pe", w, h[:, 1])) / wn
-    return rel, cone
-
-
-def _vertex_margins(P, Y):
-    """(npts, V) cone margins: worst inner product with the incident edge directions."""
-    npts = Y.shape[0]
-    out = np.empty((npts, P.n_vertices))
-    for v in range(P.n_vertices):
-        w = Y - P.vertices[v]
-        wn = np.linalg.norm(w, axis=1)
-        wn = np.where(wn == 0.0, 1.0, wn)
-        out[:, v] = (w @ P._vertex_dirs[v].T).min(axis=1) / wn
-    return out
-
-
 def _face_keys(P):
     """Face dimension of each family in ``_face_tests``: facets, edges (3-D), vertices."""
     return tuple(range(P.dim - 1, -1, -1))
 
 
-def _family_tests(P, dim, Y):
-    """One face family's rows of the face-test table: (active, near) (npts, faces) masks.
+def _face_tests(P, Y):
+    """The face-test table: one (active, near) (npts, faces) mask pair per ``_face_keys`` family.
 
     ``active`` says the face's test holds (foot inside the face, offset inside
     its normal cone); ``near`` says the test lands within tolerance of its
-    boundary, where the count is unreliable.
+    boundary, where the count is unreliable.  Points go through in blocks of
+    BLOCK, one product with the region rows each, so memory stays bounded.
     """
-    if dim == P.dim - 1:
-        fm = _facet_margins(P, Y)
-        return fm > 0.0, np.abs(fm) < REL_MARGIN
-    if dim == 1:
-        rel, cone = _edge_margins(P, Y)
-        near = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
-                | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
-        return (rel > 0.0) & (cone > 0.0), near
-    vm = _vertex_margins(P, Y)
-    return vm > 0.0, np.abs(vm) < CONE_MARGIN
-
-
-def _face_tests(P, Y):
-    """The face-test table: one (active, near) mask pair per family of ``_face_keys``."""
-    return [_family_tests(P, dim, Y) for dim in _face_keys(P)]
-
-
-def _region_rows(P):
-    """Active regions as rows (G, c, starts, dims), faces in ``_face_keys`` order.
-
-    Face i owns rows starts[i]:starts[i + 1] and has dimension dims[i]; y is in
-    its region exactly when G y - c > 0 on each: the face tests without their
-    positive normalisations.
-    """
-    families = [[(W, c) for W, c, _ in P._facet_rims]]
-    if P.dim == 3:
-        d, a, h = P._edge_dir, P._edge_origin, P._edge_support
-        da = np.einsum("ed,ed->e", d, a)
-        families.append(list(zip(np.stack([d, -d, h[:, 0], h[:, 1]], axis=1),
-                                 np.column_stack([da, -da - P._edge_len,
-                                                  np.einsum("ekd,ed->ek", h, a)]))))
-    families.append([(D, D @ P.vertices[v]) for v, D in enumerate(P._vertex_dirs)])
-    G, c = zip(*(face for family in families for face in family))
-    dims = np.repeat(_face_keys(P), [len(family) for family in families])
-    return np.vstack(G), np.concatenate(c), np.cumsum([0] + [len(g) for g in G]), dims
+    T = P._region_rows
+    F, V = P.n_facets, P.n_vertices
+    E = len(T.dims) - F - V
+    active, near = np.empty((2, len(Y), len(T.dims)), dtype=bool)
+    S = np.empty((min(len(Y), BLOCK), T.K.shape[1]))  # reused: no fresh pages per block
+    for lo in range(0, len(Y), BLOCK):
+        Yb = Y[lo:lo + BLOCK]
+        n = len(Yb)
+        S1 = np.matmul(np.column_stack([Yb, np.ones(n)]), T.K, out=S[:n])
+        facet, vertex, edge = np.split(S1, T.ends, axis=1)
+        # min over each face's rows, then the family's positive normalisation
+        fm = facet.reshape(n, -1, F).min(axis=1) / T.scale[:F]
+        vn = np.sqrt(sum((Yb[:, j, None] - P.vertices[:, j]) ** 2 for j in range(P.dim)))
+        vm = vertex.reshape(n, -1, V).min(axis=1) / np.where(vn == 0.0, 1.0, vn)
+        d, nd, h0, h1, u0, u1 = edge.reshape(n, 6, E).transpose(1, 0, 2)
+        rel = np.minimum(d, nd) / T.scale[F:F + E]
+        wn = np.sqrt(u0 * u0 + u1 * u1)  # |w|, the offset from the edge line
+        cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)
+        act, nr = active[lo:lo + n], near[lo:lo + n]
+        act[:, :F], nr[:, :F] = fm > 0.0, np.abs(fm) < REL_MARGIN
+        act[:, F:F + E] = (rel > 0.0) & (cone > 0.0)
+        nr[:, F:F + E] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
+                          | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
+        act[:, F + E:], nr[:, F + E:] = vm > 0.0, np.abs(vm) < CONE_MARGIN
+    families = [F, F + E][:P.dim - 1]
+    return list(zip(np.split(active, families, axis=1), np.split(near, families, axis=1)))
 
 
 def _record(P, key, y):
@@ -190,7 +146,7 @@ def face_normal_from(P, face, y):
     if dim not in _face_keys(P):
         raise ValueError(f"no face dimension {dim} in a {P.dim}-polytope")
     y = np.asarray(y, dtype=float)
-    active, near = _family_tests(P, dim, y[None, :])
+    active, near = _face_tests(P, y[None, :])[_face_keys(P).index(dim)]
     if near[0, idx]:
         raise OnBifurcationSet(f"face {(dim, idx)} test within tolerance of its boundary")
     if not active[0, idx]:

@@ -8,7 +8,7 @@ from numpy.random import default_rng
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import ConvexHull, QhullError
 
-from conftest import sample_interior
+from conftest import ANGLES, SHIFTS, rotation, sample_interior
 from polynormal import bifurcation, fixtures
 from polynormal.bifurcation import (
     _plane_basis,
@@ -158,27 +158,15 @@ def _same_rows(want, got):
         assert cost[i, j].max() < 1e-9
 
 
-def _rotation(a, b, c):
-    ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
-    rz = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
-    rx = np.array([[1, 0, 0], [0, cc, -sc], [0, sc, cc]])
-    return rz @ ry @ rx
-
-
-_angle = st.floats(-np.pi, np.pi)
-_shift = st.floats(-2.0, 2.0)
-
-
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(5, 10), data=st.data(),
-       angles=st.tuples(_angle, _angle, _angle), t=st.tuples(_shift, _shift, _shift))
+       angles=ANGLES, t=SHIFTS)
 def test_sheet_rows_invariant_under_permutation_and_rigid_motion(seed, k, data, angles, t):
     pts = default_rng(seed).standard_normal((k, 3))
     rows = _sheet_rows(hull_from_points(pts))
     perm = data.draw(st.permutations(range(k)))
     _same_rows(rows, _sheet_rows(hull_from_points(pts[perm])))
-    R, t = _rotation(*angles), np.array(t)
+    R, t = rotation(*angles), np.array(t)
     moved = [(R @ n, b + (R @ n) @ t, c) for n, b, c in rows]
     _same_rows(moved, _sheet_rows(hull_from_points(pts @ R.T + t)))
 

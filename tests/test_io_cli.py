@@ -164,11 +164,22 @@ def test_cli_max_chamber_report(tmp_path, capsys, flat_tetra_10):
 def test_cli_average(tetra_off, capsys):
     code, out = run_cli(capsys, "average", str(tetra_off))
     assert code == 0
-    assert abs(json.loads(out)["payload"]["EN"] - 14.0) < 1e-9
+    doc = json.loads(out)
+    assert abs(doc["payload"]["EN"] - 14.0) < 1e-9
+    assert "seed" not in doc["parameters"]  # the exact route reads no seed
     code, out = run_cli(capsys, "average", "--mc", "1500", "--seed", "4", str(tetra_off))
     doc = json.loads(out)
     assert doc["payload"]["EN"] == 14.0
     assert doc["parameters"]["seed"] == 4
+    code, out = run_cli(capsys, "average", "--mc", "1500", str(tetra_off))
+    assert json.loads(out)["parameters"]["seed"] == 0
+
+
+def test_cli_average_seed_needs_mc(tetra_off, capsys):
+    code = main(["average", "--seed", "5", str(tetra_off)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--mc" in captured.err
 
 
 def test_cli_classify_prism(tmp_path, capsys):

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from conftest import sample_interior
+from conftest import ANGLES, SHIFTS, rotation, sample_interior
 from polynormal import fixtures
 from polynormal.bifurcation import crossing_audit
 from polynormal.errors import FailedPerturbation, InvariantViolation, OnBifurcationSet
 from polynormal.explorer import random_polytope
 from polynormal.geometry import contains_interior, dihedral_angle, hull_from_points
 from polynormal.normals import (
+    BLOCK,
+    CONE_MARGIN,
+    REL_MARGIN,
     MorseProfile,
     _face_keys,
     _face_tests,
-    _region_rows,
     check_profile,
     count_normals_batch,
     face_normal_from,
@@ -285,7 +289,8 @@ def test_region_rows_agree_with_face_tests(obtuse_triangle):
               random_polytope("tangent_planes", {"k": 12}, default_rng(5))]
     rng = default_rng(21)
     for P in bodies:
-        G, c, starts, dims = _region_rows(P)
+        G, c, starts, dims = P._region_rows[:4]
+        assert P._region_rows is P._region_rows  # built once
         assert len(starts) == len(dims) + 1 and starts[-1] == len(G) == len(c)
         assert list(dims) == [d for d in _face_keys(P) for _ in P.faces[d]]
         Y = sample_interior(P, 400, rng)
@@ -295,3 +300,107 @@ def test_region_rows_agree_with_face_tests(obtuse_triangle):
         inside = np.minimum.reduceat(Y @ G.T - c, starts[:-1], axis=1) > 0.0
         assert generic.sum() > 300
         assert np.array_equal(inside[generic], active[generic])
+
+
+def _loop_face_tests(P, Y):
+    """Face-by-face oracle of ``_face_tests``: one loop per facet and vertex."""
+    npts = len(Y)
+    G, c, starts = P._region_rows[:3]
+    fm = np.empty((npts, P.n_facets))
+    for f, (a, b) in enumerate(zip(starts[:P.n_facets], starts[1:])):
+        n = P.facet_normals[f]
+        Z = Y - (Y @ n - P.facet_offsets[f])[:, None] * n
+        fm[:, f] = (Z @ G[a:b].T - c[a:b]).min(axis=1) / P._region_rows.scale[f]
+    active, near = [fm > 0.0], [np.abs(fm) < REL_MARGIN]
+    if P.dim == 3:
+        a, d, L = P._edge_origin, P._edge_dir, P._edge_len
+        diff = Y[:, None, :] - a[None, :, :]
+        t = np.einsum("ped,ed->pe", diff, d)
+        rel = np.minimum(t, L - t) / L
+        w = diff - t[..., None] * d[None, :, :]
+        wn = np.linalg.norm(w, axis=2)
+        wn = np.where(wn == 0.0, 1.0, wn)
+        h = P._edge_support
+        cone = np.minimum(np.einsum("ped,ed->pe", w, h[:, 0]),
+                          np.einsum("ped,ed->pe", w, h[:, 1])) / wn
+        active.append((rel > 0.0) & (cone > 0.0))
+        near.append(((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
+                    | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
+    vm = np.empty((npts, P.n_vertices))
+    for v, face in enumerate(P.faces[0]):
+        w = Y - P.vertices[v]
+        wn = np.linalg.norm(w, axis=1)
+        vm[:, v] = (w @ face.cone_support.T).min(axis=1) / np.where(wn == 0.0, 1.0, wn)
+    active.append(vm > 0.0)
+    near.append(np.abs(vm) < CONE_MARGIN)
+    return np.hstack(active), np.hstack(near)
+
+
+def _on_region_rows(P, Y, rng, offset=0.0):
+    """Interior points of Y moved onto (or ``offset`` off) randomly chosen region-row planes."""
+    G, c, starts = P._region_rows[:3]
+    rows = rng.integers(0, starts[-1], len(Y))
+    norm = np.linalg.norm(G[rows], axis=1)
+    g, b = G[rows] / norm[:, None], c[rows] / norm
+    side = offset * rng.choice([-1.0, 1.0], len(Y))
+    Z = Y + (side + b - np.einsum("pd,pd->p", Y, g))[:, None] * g
+    margin = 1e-7 * max(1.0, P.diameter)
+    return Z[(Z @ P.facet_normals.T <= P.facet_offsets - margin).all(axis=1)]
+
+
+def test_face_tests_match_loop_oracle(obtuse_triangle):
+    # the row-table kernel reproduces the face-by-face margins: the near band
+    # bit for bit, and the active faces off it
+    bodies = [fixtures.cube(), fixtures.regular_tetrahedron(), fixtures.generic_prism(seed=2),
+              fixtures.perturbed_cube(), obtuse_triangle, fixtures.triangle_from_angles(1.2, 1.0),
+              random_polytope("tangent_planes", {"k": 12}, default_rng(5)),
+              random_polytope("tangent_planes", {"k": 48}, default_rng(5))]
+    rng = default_rng(33)
+    banded = 0
+    for P in bodies:
+        Y = sample_interior(P, 1500, rng)
+        Z = _on_region_rows(P, Y, rng)
+        for X in (Y, Z):
+            active, near = map(np.hstack, zip(*_face_tests(P, X)))
+            loop_active, loop_near = _loop_face_tests(P, X)
+            assert np.array_equal(near, loop_near)
+            assert np.array_equal(active[~near], loop_active[~loop_near])
+        banded += int(near.any(axis=1).sum())
+        assert len(Z) == 0 or near.any()
+    assert banded > 1000
+
+
+def test_count_batch_blocks_match_single_points():
+    # batches cut into BLOCK-point products give the per-point answers; every
+    # seventh point sits 1e-10 off a region-row plane, inside the near band
+    # but far above rounding, so the marginal flags are exercised too
+    P = random_polytope("tangent_planes", {"k": 12}, default_rng(9))
+    rng = default_rng(10)
+    Y = sample_interior(P, 2 * BLOCK + 3, rng)
+    Y[::7] = _on_region_rows(P, Y, rng, offset=1e-10)[:len(Y[::7])]
+    for n in (BLOCK + 1, 2 * BLOCK + 3):
+        batch = count_normals_batch(P, Y[:n])
+        alone = [count_normals_batch(P, y[None, :]) for y in Y[:n]]
+        for got, one in zip(batch, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(one))
+    assert batch[3].any() and not batch[3].all()
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["tangent_planes", "perturbed_tetra"]),
+       k=st.integers(5, 12), data=st.data(), angles=ANGLES, t=SHIFTS, scale=st.floats(0.2, 5.0))
+def test_counts_invariant_under_similarity_and_permutation(seed, family, k, data, angles, t, scale):
+    # counts at points off the near band in both frames survive rigid motion,
+    # uniform scaling and a relabelling of the vertices
+    rng = default_rng(seed)
+    P = random_polytope(family, {"k": k}, rng)
+    perm = data.draw(st.permutations(range(P.n_vertices)))
+    R, t = rotation(*angles), np.array(t)
+    Q = hull_from_points(scale * P.vertices[perm] @ R.T + t)
+    Y = sample_interior(P, 300, rng)
+    here = count_normals_batch(P, Y)
+    there = count_normals_batch(Q, scale * Y @ R.T + t)
+    generic = ~here[3] & ~there[3]
+    assert generic.sum() > 250
+    for a, b in zip(here[:3], there[:3]):
+        assert np.array_equal(a[generic], b[generic])
