@@ -45,16 +45,13 @@ class Face:
     <h, x> >= 0 for every x in the cone (edge directions for a vertex cone).
     """
 
-    __slots__ = ("dim", "index", "vertex_ids", "affine_point", "tangent_basis",
-                 "cone_generators", "cone_support")
+    __slots__ = ("dim", "index", "vertex_ids", "affine_point", "cone_generators", "cone_support")
 
-    def __init__(self, dim, index, vertex_ids, affine_point, tangent_basis,
-                 cone_generators, cone_support):
+    def __init__(self, dim, index, vertex_ids, affine_point, cone_generators, cone_support):
         self.dim = dim
         self.index = index
         self.vertex_ids = vertex_ids
         self.affine_point = affine_point
-        self.tangent_basis = tangent_basis
         self.cone_generators = cone_generators
         self.cone_support = cone_support
 
@@ -74,9 +71,11 @@ class RegionRows(NamedTuple):
     The rows are the face tests without their positive normalisations (the
     per-face fixed divisor is ``scale``: facet diameter, edge length, 1).
     ``K`` has the columns ``(g, -c)`` for ``[y, 1] @ K``, laid out for
-    counting: per family row r of every face in one block (a short face
-    repeats its last row), facets, vertices, edges, then two frame rows per
-    edge orthogonal to it; ``ends`` close the facet and vertex blocks.
+    counting, every row once: one run per row count k among the facets and
+    vertices, holding row r of each of its faces in block r; ``runs`` lists
+    (k, faces) with faces indexed facets first, then vertices.  The edges'
+    four rows follow the same way, then two frame rows per edge orthogonal
+    to it.
     """
 
     G: np.ndarray
@@ -84,13 +83,8 @@ class RegionRows(NamedTuple):
     starts: np.ndarray
     dims: np.ndarray
     K: np.ndarray
-    ends: np.ndarray
+    runs: tuple
     scale: np.ndarray
-
-
-def _padded(starts, sizes):
-    """(max size, items) indices: row r of item i is starts[i] + min(r, sizes[i] - 1)."""
-    return starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)
 
 
 class Polytope:
@@ -193,17 +187,15 @@ class Polytope:
                 a, b = self.edges[e]
                 other = b if a == v else a
                 dirs.append(unit(V[other] - V[v]))
-            faces[0].append(Face(0, v, np.array([v]), V[v].copy(),
-                                 np.zeros((0, self.dim)), gens, np.array(dirs)))
+            faces[0].append(Face(0, v, np.array([v]), V[v].copy(), gens, np.array(dirs)))
         if self.dim == 3:
             for e, (a, b) in enumerate(self.edges):
-                d = unit(V[b] - V[a])
                 g1 = -self.facet_normals[self.edge_facets[e, 0]]
                 g2 = -self.facet_normals[self.edge_facets[e, 1]]
                 c = float(g1 @ g2)
                 support = np.array([unit(g1 - c * g2), unit(g2 - c * g1)])
                 faces[1].append(Face(1, e, self.edges[e].copy(), 0.5 * (V[a] + V[b]),
-                                     d[None, :], np.array([g1, g2]), support))
+                                     np.array([g1, g2]), support))
             a, b = V[self.edges[:, 0]], V[self.edges[:, 1]]
             self._edge_origin = a
             self._edge_len = np.linalg.norm(b - a, axis=1)
@@ -211,15 +203,8 @@ class Polytope:
             self._edge_support = np.array([face.cone_support for face in faces[1]])
         fd = self.dim - 1
         for f, cycle in enumerate(self.facet_cycles):
-            n = self.facet_normals[f]
-            center = V[cycle].mean(axis=0)
-            if self.dim == 3:
-                u1 = unit(V[cycle[0]] - center)
-                basis = np.array([u1, np.cross(n, u1)])
-            else:
-                basis = unit(V[cycle[1]] - V[cycle[0]])[None, :]
-            faces[fd].append(Face(fd, f, np.array(cycle), center, basis,
-                                  -n[None, :], np.zeros((0, self.dim))))
+            faces[fd].append(Face(fd, f, np.array(cycle), V[cycle].mean(axis=0),
+                                  -self.facet_normals[f][None, :], np.zeros((0, self.dim))))
         self.faces = faces
 
     @cached_property
@@ -227,19 +212,22 @@ class Polytope:
         """The RegionRows table, built on first use and kept."""
         V, cycles = self.vertices, self.facet_cycles
         # facet rims: in-plane inward normals of the boundary edges (i, j); facet
-        # diameters from each cycle padded by repeating its last vertex
+        # diameters over all vertex pairs, the facets of one size at a time
         rims = np.array([len(cycle) for cycle in cycles])
         i = np.concatenate(cycles)
         W = V[np.concatenate([np.roll(cycle, -1) for cycle in cycles])] - V[i]
         if self.dim == 3:
             W = np.cross(np.repeat(self.facet_normals, rims, axis=0), W)
         W /= np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]
-        X = V[i[_padded(np.cumsum(rims) - rims, rims)]]
-        X = X[:, None] - X[None, :]
+        diameters = np.empty(len(cycles))
+        for k in np.unique(rims):
+            f = np.flatnonzero(rims == k)
+            X = V[np.array([cycles[j] for j in f])]
+            X = X[:, :, None] - X[:, None]
+            diameters[f] = np.sqrt((X[..., None, :] @ X[..., :, None]).max(axis=(1, 2, 3, 4)))
         dirs = [face.cone_support for face in self.faces[0]]
         # per family (facets, edges in 3-D, vertices): rows, offsets, rows per face, divisors
-        families = [(W, (W[:, None, :] @ V[i][:, :, None])[:, 0, 0], rims,
-                     np.sqrt((X[..., None, :] @ X[..., :, None]).max(axis=(0, 1, 3, 4)))),
+        families = [(W, (W[:, None, :] @ V[i][:, :, None])[:, 0, 0], rims, diameters),
                     (np.vstack(dirs), np.concatenate([U @ v for U, v in zip(dirs, V)]),
                      np.array([len(U) for U in dirs]), np.ones(len(V)))]
         frame = np.zeros((0, self.dim + 1))
@@ -254,14 +242,15 @@ class Polytope:
             u = np.stack([u, np.cross(d, u)])
             frame = np.column_stack([u.reshape(-1, 3), -np.einsum("fed,ed->fe", u, a).ravel()])
         G, c, sizes, scale = (np.concatenate(x) for x in zip(*families))
-        counts = [len(f[2]) for f in families]
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        pad = [_padded(starts[f], sizes[f]).ravel()
-               for f in np.split(np.arange(len(sizes)), np.cumsum(counts)[:-1])]
-        order = np.concatenate([pad[0], pad[-1], *pad[1:-1]])  # facets, vertices, edges
+        F, nf = len(cycles), len(sizes)
+        faces = np.r_[:F, nf - len(V):nf]  # facets, then vertices
+        runs = tuple((k, np.flatnonzero(sizes[faces] == k)) for k in np.unique(sizes[faces]))
+        blocks = [(k, faces[f]) for k, f in runs] + [(4, np.arange(F, nf - len(V)))]
+        order = np.concatenate([(starts[f] + np.arange(k)[:, None]).ravel() for k, f in blocks])
         K = np.vstack([np.column_stack([G[order], -c[order]]), frame]).T
-        dims = np.repeat(np.arange(self.dim - 1, -1, -1), counts)
-        return RegionRows(G, c, starts, dims, K, np.cumsum([len(pad[0]), len(pad[-1])]), scale)
+        dims = np.repeat(np.arange(self.dim - 1, -1, -1), [len(f[2]) for f in families])
+        return RegionRows(G, c, starts, dims, K, runs, scale)
 
     def _volume_centroid(self):
         V = self.vertices
@@ -318,9 +307,6 @@ class Polytope:
         a, b = (a, b) if a < b else (b, a)
         hits = np.nonzero((self.edges[:, 0] == a) & (self.edges[:, 1] == b))[0]
         return int(hits[0]) if len(hits) else -1
-
-    def vertex_degree(self, v):
-        return len(self.vertex_edges[v])
 
     def is_simple(self):
         return self.dim == 3 and all(len(e) == 3 for e in self.vertex_edges)

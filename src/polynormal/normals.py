@@ -82,12 +82,16 @@ def _face_tests(P, Y):
         Yb = Y[lo:lo + BLOCK]
         n = len(Yb)
         S1 = np.matmul(np.column_stack([Yb, np.ones(n)]), T.K, out=S[:n])
-        facet, vertex, edge = np.split(S1, T.ends, axis=1)
-        # min over each face's rows, then the family's positive normalisation
-        fm = facet.reshape(n, -1, F).min(axis=1) / T.scale[:F]
+        # min over each facet's and vertex's rows, a run of equal row counts at a
+        # time, then each family's positive normalisation
+        m, col = np.empty((n, F + V)), 0
+        for k, faces in T.runs:
+            m[:, faces] = S1[:, col:col + k * len(faces)].reshape(n, k, -1).min(axis=1)
+            col += k * len(faces)
+        fm = m[:, :F] / T.scale[:F]
         vn = np.sqrt(sum((Yb[:, j, None] - P.vertices[:, j]) ** 2 for j in range(P.dim)))
-        vm = vertex.reshape(n, -1, V).min(axis=1) / np.where(vn == 0.0, 1.0, vn)
-        d, nd, h0, h1, u0, u1 = edge.reshape(n, 6, E).transpose(1, 0, 2)
+        vm = m[:, F:] / np.where(vn == 0.0, 1.0, vn)
+        d, nd, h0, h1, u0, u1 = S1[:, col:].reshape(n, 6, E).transpose(1, 0, 2)
         rel = np.minimum(d, nd) / T.scale[F:F + E]
         wn = np.sqrt(u0 * u0 + u1 * u1)  # |w|, the offset from the edge line
         cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)

@@ -9,7 +9,7 @@ from polynormal import fixtures
 from polynormal.bifurcation import crossing_audit
 from polynormal.errors import FailedPerturbation, InvariantViolation, OnBifurcationSet
 from polynormal.explorer import random_polytope
-from polynormal.geometry import contains_interior, dihedral_angle, hull_from_points
+from polynormal.geometry import contains_interior, dihedral_angle, hull_from_points, unit
 from polynormal.normals import (
     BLOCK,
     CONE_MARGIN,
@@ -302,15 +302,59 @@ def test_region_rows_agree_with_face_tests(obtuse_triangle):
         assert np.array_equal(inside[generic], active[generic])
 
 
+def _ngon_body(n, apex=None):
+    """A prism over a regular n-gon, or the pyramid over it with the given apex."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(n)])
+    return hull_from_points(np.vstack([ring, ring + [0.0, 0.0, 1.0]] if apex is None
+                                      else [ring, [apex]]))
+
+
+def _loop_facet_rims(P):
+    """Each facet's rim rows, offsets and diameter, built edge by edge from its vertex cycle."""
+    V, rims = P.vertices, []
+    for f, cycle in enumerate(P.facet_cycles):
+        k = len(cycle)
+        if P.dim == 3:
+            w = np.array([unit(np.cross(P.facet_normals[f], V[cycle[(i + 1) % k]] - V[cycle[i]]))
+                          for i in range(k)])
+            c = np.array([w[i] @ V[cycle[i]] for i in range(k)])
+            scale = max(np.linalg.norm(V[i] - V[j]) for i in cycle for j in cycle)
+        else:
+            a, b = V[cycle[0]], V[cycle[1]]
+            d = unit(b - a)
+            w, c, scale = np.array([d, -d]), np.array([d @ a, -d @ b]), np.linalg.norm(b - a)
+        rims.append((w, c, scale))
+    return rims
+
+
+def test_region_rows_facet_rims_match_loop_build(obtuse_triangle):
+    # the array-built facet rows, offsets and diameters equal the edge-by-edge
+    # build, also with one large facet among small ones, and the counting
+    # layout holds every row once: no padding columns
+    bodies = [fixtures.cube(), fixtures.generic_prism(seed=2), obtuse_triangle,
+              fixtures.triangle_from_angles(1.2, 1.0), _ngon_body(200), _ngon_body(60, [0.2, 0.1, 1.5]),
+              random_polytope("tangent_planes", {"k": 48}, default_rng(5))]
+    for P in bodies:
+        T = P._region_rows
+        for f, (w, c, scale) in enumerate(_loop_facet_rims(P)):
+            rows = slice(T.starts[f], T.starts[f + 1])
+            np.testing.assert_allclose(T.G[rows], w, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(T.c[rows], c, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(T.scale[f], scale, rtol=1e-14)
+        assert T.K.shape == (P.dim + 1, len(T.G) + 2 * P.n_edges * (P.dim == 3))
+        runs = np.concatenate([faces for _, faces in T.runs])
+        assert np.array_equal(np.sort(runs), np.arange(P.n_facets + P.n_vertices))
+
+
 def _loop_face_tests(P, Y):
     """Face-by-face oracle of ``_face_tests``: one loop per facet and vertex."""
     npts = len(Y)
-    G, c, starts = P._region_rows[:3]
     fm = np.empty((npts, P.n_facets))
-    for f, (a, b) in enumerate(zip(starts[:P.n_facets], starts[1:])):
+    for f, (w, c, scale) in enumerate(_loop_facet_rims(P)):
         n = P.facet_normals[f]
         Z = Y - (Y @ n - P.facet_offsets[f])[:, None] * n
-        fm[:, f] = (Z @ G[a:b].T - c[a:b]).min(axis=1) / P._region_rows.scale[f]
+        fm[:, f] = (Z @ w.T - c).min(axis=1) / scale
     active, near = [fm > 0.0], [np.abs(fm) < REL_MARGIN]
     if P.dim == 3:
         a, d, L = P._edge_origin, P._edge_dir, P._edge_len
@@ -354,7 +398,8 @@ def test_face_tests_match_loop_oracle(obtuse_triangle):
     bodies = [fixtures.cube(), fixtures.regular_tetrahedron(), fixtures.generic_prism(seed=2),
               fixtures.perturbed_cube(), obtuse_triangle, fixtures.triangle_from_angles(1.2, 1.0),
               random_polytope("tangent_planes", {"k": 12}, default_rng(5)),
-              random_polytope("tangent_planes", {"k": 48}, default_rng(5))]
+              random_polytope("tangent_planes", {"k": 48}, default_rng(5)),
+              _ngon_body(40), _ngon_body(30, [0.2, 0.1, 1.5])]
     rng = default_rng(33)
     banded = 0
     for P in bodies:
