@@ -70,7 +70,7 @@ class RegionRows(NamedTuple):
     j in ``starts[i]:starts[i + 1]``; ``dims[i]`` is the face's dimension.
     The rows are the face tests without their positive normalisations (the
     per-face fixed divisor is ``scale``: facet diameter, edge length, 1).
-    ``K`` has the columns ``(g, -c)`` for ``[y, 1] @ K``, laid out for
+    ``K`` has the rows ``(g, -c)`` for ``K @ [y, 1]``, laid out for
     counting, every row once: one run per row count k among the facets and
     vertices, holding row r of each of its faces in block r; ``runs`` lists
     (k, faces) with faces indexed facets first, then vertices.  The edges'
@@ -248,7 +248,7 @@ class Polytope:
         runs = tuple((k, np.flatnonzero(sizes[faces] == k)) for k in np.unique(sizes[faces]))
         blocks = [(k, faces[f]) for k, f in runs] + [(4, np.arange(F, nf - len(V)))]
         order = np.concatenate([(starts[f] + np.arange(k)[:, None]).ravel() for k, f in blocks])
-        K = np.vstack([np.column_stack([G[order], -c[order]]), frame]).T
+        K = np.vstack([np.column_stack([G[order], -c[order]]), frame])
         dims = np.repeat(np.arange(self.dim - 1, -1, -1), [len(f[2]) for f in families])
         return RegionRows(G, c, starts, dims, K, runs, scale)
 

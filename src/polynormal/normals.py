@@ -76,33 +76,33 @@ def _face_tests(P, Y):
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
     E = len(T.dims) - F - V
-    active, near = np.empty((2, len(Y), len(T.dims)), dtype=bool)
-    S = np.empty((min(len(Y), BLOCK), T.K.shape[1]))  # reused: no fresh pages per block
+    active, near = np.empty((2, len(T.dims), len(Y)), dtype=bool)  # face-major, returned transposed
+    S = np.empty(len(T.K) * min(len(Y), BLOCK))  # reused: no fresh pages per block
     for lo in range(0, len(Y), BLOCK):
-        Yb = Y[lo:lo + BLOCK]
-        n = len(Yb)
-        S1 = np.matmul(np.column_stack([Yb, np.ones(n)]), T.K, out=S[:n])
+        Yb = Y[lo:lo + BLOCK].T
+        n = Yb.shape[1]
+        S1 = np.matmul(T.K, np.vstack([Yb, np.ones(n)]), out=S[:len(T.K) * n].reshape(-1, n))
         # min over each facet's and vertex's rows, a run of equal row counts at a
         # time, then each family's positive normalisation
-        m, col = np.empty((n, F + V)), 0
+        m, col = np.empty((F + V, n)), 0
         for k, faces in T.runs:
-            m[:, faces] = S1[:, col:col + k * len(faces)].reshape(n, k, -1).min(axis=1)
+            m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
             col += k * len(faces)
-        fm = m[:, :F] / T.scale[:F]
-        vn = np.sqrt(sum((Yb[:, j, None] - P.vertices[:, j]) ** 2 for j in range(P.dim)))
-        vm = m[:, F:] / np.where(vn == 0.0, 1.0, vn)
-        d, nd, h0, h1, u0, u1 = S1[:, col:].reshape(n, 6, E).transpose(1, 0, 2)
-        rel = np.minimum(d, nd) / T.scale[F:F + E]
+        fm = m[:F] / T.scale[:F, None]
+        vn = np.sqrt(sum((P.vertices[:, j, None] - Yb[j]) ** 2 for j in range(P.dim)))
+        vm = m[F:] / np.where(vn == 0.0, 1.0, vn)
+        d, nd, h0, h1, u0, u1 = S1[col:].reshape(6, E, n)
+        rel = np.minimum(d, nd) / T.scale[F:F + E, None]
         wn = np.sqrt(u0 * u0 + u1 * u1)  # |w|, the offset from the edge line
         cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)
-        act, nr = active[lo:lo + n], near[lo:lo + n]
-        act[:, :F], nr[:, :F] = fm > 0.0, np.abs(fm) < REL_MARGIN
-        act[:, F:F + E] = (rel > 0.0) & (cone > 0.0)
-        nr[:, F:F + E] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
-                          | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
-        act[:, F + E:], nr[:, F + E:] = vm > 0.0, np.abs(vm) < CONE_MARGIN
+        act, nr = active[:, lo:lo + n], near[:, lo:lo + n]
+        act[:F], nr[:F] = fm > 0.0, np.abs(fm) < REL_MARGIN
+        act[F:F + E] = (rel > 0.0) & (cone > 0.0)
+        nr[F:F + E] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
+                       | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
+        act[F + E:], nr[F + E:] = vm > 0.0, np.abs(vm) < CONE_MARGIN
     families = [F, F + E][:P.dim - 1]
-    return list(zip(np.split(active, families, axis=1), np.split(near, families, axis=1)))
+    return list(zip(np.split(active.T, families, axis=1), np.split(near.T, families, axis=1)))
 
 
 def _record(P, key, y):

@@ -342,7 +342,7 @@ def test_region_rows_facet_rims_match_loop_build(obtuse_triangle):
             np.testing.assert_allclose(T.G[rows], w, rtol=0.0, atol=1e-14)
             np.testing.assert_allclose(T.c[rows], c, rtol=1e-14, atol=1e-14)
             np.testing.assert_allclose(T.scale[f], scale, rtol=1e-14)
-        assert T.K.shape == (P.dim + 1, len(T.G) + 2 * P.n_edges * (P.dim == 3))
+        assert T.K.shape == (len(T.G) + 2 * P.n_edges * (P.dim == 3), P.dim + 1)
         runs = np.concatenate([faces for _, faces in T.runs])
         assert np.array_equal(np.sort(runs), np.arange(P.n_facets + P.n_vertices))
 
