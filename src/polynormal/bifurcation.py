@@ -11,6 +11,9 @@ taken from that table rather than rebuilt.  In 2-D both sheet families
 coincide: the lines through each vertex orthogonal to its incident edges
 (the polygon's rim rows) bound edge strips and vertex cones alike, and
 crossings trade a minimum and a maximum instead of touching saddles.
+Lines read the same table: on a line each region is one open interval, so
+crossing audits and ray scans take sheet crossings from interval endpoints
+and counts from interval membership, not from samples.
 
 Chambers are cut along the same rows only where a region is undecided, so
 each cell lies outside every region or inside its closure, and its count is
@@ -29,7 +32,7 @@ import numpy as np
 from numpy.random import default_rng
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import NonTransversal, OnBifurcationSet, TooManyChambers
+from .errors import NonTransversal, TooManyChambers
 from .geometry import unit
 from .normals import MorseProfile, count_normals_batch, perturb_to_generic
 
@@ -112,7 +115,7 @@ def sheet_planes(P):
 
 
 def arrangement_planes(P):
-    """Distinct cutting planes across colors, with the colors each carries."""
+    """Distinct cutting planes across colors, with their colors (the bench tracer counts them)."""
     planes = sheet_planes(P)
     normals = np.array([sp.normal for sp in planes])
     offsets = np.array([sp.offset for sp in planes])
@@ -121,21 +124,45 @@ def arrangement_planes(P):
             for g in _merge(normals, offsets, max(1.0, P.diameter))]
 
 
-def _line_crossings(planes, origin, direction, lo, hi, eps):
-    """Sorted parameters t where origin + t*direction crosses a plane, and the plane indices.
+def _line_intervals(P, a, d):
+    """Each face's open interval (lo, hi) of t with a + t*d in its region, and each row's end.
 
-    Only crossings with lo < t < hi count; planes with |<n, direction>| < eps
-    are taken as parallel to the line.
+    With alpha = G.a - c and beta = G.d, row j holds for t above -alpha_j / beta_j
+    when beta_j > 0, below it when beta_j < 0, and nowhere when beta_j = 0 and
+    alpha_j <= 0; ``ends[j]`` is that t where it bounds a non-empty interval, else nan.
     """
-    normals = np.array([rec["normal"] for rec in planes])
-    offsets = np.array([rec["offset"] for rec in planes])
-    dn = normals @ direction
-    idx = np.flatnonzero(np.abs(dn) >= eps)
-    t = (offsets[idx] - normals[idx] @ origin) / dn[idx]
-    keep = (lo < t) & (t < hi)
-    t, idx = t[keep], idx[keep]
-    order = np.argsort(t, kind="stable")
-    return t[order], idx[order]
+    G, c, starts = P._region_rows[:3]
+    alpha, beta = G @ a - c, G @ d
+    t = np.divide(-alpha, beta, out=np.full(len(G), np.nan), where=beta != 0.0)
+    lo = np.maximum.reduceat(np.where(beta > 0.0, t, -np.inf), starts[:-1])
+    hi = np.minimum.reduceat(np.where(beta < 0.0, t, np.inf), starts[:-1])
+    lo[np.logical_or.reduceat((beta == 0.0) & (alpha <= 0.0), starts[:-1])] = np.inf
+    face = np.repeat(np.arange(len(lo)), np.diff(starts))
+    ends = (lo < hi)[face] & (((beta > 0.0) & (t == lo[face])) | ((beta < 0.0) & (t == hi[face])))
+    return lo, hi, np.where(ends, t, np.nan)
+
+
+def _pieces(lo, hi, ends, t_end, tol):
+    """Row groups of the endpoints in (tol, t_end - tol), chained while within tol, in order.
+
+    Row i of the returned mask holds the faces inside at the midpoint of the
+    piece of (0, t_end) before group i; its last row, after the last group.
+    """
+    rows = np.flatnonzero((ends > tol) & (ends < t_end - tol))
+    rows = rows[np.argsort(ends[rows], kind="stable")]
+    t = ends[rows]
+    cut = np.flatnonzero(np.diff(t) >= tol) + 1
+    groups = np.split(rows, cut) if len(rows) else []
+    mids = 0.5 * (np.r_[0.0, t[cut - 1], t[-1:]] + np.r_[t[:1], t[cut], t_end])
+    return groups, (lo < mids[:, None]) & (mids[:, None] < hi)
+
+
+def _profiles(P, inside):
+    """MorseProfile of each row of a (points, faces) region-membership mask."""
+    dims = P._region_rows.dims
+    slot = np.where(dims == 0, 2, P.dim - 1 - dims)  # minima, saddles, maxima
+    counts = np.column_stack([inside[:, slot == k].sum(axis=1) for k in range(3)])
+    return [MorseProfile(*map(int, row)) for row in counts]
 
 
 def point_on_sheet(P, sheet, q):
@@ -310,15 +337,12 @@ def chamber_decomposition(P, cap=10**6):
     verts = np.vstack(cells)
     starts = np.cumsum([0] + [len(v) for v in cells[:-1]])
     eps = 1e-12 * max(1.0, P.diameter)
-    G, c, rows, dims = P._region_rows[:4]
+    G, c, rows = P._region_rows[:3]
     inside = np.column_stack([
         (np.maximum.reduceat(verts @ G[a:b].T - c[a:b], starts) > eps).all(axis=1)
         for a, b in zip(rows[:-1], rows[1:])])
-    slot = np.where(dims == 0, 2, P.dim - 1 - dims)  # minima, saddles, maxima
-    counts = np.column_stack([inside[:, slot == k].sum(axis=1) for k in range(3)])
-    profiles = [MorseProfile(*map(int, row)) for row in counts]
     return [Chamber(cell, cell.mean(axis=0), float(vol), p.total, p)
-            for cell, vol, p in zip(cells, volumes[keep], profiles)]
+            for cell, vol, p in zip(cells, volumes[keep], _profiles(P, inside))]
 
 
 def spot_check_chamber(P, chamber, rng=None, samples=5):
@@ -414,40 +438,35 @@ class CrossingEvent:
 
 
 def crossing_audit(P, start, end, rng=None):
-    """Crossing events along an interior segment, with counts on both sides.
+    """Sheet crossings along an interior segment, with profiles on both sides.
 
-    Endpoints are perturbed to generic positions first.  Raises NonTransversal
-    when two crossings coincide along the segment within tolerance.
+    Endpoints are perturbed to generic positions first.  An event is a group
+    of face-interval endpoints within tolerance of each other; its colors are
+    those of the sheets its rows lie on (facet rims and edge support rows
+    blue, edge slab and vertex rows red; every row blue in 2-D).  Raises
+    NonTransversal when one group's rows lie on more than one plane.
     """
     rng = default_rng(0) if rng is None else rng
     a = perturb_to_generic(P, np.asarray(start, dtype=float), rng)
     b = perturb_to_generic(P, np.asarray(end, dtype=float), rng)
-    planes = arrangement_planes(P)
-    seg = b - a
-    seg_len = np.linalg.norm(seg)
-    tol_t = max(P.tol, 1e-12) * max(1.0, P.diameter) / max(seg_len, 1e-300)
-    ts, hit = _line_crossings(planes, a, seg, tol_t, 1.0 - tol_t,
-                              1e-14 * max(1.0, P.diameter))
-    close = np.flatnonzero(np.diff(ts) < tol_t)
-    if len(close):
-        raise NonTransversal(f"two crossings within tolerance at t={ts[close[0]]:.6g}")
-    cuts = np.concatenate([[0.0], ts, [1.0]])
-    mids = a + (0.5 * (cuts[:-1] + cuts[1:]))[:, None] * seg
-    m, s, M, marg = count_normals_batch(P, mids)
-    for i in np.nonzero(marg)[0]:
-        lo_t, hi_t = cuts[i], cuts[i + 1]
-        for frac in (0.3, 0.7, 0.45, 0.55, 0.62):
-            y = a + (lo_t + frac * (hi_t - lo_t)) * seg
-            cm, cs, cM, cmarg = count_normals_batch(P, y[None, :])
-            if not cmarg[0]:
-                m[i], s[i], M[i] = cm[0], cs[0], cM[0]
-                break
-        else:
-            raise OnBifurcationSet(f"no generic probe inside interval {i}")
-    profiles = [MorseProfile(int(m[i]), int(s[i]), int(M[i])) for i in range(len(mids))]
-    return [CrossingEvent(float(t), a + t * seg, frozenset(planes[j]["colors"]),
-                          profiles[i], profiles[i + 1])
-            for i, (t, j) in enumerate(zip(ts, hit))]
+    seg, scale = b - a, max(1.0, P.diameter)
+    tol_t = max(P.tol, 1e-12) * scale / max(np.linalg.norm(seg), 1e-300)
+    lo, hi, ends = _line_intervals(P, a, seg)
+    groups, inside = _pieces(lo, hi, ends, 1.0, tol_t)
+    profiles = _profiles(P, inside)
+    G, c, starts, dims = P._region_rows[:4]
+    events = []
+    for i, rows in enumerate(groups):
+        t = float(ends[rows[0]])
+        # unit normals oriented along the first row's
+        flip = np.where(G[rows] @ G[rows[0]] < 0.0, -1.0, 1.0) / np.linalg.norm(G[rows], axis=1)
+        if len(_merge(G[rows] * flip[:, None], c[rows] * flip, scale)) > 1:
+            raise NonTransversal(f"crossings of two planes within tolerance at t={t:.6g}")
+        face = np.searchsorted(starts, rows, side="right") - 1
+        red = (P.dim == 3) & ((dims[face] == 0) | ((dims[face] == 1) & (rows - starts[face] < 2)))
+        colors = frozenset(np.where(red, "red", "blue").tolist())
+        events.append(CrossingEvent(t, a + t * seg, colors, profiles[i], profiles[i + 1]))
+    return events
 
 
 def check_crossing_rule(event, dim):

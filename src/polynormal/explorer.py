@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .bifurcation import arrangement_planes, chamber_decomposition, exact_average
+from .bifurcation import chamber_decomposition, exact_average
 from .errors import InvariantViolation, PolytopeError, RejectionLimit
 from .fixtures import _random_prism, regular_tetrahedron
 from .geometry import chebyshev_center, hull_from_points, polytope_from_halfspaces, right_angle_defect
@@ -99,19 +99,14 @@ def witness_lower_bound(P, rng=None):
             continue
     if pts:
         m, s, M, marg = count_normals_batch(P, np.array(pts))
-        tot = (m + s + M)[~marg]
-        if len(tot):
-            best = int(tot.max())
+        best = int((m + s + M)[~marg].max(initial=0))
     if P.dim == 3 and P.is_simple():
-        planes = arrangement_planes(P)
         for v in range(P.n_vertices):
             try:
                 witness = classify_by_definition(vertex_figure(P, v)).witness
                 if witness is None:
                     continue
-                counts = ray_scan_counts(P, v, witness, planes=planes)
-                if len(counts):
-                    best = max(best, int(counts.max()))
+                best = max(best, int(ray_scan_counts(P, v, witness).max(initial=0)))
             except PolytopeError:
                 continue
     return best

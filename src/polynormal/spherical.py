@@ -32,7 +32,7 @@ from numpy.random import default_rng
 
 from .errors import Borderline, NonSimpleVertex, NotGeneric, NotSimple, ValidationError
 from .geometry import contains_interior, dihedral_angle, planar_angle, right_angle_defect, unit
-from .normals import _random_unit, count_normals_batch
+from .normals import _random_unit
 
 RIGHT = np.pi / 2
 WITNESS_MARGIN = 1e-7   # best witness margin needed for a nice verdict
@@ -481,35 +481,21 @@ def random_hemispheric_triangle(rng=None, right_angle_gap=1e-4, min_det=1e-3):
         return tri
 
 
-def ray_scan_counts(P, v, direction, planes=None):
-    """Normal counts at sample points along a ray from vertex v into P.
+def ray_scan_counts(P, v, direction):
+    """Exact normal counts on the pieces of a ray from vertex v through P.
 
-    Samples the midpoints between consecutive sheet-plane crossings of the
-    ray, which covers every chamber the ray visits; the maximum sampled count
-    is a certified lower bound for the chamber maximum.
+    Pieces end where the ray enters or leaves an active region (ends within
+    tolerance merged), so their maximum is a certified lower bound for N(P).
     """
-    from .bifurcation import _line_crossings, arrangement_planes
+    from .bifurcation import _line_intervals, _pieces
 
-    if planes is None:
-        planes = arrangement_planes(P)
-    origin = P.vertices[v]
-    d = unit(np.asarray(direction, dtype=float))
+    origin, d = P.vertices[v], unit(np.asarray(direction, dtype=float))
     dn = P.facet_normals @ d
     ahead = dn > 1e-14
     t_exit = ((P.facet_offsets - P.facet_normals @ origin)[ahead] / dn[ahead]).min(initial=np.inf)
-    if not np.isfinite(t_exit) or t_exit <= 0:
+    tol = max(P.tol, 1e-12) * max(1.0, P.diameter)
+    # with its midpoint interior, the whole open segment from v to the exit is
+    if not (np.isfinite(t_exit)
+            and (P.facet_normals @ (origin + 0.5 * t_exit * d) <= P.facet_offsets - tol).all()):
         return np.array([], dtype=int)
-    cuts, _ = _line_crossings(planes, origin, d, 0.0, t_exit, 1e-14)
-    grid = np.concatenate([[0.0], cuts, [t_exit]])
-    wide = np.diff(grid) > 1e-12 * max(1.0, t_exit)
-    ts = np.unique(np.concatenate([[1e-4 * t_exit, 0.5 * t_exit, (1.0 - 1e-4) * t_exit],
-                                   0.5 * (grid[:-1] + grid[1:])[wide]]))
-    pts = origin[None, :] + ts[:, None] * d[None, :]
-    tol = P.tol * max(1.0, P.diameter)
-    inside = (pts @ P.facet_normals.T <= P.facet_offsets - tol).all(axis=1)
-    pts = pts[inside]
-    if not len(pts):
-        return np.array([], dtype=int)
-    m, s, M, marg = count_normals_batch(P, pts)
-    totals = (m + s + M)[~marg]
-    return totals
+    return _pieces(*_line_intervals(P, origin, d), t_exit, tol)[1].sum(axis=1)

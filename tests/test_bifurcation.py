@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from scipy.spatial import ConvexHull, QhullError
 from conftest import ANGLES, SHIFTS, rotation, sample_interior
 from polynormal import bifurcation, fixtures
 from polynormal.bifurcation import (
+    _line_intervals,
+    _pieces,
     _plane_basis,
+    _profiles,
     arrangement_planes,
     chamber_decomposition,
     check_crossing_rule,
@@ -29,6 +33,7 @@ from polynormal.errors import NonTransversal, TooManyChambers
 from polynormal.explorer import random_polytope
 from polynormal.geometry import chebyshev_center, hull_from_points, unit
 from polynormal.normals import count_normals_batch
+from polynormal.spherical import ray_scan_counts
 
 
 def test_sheet_counts_regular_tetra(regular_tetra):
@@ -314,6 +319,90 @@ def test_crossing_audit_nontransversal(flat_tetra_10):
         step /= 2.0
     with pytest.raises(NonTransversal):
         crossing_audit(P, q - step * w, q + step * w)
+
+
+def _audit_bodies():
+    """The bodies of acceptance criterion 7; the triangle is the ``obtuse_triangle`` fixture."""
+    rng = default_rng(77)
+    return [fixtures.flat_tetrahedron_10(), fixtures.flat_tetrahedron_12(),
+            fixtures.four_normal_tetrahedron(), fixtures.isoceles_triangle(2.4),
+            fixtures.regular_tetrahedron(), fixtures.cube(),
+            random_polytope("perturbed_tetra", {"sigma": 0.35}, rng),
+            random_polytope("perturbed_prism", {"sigma": 0.12}, rng)]
+
+
+def test_line_intervals_match_counting_kernel():
+    # second route: the interval profile between any two consecutive face
+    # endpoints equals the kernel's count wherever the kernel is not marginal
+    rng = default_rng(31)
+    checked = 0
+    for P in _audit_bodies():
+        pts = sample_interior(P, 120, rng)
+        for a, b in zip(pts[::2], pts[1::2]):
+            lo, hi, ends = _line_intervals(P, a, b - a)
+            t = np.unique(ends[(ends > 0.0) & (ends < 1.0)])
+            mids = 0.5 * (np.r_[0.0, t] + np.r_[t, 1.0])
+            want = _profiles(P, (lo < mids[:, None]) & (mids[:, None] < hi))
+            m, s, M, marg = count_normals_batch(P, a + mids[:, None] * (b - a))
+            for i in np.flatnonzero(~marg):
+                assert want[i].as_tuple() == (m[i], s[i], M[i])
+                checked += 1
+    assert checked > 1000
+
+
+def test_ray_scan_counts_are_exact():
+    rng = default_rng(32)
+    rays = checked = 0
+    for P in _audit_bodies():
+        tol = max(P.tol, 1e-12) * max(1.0, P.diameter)
+        pts = sample_interior(P, 3 * P.n_vertices, rng)
+        for v, y in zip(np.repeat(np.arange(P.n_vertices), 3), pts):
+            d = unit(y - P.vertices[v])
+            counts = ray_scan_counts(P, v, d)
+            assert len(counts) and (counts % 2 == 0).all() and (counts <= P.n_faces).all()
+            t_exit = min((P.facet_offsets[f] - P.facet_normals[f] @ P.vertices[v])
+                         / (P.facet_normals[f] @ d)
+                         for f in range(P.n_facets) if P.facet_normals[f] @ d > 1e-14)
+            lo, hi, ends = _line_intervals(P, P.vertices[v], d)
+            groups, _ = _pieces(lo, hi, ends, t_exit, tol)
+            cuts = [0.0] + [t for g in groups for t in (ends[g].min(), ends[g].max())] + [t_exit]
+            mids = 0.5 * (np.array(cuts[::2]) + np.array(cuts[1::2]))
+            m, s, M, marg = count_normals_batch(P, P.vertices[v] + mids[:, None] * d)
+            assert len(counts) == len(mids)
+            assert ((m + s + M) == counts)[~marg].all()
+            rays += 1
+            checked += int((~marg).sum())
+    assert rays == 111 and checked > 300
+
+
+def test_crossing_colors_are_the_crossed_sheets():
+    # second route for colours: the sheets built incidence by incidence that
+    # hold each event's point
+    rng = default_rng(34)
+    events = 0
+    for P in _audit_bodies():
+        sheets = sheet_planes(P)
+        pts = sample_interior(P, 60, rng)
+        for a, b in zip(pts[::2], pts[1::2]):
+            for e in crossing_audit(P, a, b, rng):
+                assert abs(e.count_after - e.count_before) == 2
+                assert e.colors == {sp.color for sp in sheets if point_on_sheet(P, sp, e.point)}
+                events += 1
+    assert events > 300
+
+
+def test_crossing_audit_zero_length_segment(obtuse_triangle, flat_tetra_10, cube):
+    # beta = 0 on every row: no events, and no division warnings
+    rng = default_rng(33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for P in (obtuse_triangle, flat_tetra_10, cube):
+            for y in sample_interior(P, 5, rng):
+                assert crossing_audit(P, y, y) == []
+                lo, hi, ends = _line_intervals(P, y, np.zeros(P.dim))
+                m, s, M, _ = count_normals_batch(P, y[None, :])
+                assert ((lo < 0.0) & (0.0 < hi)).sum() == m[0] + s[0] + M[0]
+                assert np.isnan(ends).all()
 
 
 def test_adjacent_chambers_differ_by_two_or_zero(obtuse_triangle, flat_tetra_10):
