@@ -18,10 +18,15 @@ and counts from interval membership, not from samples.
 Chambers are cut along the same rows only where a region is undecided, so
 each cell lies outside every region or inside its closure, and its count is
 read from the rows at its vertices, not sampled.
-All cells share one stacked vertex array: a row's signed distances are one
+All cells share one stacked vertex array: a face's signed distances are one
 product, ``reduceat`` over the cell starts picks the straddled cells, and a
-cut polygon is the Qhull hull of the crossing points and on-plane vertices,
-with no point set rounded to a grid.
+row cuts all of them in one batch.  A cut polygon's vertices come from the
+crossing points of every (plus, minus) vertex pair and the on-plane
+vertices, sorted by angle in the plane and pruned by rounds of chord tests,
+with no point set rounded to a grid.  A cell's volume comes from its facet
+polygons, each on a region row or a facet plane of P: the sum of facet area
+times the distance from the cell's vertex mean, over dim.  No chamber step
+calls Qhull.
 """
 
 from __future__ import annotations
@@ -30,15 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NonTransversal, TooManyChambers
-from .geometry import unit
 from .normals import MorseProfile, count_normals_batch, perturb_to_generic
 
 PLANE_TOL = 1e-9        # coincidence of sheet planes: normal cosine and offset
 ON_SHEET_TOL = 1e-7     # point_on_sheet slack, relative to the body's scale
 MIN_REL_VOLUME = 1e-12  # cells below this fraction of Vol P are degenerate
+BLOCK = 512             # cell vertices per plane product in ``_measure_cells``
 
 
 @dataclass(frozen=True)
@@ -202,76 +206,138 @@ def point_on_sheet(P, sheet, q):
 # -- cell splitting ----------------------------------------------------------
 
 
-def _plane_basis(normal):
-    n = unit(normal)
-    if len(n) == 2:
-        return np.array([[-n[1], n[0]]])
-    t = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = unit(t - (t @ n) * n)
-    return np.array([u, np.cross(n, u)])
+def _plane_basis(normals):
+    """Orthonormal rows spanning the plane orthogonal to each normal: shape (..., dim - 1, dim)."""
+    n = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
+    if n.shape[-1] == 2:
+        return np.stack([-n[..., 1], n[..., 0]], axis=-1)[..., None, :]
+    t = np.where(np.abs(n[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    u = t - (t * n).sum(axis=-1, keepdims=True) * n
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return np.stack([u, np.cross(n, u)], axis=-2)
 
 
-def _prune_section(points, basis, eps):
-    """Extreme points of a coplanar point cloud (the cut polygon's vertices).
+def _cut_points(verts, s, cell, eps):
+    """Candidate section points of cells cut by one plane, and their cell ids.
 
-    ``basis`` holds orthonormal rows spanning the plane (``_plane_basis``).
-    Qhull keeps two hull vertices that differ by rounding noise (an on-plane
-    cell vertex and a crossing point that lands on it), so a polygon vertex
-    within ``eps`` of the next one in hull order is dropped.
+    ``verts`` are the stacked vertices of the cells, ``s`` their signed plane
+    distances and ``cell`` their cell ids, non-decreasing.  Each cell's
+    section vertices (cell-edge crossings and on-plane vertices) are among
+    the crossing points of all its (plus, minus) vertex pairs and its
+    vertices within eps of the plane.
     """
-    if len(points) <= 2:
-        return points
-    flat = (points - points[0]) @ basis.T
-    if flat.shape[1] == 1:
-        imin, imax = int(np.argmin(flat[:, 0])), int(np.argmax(flat[:, 0]))
-        return points[[imin, imax]]
-    try:
-        ring = points[ConvexHull(flat).vertices]
-        return ring[np.abs(ring - np.concatenate((ring[1:], ring[:1]))).max(axis=1) > eps]
-    except QhullError:
-        span = flat[:, 0] if np.ptp(flat[:, 0]) >= np.ptp(flat[:, 1]) else flat[:, 1]
-        return points[[int(np.argmin(span)), int(np.argmax(span))]]
+    plus, minus = s > eps, s < -eps
+    p, m = np.flatnonzero(plus), np.flatnonzero(minus)
+    n_minus = np.bincount(cell[m], minlength=cell[-1] + 1)
+    reps = n_minus[cell[p]]
+    i = np.repeat(p, reps)
+    skip = (np.cumsum(n_minus) - n_minus)[cell[p]] - (np.cumsum(reps) - reps)
+    j = m[np.repeat(skip, reps) + np.arange(len(i))]
+    lam = s[i] / (s[i] - s[j])  # s[i] > eps > -eps > s[j]: no zero denominator
+    on = np.flatnonzero(~plus & ~minus)
+    points = np.concatenate([verts[i] + lam[:, None] * (verts[j] - verts[i]), verts[on]])
+    return points, np.concatenate([cell[i], cell[on]])
 
 
-def _section(verts, s, basis, eps):
-    """Vertices of the polygon a plane cuts from a convex cell.
+def _section(points, cell, basis, eps):
+    """Indices of the section vertices among candidate points, grouped by ascending cell.
 
-    ``s`` holds the signed plane distances of ``verts``.  Crossing points of
-    all straddling vertex pairs lie in the cut polygon, and its true vertices
-    (cell-edge crossings and on-plane cell vertices) are among them;
-    ``_prune_section`` keeps one copy of each.
+    In 2-D a cell keeps its two extreme points along the line.  In 3-D its
+    points are sorted by angle around their mean in the plane coordinates
+    ``points @ basis.T``; then, in rounds, every point that is reflex by more
+    than eps is dropped, and so is a point on a ring neighbour's ray from the
+    mean and nearer to it, and every point within eps of the chord between
+    its ring neighbours, never two such neighbours in one round.  What is
+    left is each cut polygon's vertex ring, counterclockwise, with interior
+    and collinear points and rounding-noise twins gone.
     """
-    plus = s > eps
-    minus = s < -eps
-    on = ~plus & ~minus
-    vi, vj = verts[plus], verts[minus]
-    si, sj = s[plus], s[minus]
-    denom = si[:, None] - sj[None, :]
-    lam = si[:, None] / denom
-    cross = vi[:, None, :] + lam[..., None] * (vj[None, :, :] - vi[:, None, :])
-    cross = cross.reshape(-1, verts.shape[1])
-    section = np.vstack([cross, verts[on]]) if on.any() else cross
-    return _prune_section(section, basis, eps)
+    if not len(points):
+        return np.arange(0)
+    Y = points @ basis.T
+    if Y.shape[1] == 1:
+        order = np.lexsort((Y[:, 0], cell))
+        last = np.flatnonzero(np.diff(cell[order], append=-1))
+        ends = np.column_stack([np.r_[0, last[:-1] + 1], last]).ravel()
+        return order[ends[np.r_[True, np.diff(ends) != 0]]]
+    n = np.bincount(cell)
+    x = Y[:, 0] - (np.bincount(cell, Y[:, 0]) / n)[cell]
+    y = Y[:, 1] - (np.bincount(cell, Y[:, 1]) / n)[cell]
+    order = np.lexsort((np.arctan2(y, x), cell))
+    x, y, cell = x[order], y[order], cell[order]
+    r = np.hypot(x, y)
+    done = []
+    while len(cell):
+        pos = np.arange(len(cell))
+        head = np.ones(len(cell), dtype=bool)
+        np.not_equal(cell[1:], cell[:-1], out=head[1:])
+        first = np.flatnonzero(head)
+        last = np.append(first[1:], len(cell)) - 1
+        prev, nxt = pos - 1, pos + 1
+        prev[first], nxt[last] = last, first
+        dx, dy, wx, wy = x[nxt] - x[prev], y[nxt] - y[prev], x - x[prev], y - y[prev]
+        L2 = dx * dx + dy * dy
+        reflex = dx * wy - dy * wx > eps * np.sqrt(L2)
+        for k in (prev, nxt):  # on a neighbour's ray from the mean, nearer by more than eps
+            reflex |= ((r + eps < r[k]) & (np.abs(x[k] * y - y[k] * x) <= eps * r[k])
+                       & (x[k] * x + y[k] * y >= 0.0))
+        t = np.clip(np.divide(wx * dx + wy * dy, L2, out=np.zeros(len(L2)), where=L2 > 0.0), 0.0, 1.0)
+        near = ((wx - t * dx) ** 2 + (wy - t * dy) ** 2 < eps * eps) & ~reflex
+        near[first[first == last]] = False  # a ring of one point keeps it
+        # a reflex point lies inside the triangle of the mean and its neighbours
+        # (or on its side through the mean), so it is no hull vertex and all go
+        # at once; near points alternate along each run and across the ring's
+        # seam, so of two twins one stays
+        run = near & ~(near[prev] & ~head)
+        near &= (pos - np.maximum.accumulate(np.where(run, pos, 0))) % 2 == 0
+        near[last[near[first]]] = False
+        drop = reflex | near
+        final = ~np.logical_or.reduceat(drop, first)[np.cumsum(head) - 1]  # convex rings are done
+        done.append((order[final], cell[final]))
+        keep = ~final & ~drop
+        order, x, y, r, cell = order[keep], x[keep], y[keep], r[keep], cell[keep]
+    order, cell = (np.concatenate(a) for a in zip(*done))
+    return order[np.argsort(cell, kind="stable")]
 
 
-def _split_cell(verts, s, basis, eps):
-    """(minus, plus) halves of a cell straddling a plane; ``s`` as in ``_section``.
+def _ranks(mask, group, n_groups):
+    """Position of each masked item among the masked items of its group (groups ascending)."""
+    count = np.bincount(group[mask], minlength=n_groups)
+    return (np.cumsum(mask) - 1)[mask] - (np.cumsum(count) - count)[group[mask]], count
 
-    The cut polygon holds the on-plane vertices, so each half is the strict
-    side's vertices plus the cut polygon.
+
+def _cut(verts, sizes, s, cut, basis, eps):
+    """Stacked cells and their sizes after cutting cells ``cut`` (ascending) along one plane.
+
+    Each cut cell is replaced in place by its minus half, then its plus half:
+    the strict side's vertices in order, then the section ring.  Every other
+    cell keeps its vertices; all land in one preallocated array.
     """
-    section = _section(verts, s, basis, eps)
-    return (np.vstack([verts[s < -eps], section]),
-            np.vstack([verts[s > eps], section]))
-
-
-def _cell_volume(verts, dim):
-    if len(verts) < dim + 1:
-        return 0.0
-    try:
-        return float(ConvexHull(verts).volume)
-    except QhullError:
-        return 0.0
+    starts = np.cumsum(sizes) - sizes
+    n = sizes[cut]
+    idx = np.repeat(starts[cut] - np.cumsum(n) + n, n) + np.arange(n.sum())  # cut cells' vertices
+    local = np.repeat(np.arange(len(cut)), n)
+    points, point_cell = _cut_points(verts[idx], s[idx], local, eps)
+    ring = _section(points, point_cell, basis, eps)
+    section, section_cell = points[ring], point_cell[ring]
+    section_rank, n_section = _ranks(np.ones(len(ring), dtype=bool), section_cell, len(cut))
+    sides = (s[idx] < -eps, s[idx] > eps)
+    halves = [_ranks(side, local, len(cut)) for side in sides]
+    n_lo, n_hi = (count + n_section for _, count in halves)
+    grow = np.zeros(len(sizes), dtype=int)
+    grow[cut] = n_lo + n_hi - n
+    shift = np.cumsum(grow) - grow
+    stay = np.ones(len(verts), dtype=bool)
+    stay[idx] = False
+    out = np.empty((len(verts) + grow.sum(), verts.shape[1]))
+    out[np.flatnonzero(stay) + np.repeat(shift, sizes)[stay]] = verts[stay]
+    base = starts[cut] + shift[cut]  # where each minus half starts; its plus half follows
+    for side, (rank, count) in zip(sides, halves):
+        out[base[local[side]] + rank] = verts[idx[side]]
+        out[(base + count)[section_cell] + section_rank] = section
+        base = base + n_lo
+    sizes = sizes.copy()
+    sizes[cut] = n_lo
+    return out, np.insert(sizes, cut + 1, n_hi)
 
 
 def split_by_planes(P, cap=10**6):
@@ -280,32 +346,26 @@ def split_by_planes(P, cap=10**6):
     A cell straddling row r of face F is cut along r only while F is not
     *out* on it (some row of F <= eps at every cell vertex); the minus half
     comes before the plus half, and every other cell stays where it is.
+    The per-cell extremes of F's rows are taken once per face and again
+    only after a cut, and each row cuts all its cells in one batch.
     """
     eps = 1e-12 * max(1.0, P.diameter)
     G, c, rows = P._region_rows[:3]
     verts = P.vertices.copy()
     sizes = np.array([len(verts)])
+    bases = _plane_basis(G)
     for a, b in zip(rows[:-1], rows[1:]):
-        S = verts @ G[a:b].T - c[a:b]
-        for r in range(b - a):
-            ends = np.cumsum(sizes)
-            starts = ends - sizes
-            s = S[:, r]
-            cut = np.flatnonzero((np.maximum.reduceat(S, starts).min(axis=1) > eps)
-                                 & (np.minimum.reduceat(s, starts) < -eps))
-            if len(cut):
-                basis = _plane_basis(G[a + r])
-                blocks, block_sizes, pos, at = [], [], 0, 0
-                for i in cut.tolist():
-                    lo, hi = _split_cell(verts[starts[i]:ends[i]], s[starts[i]:ends[i]],
-                                         basis, eps)
-                    blocks += [verts[pos:starts[i]], lo, hi]
-                    block_sizes += [sizes[at:i], [len(lo), len(hi)]]
-                    pos, at = ends[i], i + 1
-                blocks.append(verts[pos:])
-                block_sizes.append(sizes[at:])
-                verts, sizes = np.vstack(blocks), np.concatenate(block_sizes)
+        fresh = True
+        for r in range(a, b):
+            if fresh:
                 S = verts @ G[a:b].T - c[a:b]
+                starts = np.cumsum(sizes) - sizes
+                open_ = np.maximum.reduceat(S, starts).min(axis=1) > eps
+                low = np.minimum.reduceat(S, starts)
+            cut = np.flatnonzero(open_ & (low[:, r - a] < -eps))
+            fresh = len(cut) > 0
+            if fresh:
+                verts, sizes = _cut(verts, sizes, S[:, r - a], cut, bases[r], eps)
             if len(sizes) > cap:
                 raise TooManyChambers(f"chamber split exceeded {cap} cells")
     return np.split(verts, np.cumsum(sizes)[:-1])
@@ -314,8 +374,100 @@ def split_by_planes(P, cap=10**6):
 def plane_section(P, normal, offset):
     """Ordered polygon where a plane cuts through the polytope, or None."""
     eps = 1e-12 * max(1.0, P.diameter)
-    pts = _section(P.vertices, P.vertices @ normal - offset, _plane_basis(normal), eps)
+    V = P.vertices
+    points, cell = _cut_points(V, V @ normal - offset, np.zeros(len(V), dtype=int), eps)
+    pts = points[_section(points, cell, _plane_basis(normal), eps)]
     return pts if len(pts) >= P.dim else None
+
+
+def _facets(S, st, sizes, dim, eps):
+    """Facets of a block of cells: (cell, plane, on-vertices grouped by facet, their counts).
+
+    ``S`` holds the signed distances of the block's vertices from every
+    plane, ``st`` and ``sizes`` the cells' vertex starts and counts.  A plane
+    holds a facet of a cell when at least dim cell vertices lie within eps
+    of it and every vertex is on one side; of the planes with the same
+    on-vertex set (compared as exact bitmasks of the cells' vertex
+    positions, 62 to a word) the first gives the facet.
+    """
+    m = S.shape[1]
+    cell = np.repeat(np.arange(len(st)), sizes)
+    v, j = np.divmod(np.flatnonzero(np.abs(S) <= eps), m)
+    pair = cell[v] * m + j
+    sel = np.flatnonzero((np.bincount(pair, minlength=len(st) * m) >= dim)[pair])
+    sel = sel[np.argsort(pair[sel], kind="stable")]
+    v, pair = v[sel], pair[sel]
+    head = np.flatnonzero(np.diff(pair, prepend=-1))
+    n_on = np.diff(np.append(head, len(pair)))
+    fc, fp = np.divmod(pair[head], m)
+    n = sizes[fc]
+    at = np.repeat(st[fc] - np.cumsum(n) + n, n) + np.arange(n.sum())
+    Sv, seg = S[at, np.repeat(fp, n)], np.cumsum(n) - n
+    side = np.flatnonzero((np.maximum.reduceat(Sv, seg) <= eps) | (np.minimum.reduceat(Sv, seg) >= -eps))
+    loc = v - st[cell[v]]
+    keys = [np.add.reduceat(np.where(loc // 62 == k, 1 << loc % 62, 0), head)[side]
+            for k in range(sizes.max() // 62 + 1)]
+    order = np.lexsort([fp[side]] + keys + [fc[side]])
+    twin = np.all([key[order[1:]] == key[order[:-1]] for key in keys + [fc[side]]], axis=0)
+    kept = np.zeros(len(head), dtype=bool)
+    kept[side[order[np.append(True, ~twin)[:len(order)]]]] = True
+    return fc[kept], fp[kept], v[np.repeat(kept, n_on)], n_on[kept]
+
+
+def _polygon_areas(Y, sizes):
+    """Area of each convex polygon (length of each segment in 1-D) from its vertex group in Y.
+
+    The groups are consecutive, ``sizes`` long, their vertices in any
+    order: each is sorted by angle around its mean, then measured by the
+    shoelace formula; a segment's length is the spread of its coordinate.
+    """
+    first = np.cumsum(sizes) - sizes
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    Y = Y - (np.add.reduceat(Y, first) / sizes[:, None])[group]
+    if Y.shape[1] == 1:
+        Y = Y[np.lexsort((Y[:, 0], group))]
+        return Y[first + sizes - 1, 0] - Y[first, 0]
+    Y = Y[np.lexsort((np.arctan2(Y[:, 1], Y[:, 0]), group))]
+    nxt = np.arange(1, len(Y) + 1)
+    nxt[first + sizes - 1] = first
+    return 0.5 * np.add.reduceat(Y[:, 0] * Y[nxt, 1] - Y[nxt, 0] * Y[:, 1], first)
+
+
+def _measure_cells(P, verts, sizes):
+    """Volume, vertex mean and decided faces of each stacked cell, about BLOCK vertices at a time.
+
+    Every facet of a cell lies on a region row or a facet plane of P
+    (``_facets``).  It is measured in the coordinates other than its
+    normal's largest one (``_polygon_areas``), and a cell's volume is the sum
+    over its facets of area times the distance from the cell's vertex mean,
+    over dim.  ``inside[i, F]`` says every row of face F exceeds eps at some
+    vertex of cell i.
+    """
+    dim, eps = P.dim, 1e-12 * max(1.0, P.diameter)
+    G, c, rows = P._region_rows[:3]
+    Q, q = np.vstack([G, P.facet_normals]), np.concatenate([c, P.facet_offsets])
+    cols = (np.abs(Q).argmax(axis=1)[:, None] + np.arange(1, dim)) % dim  # measuring coordinates
+    stretch = 1.0 / np.abs(Q).max(axis=1)  # true over measured area, over |Q|
+    starts = np.cumsum(sizes) - sizes
+    volumes, means = np.empty(len(sizes)), np.empty((len(sizes), dim))
+    inside = np.empty((len(sizes), len(rows) - 1), dtype=bool)
+    blocks = np.unique(np.append(np.searchsorted(starts, np.arange(0, len(verts), BLOCK)), len(sizes)))
+    bounds = np.append(starts, len(verts))[blocks]
+    buffer = np.empty((np.diff(bounds).max(), len(Q)))  # reused: no fresh pages per block
+    for c0, c1, v0, v1 in zip(blocks[:-1], blocks[1:], bounds[:-1], bounds[1:]):
+        st = starts[c0:c1] - v0
+        S = np.matmul(verts[v0:v1], Q.T, out=buffer[:v1 - v0])
+        S -= q
+        # whether a row exceeds eps somewhere on a cell: its bits OR-ed over the cell
+        hit = np.bitwise_or.reduceat(np.packbits(S[:, :len(G)] > eps, axis=1), st)
+        inside[c0:c1] = np.logical_and.reduceat(
+            np.unpackbits(hit, axis=1, count=len(G)).view(bool), rows[:-1], axis=1)
+        means[c0:c1] = np.add.reduceat(verts[v0:v1], st) / sizes[c0:c1, None]
+        fc, fp, v, n_on = _facets(S, st, sizes[c0:c1], dim, eps)
+        area = _polygon_areas(verts[v0 + v[:, None], np.repeat(cols[fp], n_on, axis=0)], n_on)
+        h = np.abs(np.einsum("nd,nd->n", Q[fp], means[c0 + fc]) - q[fp])  # distance times |Q|
+        volumes[c0:c1] = np.bincount(fc, h * area * stretch[fp], c1 - c0) / dim
+    return volumes, means, inside
 
 
 def _interior_rep(verts, rng):
@@ -331,18 +483,11 @@ def chamber_decomposition(P, cap=10**6):
     Vol P are discarded as degenerate; the representative is the vertex mean.
     """
     cells = split_by_planes(P, cap)
-    volumes = np.array([_cell_volume(verts, P.dim) for verts in cells])
+    volumes, means, inside = _measure_cells(P, np.concatenate(cells),
+                                            np.array([len(verts) for verts in cells]))
     keep = np.flatnonzero(volumes > MIN_REL_VOLUME * P.volume)
-    cells = [cells[i] for i in keep]
-    verts = np.vstack(cells)
-    starts = np.cumsum([0] + [len(v) for v in cells[:-1]])
-    eps = 1e-12 * max(1.0, P.diameter)
-    G, c, rows = P._region_rows[:3]
-    inside = np.column_stack([
-        (np.maximum.reduceat(verts @ G[a:b].T - c[a:b], starts) > eps).all(axis=1)
-        for a, b in zip(rows[:-1], rows[1:])])
-    return [Chamber(cell, cell.mean(axis=0), float(vol), p.total, p)
-            for cell, vol, p in zip(cells, volumes[keep], _profiles(P, inside))]
+    return [Chamber(cells[i], means[i], float(volumes[i]), p.total, p)
+            for i, p in zip(keep.tolist(), _profiles(P, inside[keep]))]
 
 
 def spot_check_chamber(P, chamber, rng=None, samples=5):

@@ -105,19 +105,19 @@ def _face_tests(P, Y):
     return list(zip(np.split(active.T, families, axis=1), np.split(near.T, families, axis=1)))
 
 
-def _record(P, key, y):
-    """The normal from y based on face ``key``, whose test is known to hold."""
-    dim, idx = key
+def _records(P, dim, faces, y):
+    """The normals from y based on ``faces`` of one dimension, whose tests are known to hold."""
     if dim == P.dim - 1:
-        n = P.facet_normals[idx]
-        z = y - (y @ n - P.facet_offsets[idx]) * n
+        n = P.facet_normals[faces]
+        z = y - ((n * y).sum(axis=1) - P.facet_offsets[faces])[:, None] * n
     elif dim == 1:
-        a = P._edge_origin[idx]
-        t = (y - a) @ P._edge_dir[idx]
-        z = a + t * P._edge_dir[idx]
+        a, d = P._edge_origin[faces], P._edge_dir[faces]
+        z = a + ((y - a) * d).sum(axis=1)[:, None] * d
     else:
-        z = P.vertices[idx].copy()
-    return NormalRecord(key, z, float(np.sum((z - y) ** 2)), (P.dim - 1) - dim)
+        z = P.vertices[faces]
+    sq = ((z - y) ** 2).sum(axis=1)
+    return [NormalRecord((dim, f), p, s, (P.dim - 1) - dim)
+            for f, p, s in zip(faces.tolist(), z, sq.tolist())]
 
 
 def count_normals_batch(P, Y):
@@ -155,7 +155,7 @@ def face_normal_from(P, face, y):
         raise OnBifurcationSet(f"face {(dim, idx)} test within tolerance of its boundary")
     if not active[0, idx]:
         return None
-    return _record(P, (dim, idx), y)
+    return _records(P, dim, np.array([idx]), y)[0]
 
 
 def normals_from_point(P, y):
@@ -173,7 +173,7 @@ def normals_from_point(P, y):
         if near.any():
             face = (dim, int(near[0].argmax()))
             raise OnBifurcationSet(f"face {face} test within tolerance of its boundary")
-        records.extend(_record(P, (dim, int(i)), y) for i in np.nonzero(active[0])[0])
+        records += _records(P, dim, np.flatnonzero(active[0]), y)
     records.sort(key=lambda r: r.sq_dist)
     return records
 

@@ -490,13 +490,21 @@ def _closest_pair(cells):
     return min(gap(v) for v in cells)
 
 
+def _hull_volume(verts):
+    """Qhull volume of a cell, 0 for a flat one."""
+    try:
+        return float(ConvexHull(verts).volume)
+    except QhullError:
+        return 0.0
+
+
 def _sampled_counts(P, cells, rng):
     """Reference counting: (count, volume) per cell above the volume floor,
     the count read at a jittered interior point that is retried while
     marginal; a cell marginal on every try is dropped."""
     out = []
     for verts in cells:
-        vol = bifurcation._cell_volume(verts, P.dim)
+        vol = _hull_volume(verts)
         if vol <= bifurcation.MIN_REL_VOLUME * P.volume:
             continue
         for _ in range(50):
@@ -570,3 +578,76 @@ def test_plane_section(cube):
             == {tuple(p) for p in np.round(cube.vertices[cube.facet_cycles[f]], 9)})
     # a plane that touches only an edge cuts no polygon
     assert plane_section(cube, unit(np.array([1.0, 1.0, 0.0])), np.sqrt(2.0)) is None
+
+
+def _cuboctahedron():
+    # its symmetric arrangement leaves region rows through three or more
+    # vertices of a cell that they cut through, so that cell facets need the
+    # one-side test
+    return hull_from_points(np.array([p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                                      for p in ((a, b, 0.0), (a, 0.0, b), (0.0, a, b))]))
+
+
+def test_chamber_volumes_match_qhull():
+    families = (("perturbed_tetra", {"sigma": 0.35}), ("perturbed_prism", {"sigma": 0.12}))
+    bodies = (_chamber_fixtures() + [_cuboctahedron()]
+              + [random_polytope("tangent_planes", {"k": k}, default_rng([43, k])) for k in (5, 6, 7, 8)]
+              + [random_polytope(family, params, default_rng([47, i]))
+                 for family, params in families for i in range(10)])
+    for P in bodies:
+        for chamber in chamber_decomposition(P):
+            hull = ConvexHull(chamber.vertices)
+            assert abs(chamber.volume - hull.volume) <= 1e-12 * P.volume
+            # every cell vertex is a hull vertex: no collinear points, no twins
+            assert len(hull.vertices) == len(chamber.vertices)
+
+
+def _qhull_section(P, normal, offset):
+    """Reference section: the Qhull ring of the edge crossings and on-plane
+    vertices in 3-D, their two extremes along the line in 2-D."""
+    eps = 1e-12 * max(1.0, P.diameter)
+    s = P.vertices @ normal - offset
+    a, b = P.edges.T
+    a, b = a[s[a] * s[b] < 0.0], b[s[a] * s[b] < 0.0]
+    a, b = a[np.minimum(abs(s[a]), abs(s[b])) > eps], b[np.minimum(abs(s[a]), abs(s[b])) > eps]
+    lam = s[a] / (s[a] - s[b])
+    pts = np.vstack([P.vertices[a] + lam[:, None] * (P.vertices[b] - P.vertices[a]),
+                     P.vertices[np.abs(s) <= eps]])
+    flat = pts @ _plane_basis(normal).T
+    if P.dim == 2:
+        return pts[[flat[:, 0].argmin(), flat[:, 0].argmax()]]
+    return pts[ConvexHull(flat).vertices]
+
+
+def test_plane_section_matches_qhull_ring(cube):
+    rng = default_rng(5)
+    f = int(np.argmax(cube.facet_normals[:, 2]))
+    cases = [(cube, unit(np.array([1.0, -1.0, 0.0])), 0.0),
+             (cube, cube.facet_normals[f], cube.facet_offsets[f])]
+    for P in _chamber_fixtures():
+        for _ in range(20):
+            normal = unit(rng.standard_normal(P.dim))
+            cases.append((P, normal, float(normal @ sample_interior(P, 1, rng)[0])))
+    for P, normal, offset in cases:
+        got, want = plane_section(P, normal, offset), _qhull_section(P, normal, offset)
+        assert got is not None and len(got) == len(want)
+        d = np.linalg.norm(got[:, None] - want[None], axis=2)
+        eps = 1e-12 * max(1.0, P.diameter)
+        assert (d.min(axis=1) <= eps).all() and (d.min(axis=0) <= eps).all()
+        if P.dim == 3:
+            # fileio writes the ring as a polygon: consecutive turns share a sign
+            ring = got @ _plane_basis(normal).T
+            e = np.roll(ring, -1, axis=0) - ring
+            turns = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+            assert (turns > 0.0).all() or (turns < 0.0).all()
+
+
+def test_chambers_and_sections_emit_no_warnings():
+    # the fixtures include both flat tetrahedra
+    bodies = _chamber_fixtures() + [random_polytope("tangent_planes", {"k": 8}, default_rng([43, 8]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for P in bodies:
+            chamber_decomposition(P)
+            for sp in sheet_planes(P):
+                plane_section(P, sp.normal, sp.offset)
