@@ -19,10 +19,14 @@ Chambers are cut along the same rows only where a region is undecided, so
 each cell lies outside every region or inside its closure, and its count is
 read from the rows at its vertices, not sampled.
 All cells share one stacked vertex array: a face's signed distances are one
-product, ``reduceat`` over the cell starts picks the straddled cells, and a
-row cuts all of them in one batch.  A cut polygon's vertices come from the
-crossing points of every (plus, minus) vertex pair and the on-plane
-vertices, sorted by angle in the plane and pruned by rounds of chord tests,
+product, ``reduceat`` over the cell starts gives each cell's rows above eps
+and below -eps somewhere, and a row cuts all its straddled cells in one
+batch, which changes only those cells' entries.  Every cell vertex carries
+a bitmask of the geometric planes it lies on (region rows and facet planes
+of P, coincident ones merged), so a cut crosses only the (plus, minus)
+vertex pairs that share dim - 1 planes; these include every cell edge.
+The crossings and the on-plane vertices are sorted by angle in the plane
+and pruned by rounds of chord tests, which drop twins and collinear points,
 with no point set rounded to a grid.  A cell's volume comes from its facet
 polygons, each on a region row or a facet plane of P: the sum of facet area
 times the distance from the cell's vertex mean, over dim.  No chamber step
@@ -32,6 +36,7 @@ calls Qhull.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
@@ -40,7 +45,7 @@ from .errors import NonTransversal, TooManyChambers
 from .normals import MorseProfile, count_normals_batch, perturb_to_generic
 
 PLANE_TOL = 1e-9        # coincidence of sheet planes: normal cosine and offset
-ON_SHEET_TOL = 1e-7     # point_on_sheet slack, relative to the body's scale
+ON_SHEET_TOL = 1e-7     # point_on_sheet and plane-incidence slack, relative to the body's scale
 MIN_REL_VOLUME = 1e-12  # cells below this fraction of Vol P are degenerate
 BLOCK = 512             # cell vertices per plane product in ``_measure_cells``
 
@@ -70,26 +75,36 @@ class Chamber:
     profile: MorseProfile
 
 
+def _first_coincident(normals, offsets, scale):
+    """Index of each plane's first coincident plane: planes i and j coincide when
+    |<n_i, n_j> - 1| and |b_i - b_j| / scale are below PLANE_TOL."""
+    return ((np.abs(normals @ normals.T - 1.0) < PLANE_TOL)
+            & (np.abs(offsets[:, None] - offsets[None, :]) < PLANE_TOL * scale)).argmax(axis=1)
+
+
 def _merge(normals, offsets, scale):
     """Groups of coincident planes, as index arrays in order of first member.
 
-    Planes i and j coincide when |<n_i, n_j> - 1| and |b_i - b_j| / scale are
-    below PLANE_TOL.  Planes whose first coincident plane is the same form one
-    group, and its first member represents it: for planes that coincide only
-    up to rounding noise this is the first-match merge in input order.
+    Planes whose first coincident plane (``_first_coincident``) is the same
+    form one group, and its first member represents it: for planes that
+    coincide only up to rounding noise this is the first-match merge in
+    input order.
     """
-    first = ((np.abs(normals @ normals.T - 1.0) < PLANE_TOL)
-             & (np.abs(offsets[:, None] - offsets[None, :]) < PLANE_TOL * scale)).argmax(axis=1)
+    first = _first_coincident(normals, offsets, scale)
     order = np.argsort(first, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(first[order])) + 1)
 
 
-def _sheets(P, normals, offsets, color, sources):
-    """SheetPlanes of one color from stacked (normal, offset) rows and their sources."""
-    # sign convention: the largest-magnitude normal component is positive
+def _canonical(normals, offsets):
+    """Planes with signs flipped so that each normal's largest-magnitude component is positive."""
     pivot = normals[np.arange(len(normals)), np.abs(normals).argmax(axis=1)]
     sign = np.where(pivot < 0, -1.0, 1.0)
-    normals, offsets = normals * sign[:, None], offsets * sign
+    return normals * sign[:, None], offsets * sign
+
+
+def _sheets(P, normals, offsets, color, sources):
+    """SheetPlanes of one color from stacked (normal, offset) rows and their sources."""
+    normals, offsets = _canonical(normals, offsets)
     return [SheetPlane(normals[g[0]], float(offsets[g[0]]), color,
                        tuple(sources[i] for i in g))
             for g in _merge(normals, offsets, max(1.0, P.diameter))]
@@ -217,24 +232,63 @@ def _plane_basis(normals):
     return np.stack([u, np.cross(n, u)], axis=-2)
 
 
-def _cut_points(verts, s, cell, eps):
-    """Candidate section points of cells cut by one plane, and their cell ids.
+def _plane_groups(P):
+    """Region rows and facet planes of P grouped into geometric planes: (rows, offsets, tol, bits, words).
 
-    ``verts`` are the stacked vertices of the cells, ``s`` their signed plane
-    distances and ``cell`` their cell ids, non-decreasing.  Each cell's
-    section vertices (cell-edge crossings and on-plane vertices) are among
-    the crossing points of all its (plus, minus) vertex pairs and its
-    vertices within eps of the plane.
+    Each group of coincident planes (``_first_coincident``, signs made
+    canonical) gets one bit, group g bit g % 64 of word g // 64; the unit
+    rows are sorted by group, ``bits`` holds each row's bit and ``words``
+    the first row of each word.  A point lies on a row within ``tol``,
+    ON_SHEET_TOL times the body's scale: merged hull facets are planar only
+    within MERGE_ANGLE, and a loose test only adds candidate pairs to a cut.
     """
-    plus, minus = s > eps, s < -eps
+    G, c = P._region_rows[:2]
+    scale = max(1.0, P.diameter)
+    normals, offsets = _canonical(np.vstack([G, P.facet_normals]),
+                                  np.concatenate([c, P.facet_offsets]))
+    first = _first_coincident(normals, offsets, scale)
+    order = np.argsort(first, kind="stable")
+    group = np.cumsum(np.diff(first[order], prepend=-1) != 0) - 1
+    bits = np.uint64(1) << (group % 64).astype(np.uint64)
+    words = np.searchsorted(group, np.arange(0, group[-1] + 1, 64))
+    return normals[order], offsets[order], ON_SHEET_TOL * scale, bits, words
+
+
+def _distances(X, G, c):
+    """Signed distances ``X @ G.T - c``; the offsets are subtracted in place, which is several
+    times faster than a second full-size temporary."""
+    S = X @ G.T
+    S -= c
+    return S
+
+
+def _incidence(points, planes):
+    """Bitmask words of the plane groups (``_plane_groups``) each point lies on."""
+    Q, q, tol, bits, words = planes
+    on = np.where(np.abs(_distances(points, Q, q)) <= tol, bits, np.uint64(0))
+    return np.bitwise_or.reduceat(on, words, axis=1)
+
+
+def _pairs(plus, minus, cell):
+    """Every (plus, minus) vertex pair of each cell, plus-major; ``cell`` is non-decreasing."""
     p, m = np.flatnonzero(plus), np.flatnonzero(minus)
     n_minus = np.bincount(cell[m], minlength=cell[-1] + 1)
     reps = n_minus[cell[p]]
     i = np.repeat(p, reps)
     skip = (np.cumsum(n_minus) - n_minus)[cell[p]] - (np.cumsum(reps) - reps)
-    j = m[np.repeat(skip, reps) + np.arange(len(i))]
+    return i, m[np.repeat(skip, reps) + np.arange(len(i))]
+
+
+def _cut_points(verts, s, cell, i, j, eps):
+    """Candidate section points of cells cut by one plane, and their cell ids.
+
+    ``s`` holds the vertices' signed plane distances and ``cell`` their cell
+    ids; (i, j) are vertex pairs with s[i] > eps and s[j] < -eps.  The
+    candidates are the pairs' crossing points, then the vertices within eps
+    of the plane.
+    """
     lam = s[i] / (s[i] - s[j])  # s[i] > eps > -eps > s[j]: no zero denominator
-    on = np.flatnonzero(~plus & ~minus)
+    on = np.flatnonzero(np.abs(s) <= eps)
     points = np.concatenate([verts[i] + lam[:, None] * (verts[j] - verts[i]), verts[on]])
     return points, np.concatenate([cell[i], cell[on]])
 
@@ -305,77 +359,169 @@ def _ranks(mask, group, n_groups):
     return (np.cumsum(mask) - 1)[mask] - (np.cumsum(count) - count)[group[mask]], count
 
 
-def _cut(verts, sizes, s, cut, basis, eps):
-    """Stacked cells and their sizes after cutting cells ``cut`` (ascending) along one plane.
+def _replace(a, cut, lo, hi):
+    """``a`` with each entry ``cut[k]`` (ascending) replaced by the two entries lo[k], hi[k]."""
+    a = a.copy()
+    a[cut] = lo
+    return np.insert(a, cut + 1, hi, axis=0)
 
-    Each cut cell is replaced in place by its minus half, then its plus half:
-    the strict side's vertices in order, then the section ring.  Every other
-    cell keeps its vertices; all land in one preallocated array.
+
+class _Cells:
+    """The cells of a split: stacked vertices, cell sizes, and each vertex's plane-group bitmask.
+
+    ``on`` (``_incidence`` against ``planes``, ``_plane_groups``) is built
+    at the first cut, from P's vertices, so a body that needs no cut builds
+    no plane groups.
     """
+
+    def __init__(self, P):
+        self.P = P
+        self.verts = P.vertices.copy()
+        self.sizes = np.array([len(self.verts)])
+
+    @cached_property
+    def planes(self):
+        return _plane_groups(self.P)
+
+    @cached_property
+    def on(self):
+        return _incidence(self.verts, self.planes)
+
+
+def _cut(cells, cut, r, face, basis, eps):
+    """Cut cells ``cut`` (ascending) along row r of ``face = (G, c)``; returns the halves' sign words.
+
+    A cut polygon's candidates are the crossings of the (plus, minus) vertex
+    pairs that share dim - 1 plane groups, which include every cell edge,
+    and the on-plane vertices.  Each cut cell is replaced in place by its
+    minus half, then its plus half: the strict side's vertices in order,
+    then the section ring.  The rows of ``cells.verts`` and ``cells.on`` are
+    gathered once from the old rows and the ring's; the face's rows are
+    evaluated on the cut cells and rings only.  The sign words (see
+    ``_split_face``) come as two arrays, the minus halves' and the plus
+    halves'.
+    """
+    G, c = face
+    verts, on, sizes = cells.verts, cells.on, cells.sizes
     starts = np.cumsum(sizes) - sizes
     n = sizes[cut]
     idx = np.repeat(starts[cut] - np.cumsum(n) + n, n) + np.arange(n.sum())  # cut cells' vertices
     local = np.repeat(np.arange(len(cut)), n)
-    points, point_cell = _cut_points(verts[idx], s[idx], local, eps)
+    X, mask = np.take(verts, idx, axis=0), np.take(on, idx, axis=0)
+    S = _distances(X, G, c)
+    s = S[:, r]
+    sides = (s < -eps, s > eps)
+    i, j = _pairs(sides[1], sides[0], local)
+    shared = sum(np.bitwise_count(mask[i, w] & mask[j, w]) for w in range(mask.shape[1]))
+    edge = shared >= verts.shape[1] - 1
+    points, point_cell = _cut_points(X, s, local, i[edge], j[edge], eps)
     ring = _section(points, point_cell, basis, eps)
-    section, section_cell = points[ring], point_cell[ring]
+    section, section_cell = np.take(points, ring, axis=0), point_cell[ring]
     section_rank, n_section = _ranks(np.ones(len(ring), dtype=bool), section_cell, len(cut))
-    sides = (s[idx] < -eps, s[idx] > eps)
     halves = [_ranks(side, local, len(cut)) for side in sides]
     n_lo, n_hi = (count + n_section for _, count in halves)
+    # the halves of the cut cells, as rows of [X; section]
+    n_new = n_lo + n_hi
+    first = np.cumsum(n_new) - n_new  # each minus half; its plus half follows
+    block = np.empty(n_new.sum(), dtype=int)
+    for side, (rank, count), at in zip(sides, halves, (first, first + n_lo)):
+        block[at[local[side]] + rank] = np.flatnonzero(side)
+        block[(at + count)[section_cell] + section_rank] = len(X) + np.arange(len(ring))
+    signs = np.take((np.concatenate([S, _distances(section, G, c)]) > eps).view(np.uint64), block, axis=0)
+    # each output row comes from [old rows; ring rows]; other cells keep their
+    # rows, shifted by what the cuts before them added
     grow = np.zeros(len(sizes), dtype=int)
-    grow[cut] = n_lo + n_hi - n
+    grow[cut] = n_new - n
     shift = np.cumsum(grow) - grow
-    stay = np.ones(len(verts), dtype=bool)
-    stay[idx] = False
-    out = np.empty((len(verts) + grow.sum(), verts.shape[1]))
-    out[np.flatnonzero(stay) + np.repeat(shift, sizes)[stay]] = verts[stay]
-    base = starts[cut] + shift[cut]  # where each minus half starts; its plus half follows
-    for side, (rank, count) in zip(sides, halves):
-        out[base[local[side]] + rank] = verts[idx[side]]
-        out[(base + count)[section_cell] + section_rank] = section
-        base = base + n_lo
-    sizes = sizes.copy()
-    sizes[cut] = n_lo
-    return out, np.insert(sizes, cut + 1, n_hi)
+    src = np.arange(len(verts) + grow.sum()) - np.repeat(shift, sizes + grow)
+    rows = np.repeat(starts[cut] + shift[cut] - first, n_new) + np.arange(len(block))
+    src[rows] = np.concatenate([idx, len(verts) + np.arange(len(ring))])[block]
+    cells.verts = np.take(np.concatenate([verts, section]), src, axis=0)
+    cells.on = np.take(np.concatenate([on, _incidence(section, cells.planes)]), src, axis=0)
+    cells.sizes = _replace(sizes, cut, n_lo, n_hi)
+    words = np.bitwise_or.reduceat(signs, np.column_stack([first, first + n_lo]).ravel())
+    return words[0::2], words[1::2]
+
+
+def _split_face(cells, face, full, bases, eps, cap):
+    """Cut the cells along the rows of one face (``_faces``), in order; returns the cells' sign words.
+
+    A cell's sign words hold one byte per row of ``face``, 1 where the row
+    exceeds eps at some cell vertex: the first half says which rows are
+    above eps somewhere, the second which are below -eps somewhere.  A cell
+    straddling row r is cut only while the face is not *out* on it (some
+    row <= eps at every cell vertex).  The words are taken once over all
+    cells; a cut replaces only the cut cells' words, by their halves'.
+    """
+    words = len(full)
+    sign = np.bitwise_or.reduceat((_distances(cells.verts, *face) > eps).view(np.uint64),
+                                  np.cumsum(cells.sizes) - cells.sizes)
+    for r in range(len(bases)):
+        if r == 0 or len(cut):  # the words changed
+            open_ = sign[:, 0] == full[0]
+            for w in range(1, words):
+                open_ &= sign[:, w] == full[w]
+            below = sign[:, words:].view(bool)
+        cut = np.flatnonzero(open_ & below[:, r])
+        if len(cut):
+            sign = _replace(sign, cut, *_cut(cells, cut, r, face, bases[r], eps))
+        if len(cells.sizes) > cap:
+            raise TooManyChambers(f"chamber split exceeded {cap} cells")
+    return sign
+
+
+def _faces(P):
+    """Each face's rows as ``_split_face`` takes them: ((G, c), full, bases) per face, in order.
+
+    G holds the face's k rows padded with zero rows to a multiple of 8, then
+    the same rows negated, and c their offsets; ``full`` is the uint64 view
+    of the first half's real-row mask, ``bases`` the rows' plane bases.
+    """
+    G, c, rows = P._region_rows[:3]
+    k = np.diff(rows)
+    pad = -(-k // 8) * 8
+    ends = np.cumsum(2 * pad)
+    at = np.repeat(ends - 2 * pad - rows[:-1], k) + np.arange(len(G))
+    neg = at + np.repeat(pad, k)
+    Gp, cp, real = np.zeros((ends[-1], P.dim)), np.zeros(ends[-1]), np.zeros(ends[-1], dtype=bool)
+    Gp[at], cp[at], real[at], Gp[neg], cp[neg] = G, c, True, -G, -c
+    bases = _plane_basis(G)
+    return [((Gp[a:b], cp[a:b]), real[a:a + n].view(np.uint64), bases[r0:r1])
+            for a, b, n, r0, r1 in zip((ends - 2 * pad).tolist(), ends.tolist(), pad.tolist(),
+                                       rows[:-1].tolist(), rows[1:].tolist())]
 
 
 def split_by_planes(P, cap=10**6):
     """Vertex sets of cells inside P on which every active region is decided.
 
-    A cell straddling row r of face F is cut along r only while F is not
-    *out* on it (some row of F <= eps at every cell vertex); the minus half
-    comes before the plus half, and every other cell stays where it is.
-    The per-cell extremes of F's rows are taken once per face and again
-    only after a cut, and each row cuts all its cells in one batch.
+    Faces are taken in row-table order (``_split_face``); a cut replaces a
+    cell by its minus half, then its plus half, and every other cell stays
+    where it is.  Each cell vertex carries the bitmask of the plane groups
+    (``_plane_groups``) it lies on, so that a cut crosses only vertex pairs
+    that can span a cell edge.
     """
     eps = 1e-12 * max(1.0, P.diameter)
-    G, c, rows = P._region_rows[:3]
-    verts = P.vertices.copy()
-    sizes = np.array([len(verts)])
-    bases = _plane_basis(G)
-    for a, b in zip(rows[:-1], rows[1:]):
-        fresh = True
-        for r in range(a, b):
-            if fresh:
-                S = verts @ G[a:b].T - c[a:b]
-                starts = np.cumsum(sizes) - sizes
-                open_ = np.maximum.reduceat(S, starts).min(axis=1) > eps
-                low = np.minimum.reduceat(S, starts)
-            cut = np.flatnonzero(open_ & (low[:, r - a] < -eps))
-            fresh = len(cut) > 0
-            if fresh:
-                verts, sizes = _cut(verts, sizes, S[:, r - a], cut, bases[r], eps)
-            if len(sizes) > cap:
-                raise TooManyChambers(f"chamber split exceeded {cap} cells")
-    return np.split(verts, np.cumsum(sizes)[:-1])
+    cells = _Cells(P)
+    for face, full, bases in _faces(P):
+        _split_face(cells, face, full, bases, eps, cap)
+    ends = np.cumsum(cells.sizes).tolist()
+    return [cells.verts[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def plane_section(P, normal, offset):
-    """Ordered polygon where a plane cuts through the polytope, or None."""
+    """Ordered polygon where a plane cuts through the polytope, or None.
+
+    Its vertices are among the crossings of P's edges and the vertices on
+    the plane.
+    """
     eps = 1e-12 * max(1.0, P.diameter)
     V = P.vertices
-    points, cell = _cut_points(V, V @ normal - offset, np.zeros(len(V), dtype=int), eps)
+    s = V @ normal - offset
+    i, j = P.edges.T
+    swap = s[i] < s[j]
+    i, j = np.where(swap, j, i), np.where(swap, i, j)
+    edge = (s[i] > eps) & (s[j] < -eps)
+    points, cell = _cut_points(V, s, np.zeros(len(V), dtype=int), i[edge], j[edge], eps)
     pts = points[_section(points, cell, _plane_basis(normal), eps)]
     return pts if len(pts) >= P.dim else None
 

@@ -588,6 +588,103 @@ def _cuboctahedron():
                                       for p in ((a, b, 0.0), (a, 0.0, b), (0.0, a, b))]))
 
 
+def _symmetric_bodies():
+    # arrangements with many rows through one point and cut planes through
+    # cell vertices: the degenerate cases of the candidate filter
+    phi = (1.0 + 5.0 ** 0.5) / 2.0
+    ico = [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+           for p in ((0.0, a, b * phi), (a, b * phi, 0.0), (b * phi, 0.0, a))]
+    pentagon = [(np.cos(t), np.sin(t), 0.0) for t in 2.0 * np.pi * np.arange(5) / 5]
+    square = [(np.cos(t), np.sin(t)) for t in np.pi / 2.0 * np.arange(4)]
+    antiprism = ([(x, y, 1.0) for x, y in square]
+                 + [(np.cos(t), np.sin(t), -1.0) for t in np.pi / 4.0 + np.pi / 2.0 * np.arange(4)])
+    shapes = [ico, [tuple(s * e) for s in (-1.0, 1.0) for e in np.eye(3)],
+              pentagon + [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)],
+              [(x, y, z) for x, y, _ in pentagon for z in (-0.7, 0.7)], antiprism,
+              [(x, y, z) for x in (0.0, 2.0) for y, z in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))],
+              [(np.cos(t), np.sin(t)) for t in np.pi / 3.0 * np.arange(6)], square]
+    return [_cuboctahedron()] + [hull_from_points(np.array(x)) for x in shapes]
+
+
+def _all_pair_split(P):
+    """Reference split: the row-major split in which every (plus, minus) vertex
+    pair of a cut cell gives a section candidate, and the face's distances are
+    recomputed over every cell after each cut."""
+    eps = 1e-12 * max(1.0, P.diameter)
+    G, c, rows = P._region_rows[:3]
+    cells = [P.vertices.copy()]
+    for a, b in zip(rows[:-1], rows[1:]):
+        for r in range(a, b):
+            sizes = np.array([len(v) for v in cells])
+            starts = np.cumsum(sizes) - sizes
+            S = np.concatenate(cells) @ G[a:b].T - c[a:b]
+            open_ = np.maximum.reduceat(S, starts).min(axis=1) > eps
+            cut = np.flatnonzero(open_ & (np.minimum.reduceat(S, starts)[:, r - a] < -eps))
+            if not len(cut):
+                continue
+            s = [S[starts[k]:starts[k] + sizes[k], r - a] for k in cut]
+            local = np.repeat(np.arange(len(cut)), sizes[cut])
+            i, j = bifurcation._pairs(np.concatenate(s) > eps, np.concatenate(s) < -eps, local)
+            points, cell = bifurcation._cut_points(np.concatenate([cells[k] for k in cut]),
+                                                   np.concatenate(s), local, i, j, eps)
+            ring = bifurcation._section(points, cell, _plane_basis(G[r]), eps)
+            for t, k in reversed(list(enumerate(cut))):
+                section = points[ring[cell[ring] == t]]
+                cells[k:k + 1] = [np.vstack([cells[k][s[t] < -eps], section]),
+                                  np.vstack([cells[k][s[t] > eps], section])]
+    return cells
+
+
+def _sorted_rows(verts):
+    return verts[np.lexsort(verts.T[::-1])]
+
+
+def test_split_matches_all_pair_oracle():
+    # crossing only the vertex pairs that share dim - 1 plane groups finds
+    # every section vertex: the cells are the all-pair route's, bit for bit
+    families = (("perturbed_tetra", {"sigma": 0.35}), ("perturbed_prism", {"sigma": 0.12}))
+    bodies = (_chamber_fixtures() + _symmetric_bodies()
+              + [random_polytope("tangent_planes", {"k": k}, default_rng([43, k])) for k in (5, 6, 7, 8)]
+              + [random_polytope(family, params, default_rng([47, i]))
+                 for family, params in families for i in range(10)])
+    for P in bodies:
+        got, want = split_by_planes(P), _all_pair_split(P)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(_sorted_rows(a), _sorted_rows(b))
+
+
+def test_split_carries_fresh_incidence_and_signs(cube, obtuse_triangle):
+    # after every face the carried plane-group bitmask of each vertex, and
+    # each cell's rows above eps and below -eps somewhere, equal a fresh test
+    # a pyramid over a 9-gon: its apex has 9 rows, two sign words
+    pyramid = hull_from_points(np.array([(np.cos(t), np.sin(t), 0.0) for t in 2.0 * np.pi * np.arange(9) / 9]
+                                        + [(0.1, 0.05, 1.3)]) + default_rng(3).normal(0.0, 1e-3, (10, 3)))
+    bodies = [cube, fixtures.flat_tetrahedron_10(), obtuse_triangle, pyramid,
+              random_polytope("tangent_planes", {"k": 6}, default_rng([43, 6]))]
+    for P in bodies:
+        eps = 1e-12 * max(1.0, P.diameter)
+        cells = bifurcation._Cells(P)
+        Q, q, tol, bits, words = cells.planes
+        word = np.searchsorted(words, np.arange(len(Q)), side="right") - 1
+        G, c, rows = P._region_rows[:3]
+        for (face, full, bases), a, b in zip(bifurcation._faces(P), rows[:-1], rows[1:]):
+            sign = bifurcation._split_face(cells, face, full, bases, eps, 10**6)
+            fresh = np.zeros_like(cells.on)
+            for p in range(len(Q)):
+                fresh[np.abs(cells.verts @ Q[p] - q[p]) <= tol, word[p]] |= bits[p]
+            assert np.array_equal(cells.on, fresh)
+            S, starts = cells.verts @ G[a:b].T - c[a:b], np.cumsum(cells.sizes) - cells.sizes
+            carried = sign.view(bool).reshape(len(cells.sizes), 2, -1)[:, :, :b - a]
+            assert np.array_equal(carried[:, 0], np.maximum.reduceat(S, starts) > eps)
+            assert np.array_equal(carried[:, 1], np.minimum.reduceat(S, starts) < -eps)
+        cells_out = split_by_planes(P)
+        assert [len(v) for v in cells_out] == cells.sizes.tolist()
+        assert np.array_equal(np.concatenate(cells_out), cells.verts)
+    # every region row of the cube lies on one of its 6 facet planes
+    assert len(np.unique(bifurcation._plane_groups(cube)[3])) == 6
+
+
 def test_chamber_volumes_match_qhull():
     families = (("perturbed_tetra", {"sigma": 0.35}), ("perturbed_prism", {"sigma": 0.12}))
     bodies = (_chamber_fixtures() + [_cuboctahedron()]
