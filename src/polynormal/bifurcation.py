@@ -41,12 +41,13 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import NonTransversal, TooManyChambers
+from .errors import InvariantViolation, NonTransversal, TooManyChambers
 from .normals import MorseProfile, count_normals_batch, perturb_to_generic
 
 PLANE_TOL = 1e-9        # coincidence of sheet planes: normal cosine and offset
 ON_SHEET_TOL = 1e-7     # point_on_sheet and plane-incidence slack, relative to the body's scale
 MIN_REL_VOLUME = 1e-12  # cells below this fraction of Vol P are degenerate
+VOLUME_CHECK = 1e-9     # the cell volumes must sum to Vol P within this fraction
 BLOCK = 512             # cell vertices per plane product in ``_measure_cells``
 
 
@@ -313,7 +314,7 @@ def _section(points, cell, basis, eps):
         last = np.flatnonzero(np.diff(cell[order], append=-1))
         ends = np.column_stack([np.r_[0, last[:-1] + 1], last]).ravel()
         return order[ends[np.r_[True, np.diff(ends) != 0]]]
-    n = np.bincount(cell)
+    n = np.maximum(np.bincount(cell), 1)  # a cell without points is never read
     x = Y[:, 0] - (np.bincount(cell, Y[:, 0]) / n)[cell]
     y = Y[:, 1] - (np.bincount(cell, Y[:, 1]) / n)[cell]
     order = np.lexsort((np.arctan2(y, x), cell))
@@ -627,10 +628,15 @@ def chamber_decomposition(P, cap=10**6):
     A face counts on a cell of ``split_by_planes`` when each of its region
     rows exceeds eps at some cell vertex.  Cells below MIN_REL_VOLUME of
     Vol P are discarded as degenerate; the representative is the vertex mean.
+    Raises InvariantViolation when the cell volumes do not sum to Vol P within
+    VOLUME_CHECK relative, as on bodies whose facets are only near-planar.
     """
     cells = split_by_planes(P, cap)
     volumes, means, inside = _measure_cells(P, np.concatenate(cells),
                                             np.array([len(verts) for verts in cells]))
+    residual = volumes.sum() - P.volume
+    if abs(residual) > VOLUME_CHECK * P.volume:
+        raise InvariantViolation(f"chamber volumes miss Vol P by {residual / P.volume:.3g} of it")
     keep = np.flatnonzero(volumes > MIN_REL_VOLUME * P.volume)
     return [Chamber(cells[i], means[i], float(volumes[i]), p.total, p)
             for i, p in zip(keep.tolist(), _profiles(P, inside[keep]))]

@@ -1,6 +1,11 @@
 """Convex polytopes in 2-D and 3-D: hulls, face lattices, inner normal cones,
 angles and inscribed spheres.
 
+The face lattice is held as arrays: edges with their facets, each vertex's
+edges, facets and unit edge directions, each edge's frame and cone rows.
+Those arrays feed the region-row table, the volume and the centroid;
+``Face`` objects are built from them on first use of ``Polytope.faces``.
+
 Coordinates are double precision.  A single tolerance (default 1e-9, applied
 relative to the body diameter wherever it guards an incidence test) rejects
 near-degenerate input instead of resolving it exactly.
@@ -34,6 +39,14 @@ def unit(v):
     if n == 0.0:
         raise ValueError("cannot normalize zero vector")
     return v / n
+
+
+def _unit_rows(X):
+    """The rows of X (over any leading axes) normalized like :func:`unit`, bit for bit."""
+    n = np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0]
+    if not n.all():
+        raise ValueError("cannot normalize zero vector")
+    return X / n
 
 
 class Face:
@@ -91,7 +104,10 @@ class Polytope:
     """Immutable convex polytope with a complete face lattice.
 
     Built through :func:`hull_from_points` or :func:`polytope_from_halfspaces`.
-    Facets satisfy <n, x> <= b with outward unit normal n.  For ``dim == 2``
+    Facets satisfy <n, x> <= b with outward unit normal n.  The lattice is
+    kept as arrays (``edges``, ``edge_facets``, ``vertex_edges``,
+    ``vertex_facets``, the vertex and edge rows); ``faces`` builds the
+    ``Face`` objects from them the first time it is read.  For ``dim == 2``
     the facets are the edges of the polygon and the face lattice has
     dimensions 0 and 1 only; edge-specific queries (dihedral angles, vertex
     figures) are 3-D only and raise on polygons.
@@ -107,13 +123,9 @@ class Polytope:
         D = self.vertices[:, None, :] - self.vertices[None, :, :]
         self.diameter = float(np.sqrt((D[..., None, :] @ D[..., :, None]).max()))
         self._validate_basic()
-        if self.dim == 3:
-            self._build_edges_3d()
-        else:
-            self._build_edges_2d()
-        self._build_incidence()
+        self._build_edges()
         self._check_lattice()
-        self._build_faces()
+        self._build_rows()
         self.volume, self.centroid = self._volume_centroid()
         for arr in (self.vertices, self.facet_normals, self.facet_offsets, self.edges):
             arr.setflags(write=False)
@@ -128,41 +140,32 @@ class Polytope:
         if slack.max() > self.tol * max(1.0, self.diameter):
             raise InvariantViolation("vertex violates a facet inequality beyond tolerance")
 
-    def _build_edges_3d(self):
-        pair_to_facets = {}
-        for f, cycle in enumerate(self.facet_cycles):
-            k = len(cycle)
-            for i in range(k):
-                a, b = int(cycle[i]), int(cycle[(i + 1) % k])
-                pair_to_facets.setdefault((min(a, b), max(a, b)), []).append(f)
-        edges, edge_facets = [], []
-        for pair in sorted(pair_to_facets):
-            fs = pair_to_facets[pair]
-            if len(fs) != 2:
-                raise InvariantViolation(
-                    f"edge {pair} has {len(fs)} incident facets, expected 2")
-            edges.append(pair)
-            edge_facets.append(fs)
-        self.edges = np.array(edges, dtype=int)
-        self.edge_facets = np.array(edge_facets, dtype=int)
-
-    def _build_edges_2d(self):
-        # a polygon's facets are its edges; both views share indices
-        self.edges = np.array([c[:2] for c in self.facet_cycles], dtype=int)
-        self.edge_facets = np.array([[i, i] for i in range(len(self.edges))], dtype=int)
-
-    def _build_incidence(self):
-        nv = len(self.vertices)
-        self.vertex_edges = [[] for _ in range(nv)]
-        self.vertex_facets = [[] for _ in range(nv)]
-        for e, (a, b) in enumerate(self.edges):
-            self.vertex_edges[a].append(e)
-            self.vertex_edges[b].append(e)
-        for f, cycle in enumerate(self.facet_cycles):
-            for v in cycle:
-                self.vertex_facets[int(v)].append(f)
-        self.vertex_edges = [np.array(v, dtype=int) for v in self.vertex_edges]
-        self.vertex_facets = [np.array(v, dtype=int) for v in self.vertex_facets]
+    def _build_edges(self):
+        """Edges as sorted vertex pairs with their two facets (a polygon's facets are
+        its edges, both views sharing indices), and each vertex's edges and facets
+        in index order."""
+        cycles, nv = self.facet_cycles, len(self.vertices)
+        ids = np.concatenate(cycles)
+        facet = np.repeat(np.arange(len(cycles)), [len(cycle) for cycle in cycles])
+        if self.dim == 3:
+            pairs = np.sort(np.column_stack([ids, np.concatenate([np.roll(c, -1) for c in cycles])]))
+            order = np.lexsort(pairs.T[::-1])
+            pairs, facet2 = pairs[order], facet[order]
+            head = np.flatnonzero(np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)])
+            count = np.diff(np.append(head, len(pairs)))
+            if (count != 2).any():
+                k = np.flatnonzero(count != 2)[0]
+                raise InvariantViolation(f"edge {tuple(pairs[head[k]].tolist())} has {count[k]} "
+                                         "incident facets, expected 2")
+            self.edges, self.edge_facets = pairs[head], facet2.reshape(-1, 2)
+        else:
+            self.edges = np.array([c[:2] for c in cycles], dtype=int)
+            self.edge_facets = np.repeat(np.arange(len(cycles)), 2).reshape(-1, 2)
+        ends = self.edges.ravel()
+        self.vertex_edges = np.split(np.argsort(ends, kind="stable") // 2,
+                                     np.cumsum(np.bincount(ends, minlength=nv))[:-1])
+        self.vertex_facets = np.split(facet[np.argsort(ids, kind="stable")],
+                                      np.cumsum(np.bincount(ids, minlength=nv))[:-1])
 
     def _check_lattice(self):
         if self.dim == 3:
@@ -175,37 +178,36 @@ class Polytope:
             if rank != self.dim - 1:
                 raise InvariantViolation(f"facet {f} vertex set is not affinely {self.dim - 1}-dimensional")
 
-    def _build_faces(self):
+    def _build_rows(self):
+        """The vertex rows: each vertex's unit edge directions, in ``vertex_edges``
+        order; in 3-D each edge's origin, length, direction and the two unit
+        rows of its inner normal cone's dual (``_edge_support``)."""
         V = self.vertices
-        faces = {d: [] for d in range(self.dim)}
-        # vertices: cone generated by negated incident facet normals, supported
-        # by the unit directions of the incident edges
-        for v in range(len(V)):
-            gens = -self.facet_normals[self.vertex_facets[v]]
-            dirs = []
-            for e in self.vertex_edges[v]:
-                a, b = self.edges[e]
-                other = b if a == v else a
-                dirs.append(unit(V[other] - V[v]))
-            faces[0].append(Face(0, v, np.array([v]), V[v].copy(), gens, np.array(dirs)))
+        at = np.repeat(np.arange(len(V)), [len(e) for e in self.vertex_edges])
+        other = self.edges[np.concatenate(self.vertex_edges)].sum(axis=1) - at
+        self._vertex_rows = _unit_rows(V[other] - V[at])
         if self.dim == 3:
-            for e, (a, b) in enumerate(self.edges):
-                g1 = -self.facet_normals[self.edge_facets[e, 0]]
-                g2 = -self.facet_normals[self.edge_facets[e, 1]]
-                c = float(g1 @ g2)
-                support = np.array([unit(g1 - c * g2), unit(g2 - c * g1)])
-                faces[1].append(Face(1, e, self.edges[e].copy(), 0.5 * (V[a] + V[b]),
-                                     np.array([g1, g2]), support))
             a, b = V[self.edges[:, 0]], V[self.edges[:, 1]]
             self._edge_origin = a
             self._edge_len = np.linalg.norm(b - a, axis=1)
             self._edge_dir = (b - a) / self._edge_len[:, None]
-            self._edge_support = np.array([face.cone_support for face in faces[1]])
-        fd = self.dim - 1
-        for f, cycle in enumerate(self.facet_cycles):
-            faces[fd].append(Face(fd, f, np.array(cycle), V[cycle].mean(axis=0),
-                                  -self.facet_normals[f][None, :], np.zeros((0, self.dim))))
-        self.faces = faces
+            g = -self.facet_normals[self.edge_facets]  # the cone generators g1, g2
+            self._edge_support = _unit_rows(g - (g[:, :1] @ g[:, 1, :, None]) * g[:, ::-1])
+
+    @cached_property
+    def faces(self):
+        """Face objects by dimension, built from the lattice arrays on first use and kept."""
+        V, gens, dim = self.vertices, -self.facet_normals, self.dim
+        dirs = np.split(self._vertex_rows.copy(), np.cumsum([len(e) for e in self.vertex_edges])[:-1])
+        faces = {0: [Face(0, v, np.array([v]), V[v].copy(), gens[f], U)
+                     for v, (f, U) in enumerate(zip(self.vertex_facets, dirs))]}
+        if dim == 3:
+            faces[1] = [Face(1, e, ab.copy(), 0.5 * (V[ab[0]] + V[ab[1]]), gens[f], h)
+                        for e, (ab, f, h) in enumerate(zip(self.edges, self.edge_facets,
+                                                           self._edge_support.copy()))]
+        faces[dim - 1] = [Face(dim - 1, f, np.array(cycle), V[cycle].mean(axis=0), gens[f][None, :],
+                               np.zeros((0, dim))) for f, cycle in enumerate(self.facet_cycles)]
+        return faces
 
     @cached_property
     def _region_rows(self):
@@ -225,11 +227,16 @@ class Polytope:
             X = V[np.array([cycles[j] for j in f])]
             X = X[:, :, None] - X[:, None]
             diameters[f] = np.sqrt((X[..., None, :] @ X[..., :, None]).max(axis=(1, 2, 3, 4)))
-        dirs = [face.cone_support for face in self.faces[0]]
+        # vertex offsets, the vertices of one degree at a time
+        U, sizes = self._vertex_rows, np.array([len(e) for e in self.vertex_edges])
+        offsets = np.empty(len(U))
+        for k in np.unique(sizes):
+            v = np.flatnonzero(sizes == k)
+            rows = (np.cumsum(sizes) - sizes)[v, None] + np.arange(k)
+            offsets[rows] = (U[rows] @ V[v][:, :, None])[..., 0]
         # per family (facets, edges in 3-D, vertices): rows, offsets, rows per face, divisors
         families = [(W, (W[:, None, :] @ V[i][:, :, None])[:, 0, 0], rims, diameters),
-                    (np.vstack(dirs), np.concatenate([U @ v for U, v in zip(dirs, V)]),
-                     np.array([len(U) for U in dirs]), np.ones(len(V)))]
+                    (U, offsets, sizes, np.ones(len(V)))]
         frame = np.zeros((0, self.dim + 1))
         if self.dim == 3:
             d, a, h, L = self._edge_dir, self._edge_origin, self._edge_support, self._edge_len
@@ -253,28 +260,24 @@ class Polytope:
         return RegionRows(G, c, starts, dims, K, runs, scale)
 
     def _volume_centroid(self):
+        """Volume and centroid from the facet cycles, summed in cycle order: in 2-D a
+        shoelace over the polygon's edges, in 3-D the cones from the origin over each
+        facet's fan triangles."""
         V = self.vertices
         if self.dim == 2:
-            order = _polygon_order(self)
-            pts = V[order]
-            x, y = pts[:, 0], pts[:, 1]
-            xs, ys = np.roll(x, -1), np.roll(y, -1)
+            (x, y), (xs, ys) = V[self.edges[:, 0]].T, V[self.edges[:, 1]].T
             cross = x * ys - xs * y
             area = cross.sum() / 2.0
-            cx = ((x + xs) * cross).sum() / (6.0 * area)
-            cy = ((y + ys) * cross).sum() / (6.0 * area)
-            return abs(float(area)), np.array([cx, cy])
-        vol = 0.0
-        moment = np.zeros(3)
-        for cycle in self.facet_cycles:
-            p0 = V[cycle[0]]
-            for i in range(1, len(cycle) - 1):
-                p1, p2 = V[cycle[i]], V[cycle[i + 1]]
-                v6 = float(np.dot(p0, np.cross(p1, p2)))
-                vol += v6
-                moment += v6 * (p0 + p1 + p2)
-        vol /= 6.0
-        centroid = moment / (24.0 * vol)
+            centroid = np.array([((x + xs) * cross).sum(), ((y + ys) * cross).sum()]) / (6.0 * area)
+            return abs(float(area)), centroid
+        rims = np.array([len(cycle) for cycle in self.facet_cycles])
+        ids, start = np.concatenate(self.facet_cycles), np.cumsum(rims) - rims
+        k = np.arange(len(ids)) - np.repeat(start, rims)  # position in its cycle
+        mid = np.flatnonzero((k > 0) & (k < np.repeat(rims, rims) - 1))
+        p0, p1, p2 = V[ids[np.repeat(start, rims - 2)]], V[ids[mid]], V[ids[mid + 1]]
+        v6 = (p0[:, None, :] @ np.cross(p1, p2)[:, :, None])[:, 0, 0]
+        vol = np.cumsum(v6)[-1] / 6.0
+        centroid = np.cumsum(v6[:, None] * (p0 + p1 + p2), axis=0)[-1] / (24.0 * vol)
         return float(vol), centroid
 
     # -- queries -----------------------------------------------------------
@@ -319,21 +322,6 @@ class Polytope:
             return (f"Polytope(dim=3, V={self.n_vertices}, E={self.n_edges}, "
                     f"F={self.n_facets})")
         return f"Polytope(dim=2, V={self.n_vertices}, E={self.n_facets})"
-
-
-def _polygon_order(P):
-    """Vertex ids of a polygon in boundary order."""
-    succ = {}
-    for a, b in P.edges:
-        succ.setdefault(int(a), []).append(int(b))
-        succ.setdefault(int(b), []).append(int(a))
-    order = [0]
-    prev = None
-    while len(order) < P.n_vertices:
-        nxt = [w for w in succ[order[-1]] if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return np.array(order, dtype=int)
 
 
 # -- hull construction -------------------------------------------------------

@@ -111,29 +111,21 @@ class SphericalTriangle:
         return f"SphericalTriangle(sides={list(s)})"
 
 
-def _interior_normal(verts, k):
-    """Unit pole of the side opposite vertex k, on the triangle's side."""
-    i, j = (k + 1) % 3, (k + 2) % 3
-    g = unit(np.cross(verts[i], verts[j]))
-    return g if float(g @ verts[k]) > 0 else -g
-
-
 def vertex_figure(P, v):
     """Spherical triangle cut by a small sphere at a simple vertex.
 
-    Triangle vertex k is the unit direction of the k-th incident edge;
-    the side between two edge directions lies in their common facet.
+    Triangle vertex k is the unit direction of the k-th incident edge, the
+    vertex's k-th region row (``Polytope._region_rows``); the side between
+    two edge directions lies in their common facet.
     """
     if P.dim != 3:
         raise ValidationError("vertex figures need a 3-polytope")
     edges = P.vertex_edges[v]
     if len(edges) != 3:
         raise NonSimpleVertex(f"vertex {v} has {len(edges)} incident edges")
-    dirs = []
-    for e in edges:
-        a, b = P.edges[e]
-        other = b if a == v else a
-        dirs.append(unit(P.vertices[other] - P.vertices[v]))
+    T = P._region_rows
+    face = len(T.dims) - P.n_vertices + v  # vertices come last
+    dirs = T.G[T.starts[face]:T.starts[face + 1]]
     facet_ids = []
     for k in range(3):
         e1, e2 = edges[(k + 1) % 3], edges[(k + 2) % 3]
@@ -318,12 +310,9 @@ def classify(tri):
 
 
 def polar_dual_triangle(tri):
-    """Triangle of the side poles; swaps sides and angles as a <-> pi - a'."""
-    v = tri.verts
-    duals = []
-    for k in range(3):
-        duals.append(_interior_normal(v, k))
-    return SphericalTriangle(*duals)
+    """Triangle of the inward side poles (``witness_constraints``); swaps sides and
+    angles as a <-> pi - a'."""
+    return SphericalTriangle(*witness_constraints(tri)[:3])
 
 
 @dataclass(frozen=True)

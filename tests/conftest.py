@@ -36,6 +36,18 @@ def flat_tetra_12():
     return fixtures.flat_tetrahedron_12()
 
 
+@pytest.fixture(scope="session")
+def noisy_cube():
+    """The unit cube's corners moved by 1e-10 noise: its hull facets are planar only within
+    ``MERGE_ANGLE``, and its chamber split does not tile it."""
+    from numpy.random import default_rng
+
+    from polynormal.geometry import hull_from_points
+
+    corners = np.array([(x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
+    return hull_from_points(corners + 1e-10 * default_rng(0).standard_normal((8, 3)))
+
+
 def sample_interior(P, n, rng, tol=1e-7):
     """Uniform interior points by rejection from the bounding box."""
     lo, hi = P.bounding_box()

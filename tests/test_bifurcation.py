@@ -29,7 +29,7 @@ from polynormal.bifurcation import (
     split_by_planes,
     spot_check_chamber,
 )
-from polynormal.errors import NonTransversal, TooManyChambers
+from polynormal.errors import InvariantViolation, NonTransversal, TooManyChambers
 from polynormal.explorer import random_polytope
 from polynormal.geometry import chebyshev_center, hull_from_points, unit
 from polynormal.normals import count_normals_batch
@@ -739,8 +739,10 @@ def test_plane_section_matches_qhull_ring(cube):
             assert (turns > 0.0).all() or (turns < 0.0).all()
 
 
-def test_chambers_and_sections_emit_no_warnings():
-    # the fixtures include both flat tetrahedra
+def test_chambers_and_sections_emit_no_warnings(noisy_cube):
+    # the fixtures include both flat tetrahedra; some of the noisy cube's cut
+    # cells get no section points, and its cells miss Vol P, which raises
+    # instead of giving N or EN
     bodies = _chamber_fixtures() + [random_polytope("tangent_planes", {"k": 8}, default_rng([43, 8]))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -748,3 +750,6 @@ def test_chambers_and_sections_emit_no_warnings():
             chamber_decomposition(P)
             for sp in sheet_planes(P):
                 plane_section(P, sp.normal, sp.offset)
+        for route in (chamber_decomposition, max_normals, exact_average):
+            with pytest.raises(InvariantViolation, match="miss Vol P"):
+                route(noisy_cube)

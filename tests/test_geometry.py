@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 from polynormal import fixtures
 from polynormal.errors import DegenerateInput, Empty, Unbounded, ValidationError
 from polynormal.geometry import (
+    Polytope,
     chebyshev_center,
     cone_contains,
     contains_interior,
@@ -14,6 +15,7 @@ from polynormal.geometry import (
     inner_normal_cone,
     planar_angle,
     polytope_from_halfspaces,
+    unit,
 )
 
 CUBE_PLANES = [([1, 0, 0], 1), ([-1, 0, 0], 1), ([0, 1, 0], 1),
@@ -222,3 +224,113 @@ def test_diameter_equals_pair_loop():
         want = max(np.linalg.norm(V[i] - V[j])
                    for i in range(len(V)) for j in range(i + 1, len(V)))
         assert P.diameter == want
+
+
+def _loop_faces(P):
+    """Face fields, volume and centroid built vertex by vertex, edge by edge and facet by facet."""
+    V, faces = P.vertices, {d: [] for d in range(P.dim)}
+    for v in range(len(V)):
+        dirs = [unit(V[sum(P.edges[e]) - v] - V[v]) for e in P.vertex_edges[v]]
+        faces[0].append((0, v, np.array([v]), V[v].copy(), -P.facet_normals[P.vertex_facets[v]],
+                         np.array(dirs)))
+    if P.dim == 3:
+        for e, (a, b) in enumerate(P.edges):
+            g1, g2 = -P.facet_normals[P.edge_facets[e]]
+            c = float(g1 @ g2)
+            faces[1].append((1, e, P.edges[e].copy(), 0.5 * (V[a] + V[b]), np.array([g1, g2]),
+                             np.array([unit(g1 - c * g2), unit(g2 - c * g1)])))
+    fd = P.dim - 1
+    for f, cycle in enumerate(P.facet_cycles):
+        faces[fd].append((fd, f, np.array(cycle), V[cycle].mean(axis=0),
+                          -P.facet_normals[f][None, :], np.zeros((0, P.dim))))
+    if P.dim == 2:
+        order, prev = [0], None  # boundary walk from vertex 0
+        while len(order) < len(V):
+            nxt = [w for e in P.edges if order[-1] in e for w in e if w not in (order[-1], prev)]
+            prev = order[-1]
+            order.append(int(nxt[0]))
+        x, y = V[order].T
+        xs, ys = np.roll(x, -1), np.roll(y, -1)
+        cross = x * ys - xs * y
+        area = cross.sum() / 2.0
+        return faces, abs(float(area)), np.array([((x + xs) * cross).sum() / (6.0 * area),
+                                                  ((y + ys) * cross).sum() / (6.0 * area)])
+    vol, moment = 0.0, np.zeros(3)
+    for cycle in P.facet_cycles:
+        p0 = V[cycle[0]]
+        for i in range(1, len(cycle) - 1):
+            p1, p2 = V[cycle[i]], V[cycle[i + 1]]
+            v6 = float(np.dot(p0, np.cross(p1, p2)))
+            vol += v6
+            moment += v6 * (p0 + p1 + p2)
+    vol /= 6.0
+    return faces, vol, moment / (24.0 * vol)
+
+
+def _lattice_corpus():
+    from polynormal.explorer import random_polytope
+
+    rng = default_rng(55)
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 9))
+    return ([fixtures.regular_tetrahedron(), fixtures.cube(), fixtures.box(1.0, 2.0, 3.0),
+             fixtures.perturbed_cube(), fixtures.four_normal_tetrahedron(),
+             fixtures.flat_tetrahedron_10(), fixtures.flat_tetrahedron_12(), fixtures.right_prism(),
+             fixtures.generic_prism(seed=2), fixtures.equilateral_triangle(),
+             fixtures.triangle_from_angles(1.2, 1.0), hull_from_points(np.column_stack([np.cos(t), np.sin(t)]))]
+            + [random_polytope("tangent_planes", {"k": k}, default_rng([5, k])) for k in range(4, 49)]
+            + [random_polytope(family, {}, rng) for family in ("perturbed_tetra", "perturbed_prism")
+               for _ in range(8)])
+
+
+def test_lazy_faces_volume_centroid_match_loop_build():
+    # the array-built lattice gives the face-by-face build's fields, volume
+    # and centroid bit for bit, and the region table holds the same vertex rows
+    for P in _lattice_corpus():
+        assert "faces" not in vars(P)
+        faces, volume, centroid = _loop_faces(P)
+        assert P.volume == volume and np.array_equal(P.centroid, centroid)
+        assert list(P.faces) == list(faces)
+        for d, want in faces.items():
+            got = [(f.dim, f.index, f.vertex_ids, f.affine_point, f.cone_generators, f.cone_support)
+                   for f in P.faces[d]]
+            for g, w in zip(got, want, strict=True):
+                assert g[:2] == w[:2]
+                for a, b in zip(g[2:], w[2:]):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+        T, rows = P._region_rows, slice(P._region_rows.starts[-1 - P.n_vertices], None)
+        assert np.array_equal(T.G[rows], np.vstack([w[5] for w in faces[0]]))
+        assert np.array_equal(T.c[rows], np.concatenate([U @ v for _, _, _, v, _, U in faces[0]]))
+        if P.dim == 3:
+            assert np.array_equal(P._edge_support, np.array([w[5] for w in faces[1]]))
+
+
+def test_counting_and_certificates_build_no_face_objects():
+    from polynormal.bifurcation import chamber_decomposition, monte_carlo_average
+    from polynormal.spherical import ten_normals_certificate, vertex_figure
+
+    for P in (fixtures.generic_prism(seed=2), fixtures.triangle_from_angles(1.2, 1.0)):
+        chamber_decomposition(P)
+        monte_carlo_average(P, 1000)
+        if P.dim == 3:
+            for v in range(P.n_vertices):
+                vertex_figure(P, v)
+            ten_normals_certificate(P)
+        assert "faces" not in vars(P)
+        assert P.face((0, 0)).index == 0 and "faces" in vars(P)
+
+
+def test_zero_length_edge_raises_at_construction(cube):
+    # a copy of vertex 0 set on the edge (0, 1) of both its facets: the
+    # lattice is sound, the edge (0, copy) has length 0
+    a, b = 0, int(cube.edges[0, 1])
+    cycles = []
+    for cycle in cube.facet_cycles:
+        c = list(cycle)
+        for i in range(len(c)):
+            if {c[i], c[i - 1]} == {a, b}:
+                c.insert(i, 8)
+                break
+        cycles.append(c)
+    V = np.vstack([cube.vertices, cube.vertices[a]])
+    with pytest.raises(ValueError, match="zero vector"):
+        Polytope(V, cube.facet_normals, cube.facet_offsets, cycles)

@@ -262,7 +262,7 @@ def test_cli_flag_not_read_by_command_is_an_error(argv, tetra_off, tmp_path, cap
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_exit_codes(tetra_off, tmp_path, capsys):
+def test_cli_exit_codes(tetra_off, tmp_path, capsys, noisy_cube):
     code, _ = run_cli(capsys, "count", "--point", "0,0", str(tetra_off))
     assert code == 2
     bad = tmp_path / "bad.off"
@@ -271,6 +271,11 @@ def test_cli_exit_codes(tetra_off, tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(capsys, "count", "--point", "0,0,0", str(tmp_path / "missing.off"))
     assert code == 2
+    # chamber volumes that miss Vol P are an invariant violation
+    write_polytope(noisy_cube, tmp_path / "noisy_cube.json")
+    assert main(["max", str(tmp_path / "noisy_cube.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "miss Vol P" in err
 
 
 def test_cli_env_tolerance(tetra_off, capsys, monkeypatch):
