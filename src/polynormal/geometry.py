@@ -147,8 +147,9 @@ class Polytope:
         cycles, nv = self.facet_cycles, len(self.vertices)
         ids = np.concatenate(cycles)
         facet = np.repeat(np.arange(len(cycles)), [len(cycle) for cycle in cycles])
+        self._cycle_next = np.concatenate([np.roll(c, -1) for c in cycles])  # successor in its cycle
         if self.dim == 3:
-            pairs = np.sort(np.column_stack([ids, np.concatenate([np.roll(c, -1) for c in cycles])]))
+            pairs = np.sort(np.column_stack([ids, self._cycle_next]))
             order = np.lexsort(pairs.T[::-1])
             pairs, facet2 = pairs[order], facet[order]
             head = np.flatnonzero(np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)])
@@ -172,11 +173,16 @@ class Polytope:
             v, e, f = len(self.vertices), len(self.edges), len(self.facet_cycles)
             if v - e + f != 2:
                 raise InvariantViolation(f"Euler formula V - E + F = 2 failed: {v} - {e} + {f}")
-        for f, cycle in enumerate(self.facet_cycles):
-            pts = self.vertices[cycle] - self.vertices[cycle[0]]
-            rank = np.linalg.matrix_rank(pts, tol=1e-7 * max(1.0, self.diameter))
-            if rank != self.dim - 1:
-                raise InvariantViolation(f"facet {f} vertex set is not affinely {self.dim - 1}-dimensional")
+        cycles = self.facet_cycles
+        rims = np.array([len(cycle) for cycle in cycles])
+        rank = np.empty(len(cycles), dtype=int)
+        for k in np.unique(rims):
+            f = np.flatnonzero(rims == k)
+            X = self.vertices[np.array([cycles[j] for j in f])]
+            rank[f] = np.linalg.matrix_rank(X - X[:, :1], tol=1e-7 * max(1.0, self.diameter))
+        if (rank != self.dim - 1).any():
+            f = np.flatnonzero(rank != self.dim - 1)[0]
+            raise InvariantViolation(f"facet {f} vertex set is not affinely {self.dim - 1}-dimensional")
 
     def _build_rows(self):
         """The vertex rows: each vertex's unit edge directions, in ``vertex_edges``
@@ -217,7 +223,7 @@ class Polytope:
         # diameters over all vertex pairs, the facets of one size at a time
         rims = np.array([len(cycle) for cycle in cycles])
         i = np.concatenate(cycles)
-        W = V[np.concatenate([np.roll(cycle, -1) for cycle in cycles])] - V[i]
+        W = V[self._cycle_next] - V[i]
         if self.dim == 3:
             W = np.cross(np.repeat(self.facet_normals, rims, axis=0), W)
         W /= np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]

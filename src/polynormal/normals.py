@@ -72,6 +72,9 @@ def _face_tests(P, Y):
     its normal cone); ``near`` says the test lands within tolerance of its
     boundary, where the count is unreliable.  Points go through in blocks of
     BLOCK, one product with the region rows each, so memory stays bounded.
+    The BLAS product rounds differently for blocks of different widths, so
+    the near points of each block are tested again from a product summed in
+    a fixed order, which gives them the same masks in any batch.
     """
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
@@ -82,27 +85,43 @@ def _face_tests(P, Y):
         Yb = Y[lo:lo + BLOCK].T
         n = Yb.shape[1]
         S1 = np.matmul(T.K, np.vstack([Yb, np.ones(n)]), out=S[:len(T.K) * n].reshape(-1, n))
-        # min over each facet's and vertex's rows, a run of equal row counts at a
-        # time, then each family's positive normalisation
-        m, col = np.empty((F + V, n)), 0
-        for k, faces in T.runs:
-            m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
-            col += k * len(faces)
-        fm = m[:F] / T.scale[:F, None]
-        vn = np.sqrt(sum((P.vertices[:, j, None] - Yb[j]) ** 2 for j in range(P.dim)))
-        vm = m[F:] / np.where(vn == 0.0, 1.0, vn)
-        d, nd, h0, h1, u0, u1 = S1[col:].reshape(6, E, n)
-        rel = np.minimum(d, nd) / T.scale[F:F + E, None]
-        wn = np.sqrt(u0 * u0 + u1 * u1)  # |w|, the offset from the edge line
-        cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)
         act, nr = active[:, lo:lo + n], near[:, lo:lo + n]
-        act[:F], nr[:F] = fm > 0.0, np.abs(fm) < REL_MARGIN
-        act[F:F + E] = (rel > 0.0) & (cone > 0.0)
-        nr[F:F + E] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
-                       | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
-        act[F + E:], nr[F + E:] = vm > 0.0, np.abs(vm) < CONE_MARGIN
+        _block_masks(P, S1, Yb, act, nr)
+        flagged = np.flatnonzero(nr.any(axis=0))
+        if len(flagged):
+            Yf = Yb[:, flagged]
+            Sf = sum(T.K[:, j, None] * Yf[j] for j in range(P.dim)) + T.K[:, -1:]
+            masks = np.empty((2, len(T.dims), len(flagged)), dtype=bool)
+            _block_masks(P, Sf, Yf, *masks)
+            act[:, flagged], nr[:, flagged] = masks
     families = [F, F + E][:P.dim - 1]
     return list(zip(np.split(active.T, families, axis=1), np.split(near.T, families, axis=1)))
+
+
+def _block_masks(P, S1, Yb, act, nr):
+    """Fill the face-major (active, near) masks of the points Yb (columns) from their
+    product S1 = K @ [Yb, 1] with the region rows."""
+    T = P._region_rows
+    F, V = P.n_facets, P.n_vertices
+    E, n = len(T.dims) - F - V, Yb.shape[1]
+    # min over each facet's and vertex's rows, a run of equal row counts at a
+    # time, then each family's positive normalisation
+    m, col = np.empty((F + V, n)), 0
+    for k, faces in T.runs:
+        m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
+        col += k * len(faces)
+    fm = m[:F] / T.scale[:F, None]
+    vn = np.sqrt(sum((P.vertices[:, j, None] - Yb[j]) ** 2 for j in range(P.dim)))
+    vm = m[F:] / np.where(vn == 0.0, 1.0, vn)
+    d, nd, h0, h1, u0, u1 = S1[col:].reshape(6, E, n)
+    rel = np.minimum(d, nd) / T.scale[F:F + E, None]
+    wn = np.sqrt(u0 * u0 + u1 * u1)  # |w|, the offset from the edge line
+    cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)
+    act[:F], nr[:F] = fm > 0.0, np.abs(fm) < REL_MARGIN
+    act[F:F + E] = (rel > 0.0) & (cone > 0.0)
+    nr[F:F + E] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
+                   | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
+    act[F + E:], nr[F + E:] = vm > 0.0, np.abs(vm) < CONE_MARGIN
 
 
 def _records(P, dim, faces, y):

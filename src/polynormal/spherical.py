@@ -9,6 +9,14 @@ three sides and stays within distance pi/2 of all three vertices; a simple
 polytope with a nice vertex has at least 10 concurrent normals from a point
 near that vertex.
 
+Each triangle is measured once, when it is built: its three sides, and its
+three angles from the unit tangents at its vertices, each in one row-wise
+pass.  The vertex-local quantities are read from what the polytope already
+holds: a vertex figure's directions are the vertex's rows of
+``Polytope._region_rows``, :func:`local_critical_test` reads the same table
+for the faces at the vertex, and :func:`acute_census` reads the angles and
+sides of the vertex figures.
+
 Every witness condition is linear in the witness: X must satisfy
 <X, h> > 0 for twelve fixed unit vectors h (three triangle sides, six
 projection hemispheres, three distance hemispheres).  The min-margin score
@@ -31,7 +39,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import Borderline, NonSimpleVertex, NotGeneric, NotSimple, ValidationError
-from .geometry import contains_interior, dihedral_angle, planar_angle, right_angle_defect, unit
+from .geometry import contains_interior, right_angle_defect, unit
 from .normals import _random_unit
 
 RIGHT = np.pi / 2
@@ -41,32 +49,38 @@ LEMMA_TOL = 1e-9        # lemma quantities this close to pi/2 raise Borderline
 RIGHT_ANGLE_TOL = 1e-9  # dihedral/planar angles this close to pi/2 are not generic
 
 
+def _arcs(x, y):
+    """Row-wise geodesic distances between unit vectors, robust near 0 and pi."""
+    n = np.cross(x, y)
+    return np.arctan2(np.sqrt(n[:, None, :] @ n[:, :, None]), x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _tangents(x, toward):
+    """Row-wise unit tangents at x along the great circles toward other points."""
+    t = toward - (x[:, None, :] @ toward[:, :, None])[:, 0] * x
+    n = np.sqrt(t[:, None, :] @ t[:, :, None])[:, 0]
+    if (n < 1e-14).any():
+        raise ValidationError("tangent undefined for coincident or antipodal points")
+    return t / n
+
+
 def spherical_distance(x, y):
     """Geodesic distance between unit vectors, robust near 0 and pi."""
     x, y = np.asarray(x, float), np.asarray(y, float)
-    return float(np.arctan2(np.linalg.norm(np.cross(x, y)), float(x @ y)))
-
-
-def _tangent(x, toward):
-    """Unit tangent at x along the great circle toward another point."""
-    t = toward - float(x @ toward) * x
-    n = np.linalg.norm(t)
-    if n < 1e-14:
-        raise ValidationError("tangent undefined for coincident or antipodal points")
-    return t / n
+    return float(_arcs(x[None], y[None])[0])
 
 
 class SphericalTriangle:
     """Triangle with geodesic edges inside an open hemisphere.
 
     ``verts`` rows are the vertices A, B, C.  ``sides[k]`` is the length of
-    the side opposite vertex k; ``angles[k]`` the interior angle at vertex k.
-    When built from a polytope vertex, ``edge_ids[k]`` is the polytope edge
-    giving triangle vertex k and ``facet_ids[k]`` the facet carrying the
-    opposite side.
+    the side opposite vertex k; ``angles[k]`` the interior angle at vertex k;
+    both are measured once, at construction.  When built from a polytope
+    vertex, ``edge_ids[k]`` is the polytope edge giving triangle vertex k and
+    ``facet_ids[k]`` the facet carrying the opposite side.
     """
 
-    __slots__ = ("verts", "edge_ids", "facet_ids", "_sides", "_angles")
+    __slots__ = ("verts", "edge_ids", "facet_ids", "sides", "angles")
 
     def __init__(self, a, b, c, edge_ids=None, facet_ids=None):
         verts = np.array([unit(a), unit(b), unit(c)], dtype=float)
@@ -75,29 +89,9 @@ class SphericalTriangle:
         self.verts = verts
         self.edge_ids = edge_ids
         self.facet_ids = facet_ids
-        self._sides = None
-        self._angles = None
-
-    @property
-    def sides(self):
-        if self._sides is None:
-            v = self.verts
-            self._sides = np.array([spherical_distance(v[(k + 1) % 3], v[(k + 2) % 3])
-                                    for k in range(3)])
-        return self._sides
-
-    @property
-    def angles(self):
-        if self._angles is None:
-            v = self.verts
-            out = []
-            for k in range(3):
-                t1 = _tangent(v[k], v[(k + 1) % 3])
-                t2 = _tangent(v[k], v[(k + 2) % 3])
-                out.append(float(np.arctan2(np.linalg.norm(np.cross(t1, t2)),
-                                            float(t1 @ t2))))
-            self._angles = np.array(out)
-        return self._angles
+        nxt, prv = verts[[1, 2, 0]], verts[[2, 0, 1]]
+        self.sides = _arcs(nxt, prv)
+        self.angles = _arcs(_tangents(verts, nxt), _tangents(verts, prv))
 
     def side_between(self, i, j):
         return self.sides[3 - i - j]
@@ -151,12 +145,15 @@ def spherical_project(x, y, z):
     if nw < 1e-12:
         return unit(y + z)
     w /= nw
-    # decompose the foot in the (y, z) basis of the great-circle plane
+    return w if _on_arc(w, y, z) else None
+
+
+def _on_arc(p, y, z):
+    """Whether p, in the great-circle plane of y and z, is a nonnegative
+    combination of them (within 1e-12): the 2x2 solve in the (y, z) basis."""
     gram = np.array([[1.0, float(y @ z)], [float(y @ z), 1.0]])
-    ab = np.linalg.solve(gram, np.array([float(w @ y), float(w @ z)]))
-    if ab[0] < -1e-12 or ab[1] < -1e-12:
-        return None
-    return w
+    ab = np.linalg.solve(gram, np.array([float(p @ y), float(p @ z)]))
+    return bool((ab >= -1e-12).all())
 
 
 def witness_constraints(tri):
@@ -241,7 +238,7 @@ def classify_by_definition(tri):
 def _foot_of_right_angle(tri, a, b, c):
     """Z on arc (a->c) with the arc ZB orthogonal to BC at B, or None."""
     v = tri.verts
-    t_bc = _tangent(v[b], v[c])
+    t_bc = _tangents(v[b][None], v[c][None])[0]
     g_ac = np.cross(v[a], v[c])
     n = np.linalg.norm(g_ac)
     if n < 1e-12:
@@ -253,9 +250,7 @@ def _foot_of_right_angle(tri, a, b, c):
         return None
     z /= nz
     for cand in (z, -z):
-        gram = np.array([[1.0, float(v[a] @ v[c])], [float(v[a] @ v[c]), 1.0]])
-        ab = np.linalg.solve(gram, np.array([float(cand @ v[a]), float(cand @ v[c])]))
-        if ab[0] >= -1e-12 and ab[1] >= -1e-12:
+        if _on_arc(cand, v[a], v[c]):
             return cand
     return None
 
@@ -327,29 +322,21 @@ class LocalCriticalReport:
 def local_critical_test(P, v, direction):
     """Critical faces at vertex v for points y = v + t * direction, t small.
 
-    The vertex is a maximum iff the mapped direction Y stays within pi/2 of
-    all triangle vertices; an incident edge carries a saddle iff its triangle
-    vertex is a boundary-local maximum of the distance to Y (still below
-    pi/2); an incident facet carries a minimum iff Y projects onto its side
-    at distance below pi/2.
+    A face of v carries a critical point of the squared distance from y
+    exactly when y lies in its active region: each of the face's rows in
+    ``Polytope._region_rows`` that vanishes at v (within 1e-12 times the
+    diameter) must grow along the direction.  The vertex itself is then a
+    maximum, an incident edge a saddle and an incident facet a minimum;
+    edges are listed in ``edge_ids`` order, facets in ``facet_ids`` order.
     """
     fig = vertex_figure(P, v)
-    y = unit(np.asarray(direction, dtype=float))
-    tv = fig.verts
-    is_max = bool((tv @ y > 0.0).all())
-    saddle_edges = []
-    for k in range(3):
-        t1 = _tangent(tv[k], tv[(k + 1) % 3])
-        t2 = _tangent(tv[k], tv[(k + 2) % 3])
-        boundary_max = float(y @ t1) > 0.0 and float(y @ t2) > 0.0
-        if boundary_max and float(tv[k] @ y) > 0.0:
-            saddle_edges.append(fig.edge_ids[k])
-    min_facets = []
-    for k in range(3):
-        foot = spherical_project(y, tv[(k + 1) % 3], tv[(k + 2) % 3])
-        if foot is not None and float(foot @ y) > 0.0:
-            min_facets.append(fig.facet_ids[k])
-    return LocalCriticalReport(is_max, tuple(saddle_edges), tuple(min_facets))
+    d = unit(np.asarray(direction, dtype=float))
+    T = P._region_rows
+    at_v = T.G @ P.vertices[v] - T.c <= 1e-12 * max(1.0, P.diameter)
+    critical = np.logical_and.reduceat(~at_v | (T.G @ d > 0.0), T.starts[:-1])
+    return LocalCriticalReport(bool(critical[len(T.dims) - P.n_vertices + v]),
+                               tuple(e for e in fig.edge_ids if critical[P.n_facets + e]),
+                               tuple(f for f in fig.facet_ids if critical[f]))
 
 
 def _require_simple_generic(P):
@@ -393,22 +380,20 @@ class VertexCensus:
 
 
 def acute_census(P):
-    """Per-vertex counts of acute dihedral and planar angles (simple P)."""
+    """Per-vertex counts of acute dihedral and planar angles (simple P).
+
+    Read from the vertex figures: angle k is the dihedral angle along edge k,
+    side k the planar angle of the facet spanned by the other two edges.
+    """
     _require_simple_generic(P)
     out = []
     for v in range(P.n_vertices):
-        acute_edges = tuple(int(e) for e in P.vertex_edges[v]
-                            if dihedral_angle(P, int(e)) < RIGHT)
-        acute_facets = []
-        between = []
-        for f in P.vertex_facets[v]:
-            if planar_angle(P, int(f), v) >= RIGHT:
-                continue
-            acute_facets.append(int(f))
-            spanning = {int(e) for e in P.vertex_edges[v]
-                        if int(f) in P.edge_facets[int(e)]}
-            between.append(spanning == set(acute_edges))
-        out.append(VertexCensus(v, acute_edges, tuple(acute_facets), tuple(between)))
+        fig = vertex_figure(P, v)
+        acute = fig.angles < RIGHT
+        facets = sorted((f, bool(acute.sum() == 2 and not acute[k]))
+                        for k, f in enumerate(fig.facet_ids) if fig.sides[k] < RIGHT)
+        out.append(VertexCensus(v, tuple(e for e, a in zip(fig.edge_ids, acute) if a),
+                                tuple(f for f, _ in facets), tuple(b for _, b in facets)))
     return out
 
 

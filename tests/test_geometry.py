@@ -4,7 +4,7 @@ from numpy.random import default_rng
 from scipy.optimize import linprog
 
 from polynormal import fixtures
-from polynormal.errors import DegenerateInput, Empty, Unbounded, ValidationError
+from polynormal.errors import DegenerateInput, Empty, InvariantViolation, Unbounded, ValidationError
 from polynormal.geometry import (
     Polytope,
     chebyshev_center,
@@ -334,3 +334,14 @@ def test_zero_length_edge_raises_at_construction(cube):
     V = np.vstack([cube.vertices, cube.vertices[a]])
     with pytest.raises(ValueError, match="zero vector"):
         Polytope(V, cube.facet_normals, cube.facet_offsets, cycles)
+
+
+def test_collinear_facet_raises_at_construction():
+    # tetrahedron lattice with D the midpoint of AB: facet ABD is a segment,
+    # which the stacked rank check of the triangles finds
+    V = np.array([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 0, 0)], float)
+    n = np.array([(0, 0, -1), (0, -1, 0), (-1, 0, 0), (1, 1, 1)], float)
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    cycles = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
+    with pytest.raises(InvariantViolation, match="facet 1 vertex set is not affinely 2-dimensional"):
+        Polytope(V, n, (V @ n.T).max(axis=0), cycles)

@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import default_rng
 
 from polynormal import fixtures
 from polynormal.cli import main
 from polynormal.errors import ParseError, ValidationError
+from polynormal.explorer import random_polytope
 from polynormal.fileio import (
     off_string,
     polytope_from_json,
@@ -13,6 +17,7 @@ from polynormal.fileio import (
     sheets_off_scene,
     write_polytope,
 )
+from polynormal.geometry import hull_from_points
 
 
 @pytest.fixture()
@@ -33,6 +38,27 @@ def test_off_round_trip(tmp_path, cube):
     a = sorted(map(tuple, np.round(back.vertices, 12)))
     b = sorted(map(tuple, np.round(cube.vertices, 12)))
     assert a == b
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(
+    ["tangent_planes", "perturbed_tetra", "perturbed_prism", "polygon"]), fmt=st.sampled_from(["off", "json"]))
+def test_write_read_round_trip_keeps_the_body(tmp_path_factory, seed, family, fmt):
+    # a written body reads back with the same vertex set, the same facet
+    # planes as a set and the same volume; polygons are written as JSON only
+    rng = default_rng(seed)
+    if family == "polygon":
+        P, fmt = hull_from_points(rng.standard_normal((int(rng.integers(3, 12)), 2))), "json"
+    else:
+        P = random_polytope(family, {"k": int(rng.integers(4, 13))}, rng)
+    back = read_polytope(write_polytope(P, tmp_path_factory.mktemp("rt") / f"body.{fmt}"))
+    assert sorted(map(tuple, back.vertices)) == sorted(map(tuple, P.vertices))
+    planes = lambda Q: np.column_stack([Q.facet_normals, Q.facet_offsets])
+    gap = np.abs(planes(back)[:, None, :] - planes(P)[None, :, :]).max(axis=2)
+    assert back.n_facets == P.n_facets
+    assert np.array_equal(np.sort(gap.argmin(axis=1)), np.arange(P.n_facets))
+    assert gap.min(axis=1).max() < 1e-9 * max(1.0, P.diameter)
+    assert back.volume == pytest.approx(P.volume, rel=1e-12)
 
 
 def test_off_accepts_comments_and_validates_indices(tmp_path):

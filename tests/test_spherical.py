@@ -13,13 +13,16 @@ from polynormal.errors import (
     NotSimple,
     OnBifurcationSet,
 )
-from polynormal.geometry import chebyshev_center, dihedral_angle, hull_from_points
+from polynormal.explorer import random_polytope
+from polynormal.geometry import chebyshev_center, dihedral_angle, hull_from_points, planar_angle
 from polynormal.normals import normals_from_point, perturb_to_generic, profile_of
 from polynormal.geometry import unit
 from polynormal.spherical import (
     BORDERLINE_BAND,
     WITNESS_MARGIN,
+    LocalCriticalReport,
     SphericalTriangle,
+    VertexCensus,
     _best_witness_enumeration,
     acute_census,
     classify,
@@ -61,7 +64,6 @@ def test_vertex_figure_prism():
 
 def test_vertex_figure_matches_polytope_angles(flat_tetra_10):
     P = flat_tetra_10
-    from polynormal.geometry import planar_angle
     for v in range(P.n_vertices):
         fig = vertex_figure(P, v)
         for k in range(3):
@@ -225,7 +227,6 @@ def _best_witness_grid(tri, H, grid_res):
 def test_enumeration_dominates_grid_search():
     # the closed-form enumeration is the global optimum of the witness
     # margin, so no interior grid point may score higher
-    from polynormal.explorer import random_polytope
     rng = default_rng(21)
     tris = [random_hemispheric_triangle(rng) for _ in range(700)]
     for family, n_bodies in (("perturbed_tetra", 40), ("perturbed_prism", 25)):
@@ -278,7 +279,6 @@ def test_batched_enumeration_matches_loop_oracle():
     # 2 000 random triangles plus the vertex figures of 100 tetrahedra and
     # 100 prisms: the array enumeration reproduces the loop enumeration's
     # rows, score, verdict, borderline flag and witness
-    from polynormal.explorer import random_polytope
     rng = default_rng(88)
     tris = [random_hemispheric_triangle(rng) for _ in range(2000)]
     for family in ("perturbed_tetra", "perturbed_prism"):
@@ -384,6 +384,96 @@ def test_local_critical_matches_counts():
     assert checked >= 100
 
 
+def _figure_corpus():
+    """10 perturbed cubes, 20 generic prisms, then 40 perturbed tetrahedra and
+    12 tangent bodies with k = 4..15 drawn from one generator."""
+    bodies = [fixtures.perturbed_cube(seed=s) for s in range(10)]
+    bodies += [fixtures.generic_prism(seed=s) for s in range(20)]
+    rng = default_rng(55)
+    bodies += [random_polytope("perturbed_tetra", {"sigma": 0.35}, rng) for _ in range(40)]
+    return bodies + [random_polytope("tangent_planes", {"k": k}, rng) for k in range(4, 16)]
+
+
+def _scalar_tangent(x, toward):
+    t = toward - float(x @ toward) * x
+    return t / np.linalg.norm(t)
+
+
+def _scalar_sides_angles(tri):
+    """Sides and angles measured one side and one vertex at a time."""
+    v = tri.verts
+    sides, angles = [], []
+    for k in range(3):
+        y, z = v[(k + 1) % 3], v[(k + 2) % 3]
+        sides.append(float(np.arctan2(np.linalg.norm(np.cross(y, z)), float(y @ z))))
+        t1, t2 = _scalar_tangent(v[k], y), _scalar_tangent(v[k], z)
+        angles.append(float(np.arctan2(np.linalg.norm(np.cross(t1, t2)), float(t1 @ t2))))
+    return np.array(sides), np.array(angles)
+
+
+def _trig_local_critical(P, v, direction):
+    """The local critical faces by spherical trigonometry on the vertex figure:
+    the vertex is a maximum iff the direction is within pi/2 of every triangle
+    vertex, an edge a saddle iff its triangle vertex is a boundary-local
+    maximum of the distance to it, a facet a minimum iff the direction
+    projects onto its side at distance below pi/2."""
+    fig = vertex_figure(P, v)
+    y = unit(np.asarray(direction, dtype=float))
+    tv = fig.verts
+    saddles, minima = [], []
+    for k in range(3):
+        y1, y2 = tv[(k + 1) % 3], tv[(k + 2) % 3]
+        t1, t2 = _scalar_tangent(tv[k], y1), _scalar_tangent(tv[k], y2)
+        if float(y @ t1) > 0.0 and float(y @ t2) > 0.0 and float(tv[k] @ y) > 0.0:
+            saddles.append(fig.edge_ids[k])
+        foot = spherical_project(y, y1, y2)
+        if foot is not None and float(foot @ y) > 0.0:
+            minima.append(fig.facet_ids[k])
+    return LocalCriticalReport(bool((tv @ y > 0.0).all()), tuple(saddles), tuple(minima))
+
+
+def _loop_acute_census(P):
+    """The census from the polytope's own dihedral and planar angles."""
+    out = []
+    for v in range(P.n_vertices):
+        edges = [int(e) for e in P.vertex_edges[v]]
+        acute_edges = tuple(e for e in edges if dihedral_angle(P, e) < np.pi / 2)
+        facets, between = [], []
+        for f in P.vertex_facets[v].tolist():
+            if planar_angle(P, f, v) < np.pi / 2:
+                facets.append(f)
+                between.append({e for e in edges if f in P.edge_facets[e]} == set(acute_edges))
+        out.append(VertexCensus(v, acute_edges, tuple(facets), tuple(between)))
+    return out
+
+
+def test_vertex_local_quantities_match_scalar_oracles():
+    # row-wise triangles equal the per-side measurements bit for bit; the
+    # table-driven local test and the figure-driven census equal the trig
+    # test and the angle loop, order included
+    rng = default_rng(1)
+    tris = [random_hemispheric_triangle(rng) for _ in range(500)]
+    for P in (fixtures.regular_tetrahedron(), fixtures.cube(), fixtures.flat_tetrahedron_10(),
+              fixtures.right_prism()):
+        tris += [vertex_figure(P, v) for v in range(P.n_vertices)]
+    for tri in tris:
+        sides, angles = _scalar_sides_angles(tri)
+        assert sides.tobytes() == tri.sides.tobytes() and angles.tobytes() == tri.angles.tobytes()
+    censuses = local = 0
+    for P in _figure_corpus():
+        try:
+            assert acute_census(P) == _loop_acute_census(P)
+            censuses += 1
+        except NotGeneric:
+            pass
+        for v in range(P.n_vertices):
+            cone = vertex_figure(P, v).verts
+            for d in (rng.standard_normal(3), (rng.random(3) + 0.05) @ cone):
+                assert local_critical_test(P, v, d) == _trig_local_critical(P, v, d)
+                local += 1
+    assert censuses >= 70 and local > 1000
+
+
 def test_certificate_on_fixtures(flat_tetra_10):
     assert ten_normals_certificate(fixtures.perturbed_cube()) is not None
     assert ten_normals_certificate(fixtures.generic_prism(seed=1)) is not None
@@ -461,7 +551,6 @@ def test_shell_ratio(cube):
 def test_shell_ratio_certificate_many_facets():
     # a 100-facet tangent-plane body hugs its insphere: ratio below sqrt(2),
     # hence no acute dihedral angle and at least 10 normals from the center
-    from polynormal.explorer import random_polytope
     rng = default_rng(8)
     P = random_polytope("tangent_planes", {"k": 100}, rng)
     center = chebyshev_center(P).center
