@@ -124,10 +124,7 @@ def sheet_planes(P):
     ends = [(e, v) for e, pair in enumerate(P.edges.tolist()) for v in pair]
     if P.dim == 2:
         return _sheets(P, rims, rim_offsets, "blue", ends)
-    edge_id = {(a, b): e for e, (a, b) in enumerate(P.edges.tolist())}
-    facet = np.repeat(np.arange(P.n_facets), [len(cycle) for cycle in P.facet_cycles])
-    rim_edges = [(f, edge_id[min(a, b), max(a, b)]) for f, a, b in
-                 zip(facet.tolist(), np.concatenate(P.facet_cycles).tolist(), P._cycle_next.tolist())]
+    rim_edges = list(zip(P._cycle_facet.tolist(), P._cycle_edge.tolist()))
     dirs = np.repeat(P._edge_dir, 2, axis=0)
     dir_offsets = np.einsum("ij,ij->i", dirs, P.vertices[P.edges.ravel()])
     return (_sheets(P, rims, rim_offsets, "blue", rim_edges)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bifurcation import plane_section, sheet_planes
 from .errors import ParseError, ValidationError
-from .geometry import DEFAULT_TOL, hull_from_points, polytope_from_halfspaces
+from .geometry import DEFAULT_TOL, _float_rows, hull_from_points, polytope_from_halfspaces
 
 
 def read_polytope(path, tol=DEFAULT_TOL):
@@ -36,26 +36,12 @@ def polytope_from_json(doc, tol=DEFAULT_TOL):
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     if "vertices" in doc:
-        return _from_convex_vertices(_float_array(doc["vertices"], (3,), "vertices"), tol)
+        return _from_convex_vertices(_float_rows(doc["vertices"], (3,), "vertices", ParseError), tol)
     if "polygon" in doc:
-        return _from_convex_vertices(_float_array(doc["polygon"], (2,), "polygon"), tol)
+        return _from_convex_vertices(_float_rows(doc["polygon"], (2,), "polygon", ParseError), tol)
     if "halfspaces" in doc:
-        return polytope_from_halfspaces(_float_array(doc["halfspaces"], (3, 4), "halfspaces"), tol)
+        return polytope_from_halfspaces(_float_rows(doc["halfspaces"], (3, 4), "halfspaces", ParseError), tol)
     raise ParseError("JSON object needs a 'vertices', 'polygon' or 'halfspaces' key")
-
-
-def _float_array(rows, widths, what):
-    """Finite float rows of one width in ``widths``, or a ParseError naming ``what``."""
-    shape = ParseError(f"{what} must be rows of {' or '.join(map(str, widths))} numbers")
-    try:
-        arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise shape from exc
-    if arr.ndim != 2 or arr.shape[1] not in widths:
-        raise shape
-    if not np.isfinite(arr).all():
-        raise ParseError(f"non-finite entry in {what}")
-    return arr
 
 
 def _from_convex_vertices(vertices, tol):

@@ -1,9 +1,10 @@
 """Convex polytopes in 2-D and 3-D: hulls, face lattices, inner normal cones,
 angles and inscribed spheres.
 
-The face lattice is held as arrays: edges with their facets, each vertex's
-edges, facets and unit edge directions, each edge's frame and cone rows.
-Those arrays feed the region-row table, the volume and the centroid;
+The facet cycles are laid out once, flat (``Polytope._build_edges``); the
+edges, lattice check, region rows, volume, right-angle test and sheet planes
+read it.  The hull builder merges, sorts and refits facets in stacked passes,
+one facet size at a time.  The rest of the face lattice is held as arrays;
 ``Face`` objects are built from them on first use of ``Polytope.faces``.
 
 Coordinates are double precision.  A single tolerance (default 1e-9, applied
@@ -47,6 +48,28 @@ def _unit_rows(X):
     if not n.all():
         raise ValueError("cannot normalize zero vector")
     return X / n
+
+
+def _by_size(sizes):
+    """For each size k: the items of size k and their (items, k) positions when laid end to end."""
+    start = np.cumsum(sizes) - sizes
+    for k in np.unique(sizes):
+        f = np.flatnonzero(sizes == k)
+        yield f, start[f, None] + np.arange(k)
+
+
+def _float_rows(rows, widths, what, error=DegenerateInput):
+    """Finite float rows of one width in ``widths``, or ``error`` naming ``what``."""
+    shape = error(f"{what} must be rows of {' or '.join(map(str, widths))} numbers")
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise shape from exc
+    if arr.ndim != 2 or arr.shape[1] not in widths:
+        raise shape
+    if not np.isfinite(arr).all():
+        raise error(f"non-finite entry in {what}")
+    return arr
 
 
 class Face:
@@ -141,27 +164,35 @@ class Polytope:
             raise InvariantViolation("vertex violates a facet inequality beyond tolerance")
 
     def _build_edges(self):
-        """Edges as sorted vertex pairs with their two facets (a polygon's facets are
-        its edges, both views sharing indices), and each vertex's edges and facets
-        in index order."""
+        """The cycles end to end (``_cycle_ids``) with each position's facet, next and
+        previous vertex and edge to the next, their lengths ``_rims`` and stacks by
+        length; edges as sorted vertex pairs with their two facets (a polygon's facets
+        are its edges, same indices); each vertex's edges and facets in index order."""
         cycles, nv = self.facet_cycles, len(self.vertices)
-        ids = np.concatenate(cycles)
-        facet = np.repeat(np.arange(len(cycles)), [len(cycle) for cycle in cycles])
-        self._cycle_next = np.concatenate([np.roll(c, -1) for c in cycles])  # successor in its cycle
+        rims = self._rims = np.array([len(cycle) for cycle in cycles])
+        ids = self._cycle_ids = np.concatenate(cycles)
+        facet = self._cycle_facet = np.repeat(np.arange(len(cycles)), rims)
+        end = np.cumsum(rims)
+        nxt, prv = np.arange(1, len(ids) + 1), np.arange(-1, len(ids) - 1)
+        nxt[end - 1], prv[end - rims] = end - rims, end - 1
+        self._cycle_next, self._cycle_prev = ids[nxt], ids[prv]
+        self._facet_stacks = [(f, ids[pos]) for f, pos in _by_size(rims)]
         if self.dim == 3:
             pairs = np.sort(np.column_stack([ids, self._cycle_next]))
             order = np.lexsort(pairs.T[::-1])
             pairs, facet2 = pairs[order], facet[order]
-            head = np.flatnonzero(np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)])
-            count = np.diff(np.append(head, len(pairs)))
+            new = np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]
+            count = np.diff(np.flatnonzero(np.r_[new, True]))
             if (count != 2).any():
                 k = np.flatnonzero(count != 2)[0]
-                raise InvariantViolation(f"edge {tuple(pairs[head[k]].tolist())} has {count[k]} "
+                raise InvariantViolation(f"edge {tuple(pairs[new][k].tolist())} has {count[k]} "
                                          "incident facets, expected 2")
-            self.edges, self.edge_facets = pairs[head], facet2.reshape(-1, 2)
+            self.edges, self.edge_facets = pairs[new], facet2.reshape(-1, 2)
+            self._cycle_edge = (np.cumsum(new) - 1)[np.argsort(order)]
         else:
-            self.edges = np.array([c[:2] for c in cycles], dtype=int)
+            self.edges = np.column_stack([ids, self._cycle_next])[end - rims]
             self.edge_facets = np.repeat(np.arange(len(cycles)), 2).reshape(-1, 2)
+            self._cycle_edge = facet
         ends = self.edges.ravel()
         self.vertex_edges = np.split(np.argsort(ends, kind="stable") // 2,
                                      np.cumsum(np.bincount(ends, minlength=nv))[:-1])
@@ -173,12 +204,9 @@ class Polytope:
             v, e, f = len(self.vertices), len(self.edges), len(self.facet_cycles)
             if v - e + f != 2:
                 raise InvariantViolation(f"Euler formula V - E + F = 2 failed: {v} - {e} + {f}")
-        cycles = self.facet_cycles
-        rims = np.array([len(cycle) for cycle in cycles])
-        rank = np.empty(len(cycles), dtype=int)
-        for k in np.unique(rims):
-            f = np.flatnonzero(rims == k)
-            X = self.vertices[np.array([cycles[j] for j in f])]
+        rank = np.empty(len(self._rims), dtype=int)
+        for f, ids in self._facet_stacks:
+            X = self.vertices[ids]
             rank[f] = np.linalg.matrix_rank(X - X[:, :1], tol=1e-7 * max(1.0, self.diameter))
         if (rank != self.dim - 1).any():
             f = np.flatnonzero(rank != self.dim - 1)[0]
@@ -218,27 +246,21 @@ class Polytope:
     @cached_property
     def _region_rows(self):
         """The RegionRows table, built on first use and kept."""
-        V, cycles = self.vertices, self.facet_cycles
+        V, rims, i = self.vertices, self._rims, self._cycle_ids
         # facet rims: in-plane inward normals of the boundary edges (i, j); facet
         # diameters over all vertex pairs, the facets of one size at a time
-        rims = np.array([len(cycle) for cycle in cycles])
-        i = np.concatenate(cycles)
         W = V[self._cycle_next] - V[i]
         if self.dim == 3:
-            W = np.cross(np.repeat(self.facet_normals, rims, axis=0), W)
+            W = np.cross(self.facet_normals[self._cycle_facet], W)
         W /= np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]
-        diameters = np.empty(len(cycles))
-        for k in np.unique(rims):
-            f = np.flatnonzero(rims == k)
-            X = V[np.array([cycles[j] for j in f])]
-            X = X[:, :, None] - X[:, None]
+        diameters = np.empty(len(rims))
+        for f, ids in self._facet_stacks:
+            X = V[ids][:, :, None] - V[ids][:, None]
             diameters[f] = np.sqrt((X[..., None, :] @ X[..., :, None]).max(axis=(1, 2, 3, 4)))
         # vertex offsets, the vertices of one degree at a time
         U, sizes = self._vertex_rows, np.array([len(e) for e in self.vertex_edges])
         offsets = np.empty(len(U))
-        for k in np.unique(sizes):
-            v = np.flatnonzero(sizes == k)
-            rows = (np.cumsum(sizes) - sizes)[v, None] + np.arange(k)
+        for v, rows in _by_size(sizes):
             offsets[rows] = (U[rows] @ V[v][:, :, None])[..., 0]
         # per family (facets, edges in 3-D, vertices): rows, offsets, rows per face, divisors
         families = [(W, (W[:, None, :] @ V[i][:, :, None])[:, 0, 0], rims, diameters),
@@ -256,7 +278,7 @@ class Polytope:
             frame = np.column_stack([u.reshape(-1, 3), -np.einsum("fed,ed->fe", u, a).ravel()])
         G, c, sizes, scale = (np.concatenate(x) for x in zip(*families))
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        F, nf = len(cycles), len(sizes)
+        F, nf = len(rims), len(sizes)
         faces = np.r_[:F, nf - len(V):nf]  # facets, then vertices
         runs = tuple((k, np.flatnonzero(sizes[faces] == k)) for k in np.unique(sizes[faces]))
         blocks = [(k, faces[f]) for k, f in runs] + [(4, np.arange(F, nf - len(V)))]
@@ -276,8 +298,8 @@ class Polytope:
             area = cross.sum() / 2.0
             centroid = np.array([((x + xs) * cross).sum(), ((y + ys) * cross).sum()]) / (6.0 * area)
             return abs(float(area)), centroid
-        rims = np.array([len(cycle) for cycle in self.facet_cycles])
-        ids, start = np.concatenate(self.facet_cycles), np.cumsum(rims) - rims
+        rims, ids = self._rims, self._cycle_ids
+        start = np.cumsum(rims) - rims
         k = np.arange(len(ids)) - np.repeat(start, rims)  # position in its cycle
         mid = np.flatnonzero((k > 0) & (k < np.repeat(rims, rims) - 1))
         p0, p1, p2 = V[ids[np.repeat(start, rims - 2)]], V[ids[mid]], V[ids[mid + 1]]
@@ -336,12 +358,10 @@ class Polytope:
 def hull_from_points(points, tol=DEFAULT_TOL):
     """Convex hull of a point set with a complete merged face lattice.
 
-    Points interior to the hull are dropped.  Raises DegenerateInput when the
-    points do not span the ambient dimension.
+    Points interior to the hull are dropped.  Raises DegenerateInput unless the
+    points are finite (n, 2) or (n, 3) rows spanning the ambient dimension.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
-        raise DegenerateInput("points must be an (n, 2) or (n, 3) array")
+    pts = _float_rows(points, (2, 3), "points")
     dim = pts.shape[1]
     if len(pts) < dim + 1:
         raise DegenerateInput(f"need at least {dim + 1} points in dimension {dim}")
@@ -359,59 +379,45 @@ def hull_from_points(points, tol=DEFAULT_TOL):
 
 
 def _polygon_from_hull(pts, hull, tol):
-    order = hull.vertices  # counterclockwise per scipy
-    V = pts[order]
-    k = len(V)
-    normals, offsets, cycles = [], [], []
-    for i in range(k):
-        a, b = V[i], V[(i + 1) % k]
-        d = b - a
-        n = unit(np.array([d[1], -d[0]]))
-        normals.append(n)
-        offsets.append(float(n @ a))
-        cycles.append([i, (i + 1) % k])
-    return Polytope(V, normals, offsets, cycles, tol)
+    V = pts[hull.vertices]  # counterclockwise per scipy
+    D = np.roll(V, -1, axis=0) - V
+    normals = _unit_rows(np.column_stack([D[:, 1], -D[:, 0]]))
+    i = np.arange(len(V))
+    return Polytope(V, normals, (normals[:, None, :] @ V[:, :, None])[:, 0, 0],
+                    np.column_stack([i, np.roll(i, -1)]), tol)
 
 
 def _polytope_from_hull_3d(pts, hull, tol):
     used = hull.vertices
     remap = -np.ones(len(pts), dtype=int)
     remap[used] = np.arange(len(used))
-    V = pts[used]
-    tris = remap[hull.simplices]
-    tri_n = hull.equations[:, :3]
-    tri_b = -hull.equations[:, 3]
+    V, nv = pts[used], len(used)
+    tris, tri_n, tri_b = remap[hull.simplices], hull.equations[:, :3], -hull.equations[:, 3]
     scale = max(1.0, float(np.linalg.norm(V.max(0) - V.min(0))))
-
-    cos_merge = np.cos(MERGE_ANGLE)
-    groups = []  # (normal, offset, set of vertex ids)
-    for t in range(len(tris)):
-        n, b = tri_n[t], tri_b[t]
-        for g in groups:
-            if n @ g[0] >= cos_merge and abs(b - g[1]) <= 1e-7 * scale:
-                g[2].update(int(v) for v in tris[t])
-                break
-        else:
-            groups.append((n.copy(), float(b), {int(v) for v in tris[t]}))
-
-    normals, offsets, cycles = [], [], []
-    for n, b, vset in groups:
-        ids = np.array(sorted(vset), dtype=int)
-        center = V[ids].mean(axis=0)
-        u1 = unit(V[ids[0]] - center)
+    # a triangle joins the facet of the first triangle it merges with
+    merge = (tri_n @ tri_n.T >= np.cos(MERGE_ANGLE)) & (abs(tri_b[:, None] - tri_b) <= 1e-7 * scale)
+    np.fill_diagonal(merge, True)
+    first = merge.argmax(axis=1)
+    while (first[first] != first).any():
+        first = first[first]
+    heads, facet = np.unique(first, return_inverse=True)
+    key = np.unique(np.repeat(facet, 3) * nv + tris.ravel())  # (facet, vertex), sorted
+    rims, ids = np.bincount(key // nv), key % nv
+    # per facet size: sort by angle about the mean, refit (Newell), keep outward
+    normals, offsets, cycles = np.empty((len(heads), 3)), np.empty(len(heads)), np.empty_like(ids)
+    for f, pos in _by_size(rims):
+        n, X = tri_n[heads[f]], V[ids[pos]] - V[ids[pos]].mean(axis=1)[:, None]
+        u1 = _unit_rows(X[:, 0])
         u2 = np.cross(n, u1)
-        ang = np.arctan2((V[ids] - center) @ u2, (V[ids] - center) @ u1)
-        cycle = ids[np.argsort(ang)]
-        # refit the plane from the ordered cycle (Newell) for merged facets
+        ang = np.arctan2((X @ u2[:, :, None])[..., 0], (X @ u1[:, :, None])[..., 0])
+        cycle = np.take_along_axis(ids[pos], np.argsort(ang, axis=1), axis=1)
         poly = V[cycle]
-        newell = np.cross(poly, np.roll(poly, -1, axis=0)).sum(axis=0)
-        n_fit = unit(newell)
-        if n_fit @ n < 0:
-            n_fit, cycle = -n_fit, cycle[::-1]
-        normals.append(n_fit)
-        offsets.append(float(np.mean(V[cycle] @ n_fit)))
-        cycles.append(cycle)
-    return Polytope(V, normals, offsets, cycles, tol)
+        fit = _unit_rows(np.cumsum(np.cross(poly, np.roll(poly, -1, axis=1)), axis=1)[:, -1])
+        flip = (fit[:, None, :] @ n[:, :, None])[:, 0, 0] < 0
+        fit[flip], cycle[flip] = -fit[flip], cycle[flip, ::-1]
+        normals[f], cycles[pos] = fit, cycle
+        offsets[f] = (V[cycle] @ fit[:, :, None])[..., 0].mean(axis=1)
+    return Polytope(V, normals, offsets, np.split(cycles, np.cumsum(rims)[:-1]), tol)
 
 
 # -- halfspace intersection --------------------------------------------------
@@ -459,15 +465,14 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     """Vertex-enumerate the intersection of halfspaces <n, x> <= b.
 
     ``planes`` is a sequence of (normal, offset) pairs or rows [n..., b].
-    Raises Unbounded / Empty as appropriate.
+    Raises Unbounded / Empty as appropriate, DegenerateInput on malformed input.
     """
-    rows = []
-    for p in planes:
-        if isinstance(p, (tuple, list)) and len(p) == 2:
-            rows.append(list(np.asarray(p[0], dtype=float)) + [float(p[1])])
-        else:
-            rows.append(list(np.asarray(p, dtype=float)))
-    arr = np.array(rows, dtype=float)
+    try:
+        rows = [[*np.asarray(p[0], dtype=float), float(p[1])]
+                if isinstance(p, (tuple, list)) and len(p) == 2 else p for p in planes]
+    except (TypeError, ValueError) as exc:
+        raise DegenerateInput("planes must be (normal, offset) pairs or rows [n..., b]") from exc
+    arr = _float_rows(rows, (3, 4), "planes")
     normals, offsets = arr[:, :-1], arr[:, -1]
     norms = np.linalg.norm(normals, axis=1)
     if np.any(norms < 1e-12):
@@ -590,14 +595,21 @@ def planar_angle(P, facet, vertex):
 
 def right_angle_defect(P, tol):
     """First dihedral or planar angle of a 3-polytope within ``tol`` of a
-    right angle, described, or None when there is none."""
-    for e in range(P.n_edges):
-        if abs(dihedral_angle(P, e) - np.pi / 2) < tol:
-            return f"right dihedral angle at edge {e}"
-    for f, cycle in enumerate(P.facet_cycles):
-        for v in cycle:
-            if abs(planar_angle(P, f, int(v)) - np.pi / 2) < tol:
-                return f"right planar angle at facet {f}, vertex {v}"
+    right angle, described, or None: edges in edge order, then the facets'
+    corners in cycle order."""
+    if P.dim != 3:
+        raise ValidationError("dihedral angles are defined for 3-polytopes only")
+    N = P.facet_normals[P.edge_facets]
+    c = (N[:, :1] @ N[:, 1, :, None])[:, 0, 0]
+    e = np.flatnonzero(abs(np.arccos(np.clip(-c, -1.0, 1.0)) - np.pi / 2) < tol)
+    if len(e):
+        return f"right dihedral angle at edge {e[0]}"
+    V, v = P.vertices, P._cycle_ids
+    u1, u2 = _unit_rows(V[P._cycle_prev] - V[v]), _unit_rows(V[P._cycle_next] - V[v])
+    c = (u1[:, None, :] @ u2[:, :, None])[:, 0, 0]
+    p = np.flatnonzero(abs(np.arccos(np.clip(c, -1.0, 1.0)) - np.pi / 2) < tol)
+    if len(p):
+        return f"right planar angle at facet {P._cycle_facet[p[0]]}, vertex {v[p[0]]}"
     return None
 
 

@@ -685,9 +685,17 @@ def test_split_carries_fresh_incidence_and_signs(cube, obtuse_triangle):
     assert len(np.unique(bifurcation._plane_groups(cube)[3])) == 6
 
 
+def _jittered_ring():
+    # a near-degenerate hull: a 10-gon and its shifted copy, xy-jittered by 1e-3
+    ring = np.array([(np.cos(t), np.sin(t), 0.0) for t in 2.0 * np.pi * np.arange(10) / 10])
+    pts = np.vstack([ring, ring + (0.2, 0.1, 1.0)])
+    pts[:, :2] += 1e-3 * default_rng(9).standard_normal((20, 2))
+    return hull_from_points(pts)
+
+
 def test_chamber_volumes_match_qhull():
     families = (("perturbed_tetra", {"sigma": 0.35}), ("perturbed_prism", {"sigma": 0.12}))
-    bodies = (_chamber_fixtures() + [_cuboctahedron()]
+    bodies = (_chamber_fixtures() + [_cuboctahedron(), _jittered_ring()]
               + [random_polytope("tangent_planes", {"k": k}, default_rng([43, k])) for k in (5, 6, 7, 8)]
               + [random_polytope(family, params, default_rng([47, i]))
                  for family, params in families for i in range(10)])

@@ -3,9 +3,10 @@ import pytest
 from numpy.random import default_rng
 from scipy.optimize import linprog
 
-from polynormal import fixtures
+from polynormal import explorer, fixtures, geometry
 from polynormal.errors import DegenerateInput, Empty, InvariantViolation, Unbounded, ValidationError
 from polynormal.geometry import (
+    MERGE_ANGLE,
     Polytope,
     chebyshev_center,
     cone_contains,
@@ -15,6 +16,7 @@ from polynormal.geometry import (
     inner_normal_cone,
     planar_angle,
     polytope_from_halfspaces,
+    right_angle_defect,
     unit,
 )
 
@@ -44,6 +46,29 @@ def test_hull_rejects_degenerate_input():
         hull_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     with pytest.raises(DegenerateInput):
         hull_from_points([(0, 0), (1, 1), (2, 2)])
+
+
+CUBE_CORNERS = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+
+
+@pytest.mark.parametrize("build, arg", [
+    (polytope_from_halfspaces, []),
+    (polytope_from_halfspaces, [[1, 0, 0, 1], [0, 1, 1]]),  # ragged rows
+    (polytope_from_halfspaces, [[1, 1], [-1, 1]]),  # rows of two numbers
+    (polytope_from_halfspaces, CUBE_PLANES[:5] + [([0, 0, -1], np.nan)]),
+    (polytope_from_halfspaces, CUBE_PLANES[:5] + [([0, 0, -1], np.inf)]),
+    (hull_from_points, CUBE_CORNERS[:7] + [(1, 1, np.nan)]),
+    (hull_from_points, CUBE_CORNERS[:7] + [(1, np.inf, 1)]),
+])
+def test_malformed_construction_input_raises_degenerate_input(monkeypatch, build, arg):
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran on malformed input")
+
+    for name in ("_chebyshev_lp", "ConvexHull", "HalfspaceIntersection"):
+        monkeypatch.setattr(geometry, name, solver)
+    monkeypatch.setattr(np.linalg, "svd", solver)
+    with pytest.raises(DegenerateInput):
+        build(arg)
 
 
 def test_halfspaces_cube_and_tetra():
@@ -345,3 +370,114 @@ def test_collinear_facet_raises_at_construction():
     cycles = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
     with pytest.raises(InvariantViolation, match="facet 1 vertex set is not affinely 2-dimensional"):
         Polytope(V, n, (V @ n.T).max(axis=0), cycles)
+
+
+def _loop_polygon(pts, hull, tol):
+    """The 2-D hull build edge by edge (reference for the stacked build)."""
+    order = hull.vertices  # counterclockwise per scipy
+    V = pts[order]
+    k = len(V)
+    normals, offsets, cycles = [], [], []
+    for i in range(k):
+        a, b = V[i], V[(i + 1) % k]
+        d = b - a
+        n = unit(np.array([d[1], -d[0]]))
+        normals.append(n)
+        offsets.append(float(n @ a))
+        cycles.append([i, (i + 1) % k])
+    return Polytope(V, normals, offsets, cycles, tol)
+
+
+def _loop_hull_3d(pts, hull, tol):
+    """The 3-D hull build triangle by triangle and facet by facet: greedy merge
+    into the first matching group, then per facet the angular sort, the Newell
+    refit, the flip and the offset (reference for the stacked build)."""
+    used = hull.vertices
+    remap = -np.ones(len(pts), dtype=int)
+    remap[used] = np.arange(len(used))
+    V = pts[used]
+    tris = remap[hull.simplices]
+    tri_n = hull.equations[:, :3]
+    tri_b = -hull.equations[:, 3]
+    scale = max(1.0, float(np.linalg.norm(V.max(0) - V.min(0))))
+    cos_merge = np.cos(MERGE_ANGLE)
+    groups = []  # (normal, offset, set of vertex ids)
+    for t in range(len(tris)):
+        n, b = tri_n[t], tri_b[t]
+        for g in groups:
+            if n @ g[0] >= cos_merge and abs(b - g[1]) <= 1e-7 * scale:
+                g[2].update(int(v) for v in tris[t])
+                break
+        else:
+            groups.append((n.copy(), float(b), {int(v) for v in tris[t]}))
+    normals, offsets, cycles = [], [], []
+    for n, b, vset in groups:
+        ids = np.array(sorted(vset), dtype=int)
+        center = V[ids].mean(axis=0)
+        u1 = unit(V[ids[0]] - center)
+        u2 = np.cross(n, u1)
+        ang = np.arctan2((V[ids] - center) @ u2, (V[ids] - center) @ u1)
+        cycle = ids[np.argsort(ang)]
+        poly = V[cycle]
+        n_fit = unit(np.cross(poly, np.roll(poly, -1, axis=0)).sum(axis=0))
+        if n_fit @ n < 0:
+            n_fit, cycle = -n_fit, cycle[::-1]
+        normals.append(n_fit)
+        offsets.append(float(np.mean(V[cycle] @ n_fit)))
+        cycles.append(cycle)
+    return Polytope(V, normals, offsets, cycles, tol)
+
+
+def _loop_right_angle_defect(P, tol):
+    """The right-angle test edge by edge and corner by corner (reference)."""
+    for e in range(P.n_edges):
+        if abs(dihedral_angle(P, e) - np.pi / 2) < tol:
+            return f"right dihedral angle at edge {e}"
+    for f, cycle in enumerate(P.facet_cycles):
+        for v in cycle:
+            if abs(planar_angle(P, f, int(v)) - np.pi / 2) < tol:
+                return f"right planar angle at facet {f}, vertex {v}"
+    return None
+
+
+def _hull_corpus():
+    phi = (1.0 + 5.0 ** 0.5) / 2.0
+    dodeca = np.array(CUBE_CORNERS + [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                                      for p in ((0.0, a / phi, b * phi), (a / phi, b * phi, 0.0),
+                                                (b * phi, 0.0, a / phi))])
+    corners = np.array(CUBE_CORNERS, float) / 2.0 + 0.5
+    rng = default_rng(55)
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 17))
+    return ([fixtures.cube(), fixtures.right_prism(), fixtures.regular_tetrahedron(),
+             fixtures.flat_tetrahedron_10(), fixtures.perturbed_cube(), hull_from_points(dodeca),
+             hull_from_points(corners + 1e-10 * default_rng(0).standard_normal((8, 3))),
+             hull_from_points(dodeca + 1e-10 * default_rng(3).standard_normal((20, 3))),
+             # right planar angles, no right dihedral angle
+             hull_from_points([(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0), (0.2, 0.1, 1)]),
+             hull_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.4, 1)]),
+             fixtures.equilateral_triangle(), fixtures.triangle_from_angles(1.2, 1.0),
+             hull_from_points(np.column_stack([np.cos(t), np.sin(t)]))]
+            + [explorer.random_polytope("tangent_planes", {"k": k}, default_rng([5, k]))
+               for k in range(4, 25)]
+            + [explorer.random_polytope(family, {}, rng)
+               for family in ("perturbed_tetra", "perturbed_prism", "vertex_cloud") for _ in range(6)])
+
+
+def test_stacked_hull_and_right_angle_test_match_loops(monkeypatch):
+    # the stacked hull builds and right-angle test give the loops' facets, cycles
+    # (where each starts too), normals, offsets and verdicts bit for bit; the
+    # right prism's cycles hang on a tie at angle +-pi, the pyramid and the
+    # corner tetrahedron reach the planar angles, and the random bodies are
+    # drawn through each side's right-angle test
+    new = _hull_corpus()
+    monkeypatch.setattr(geometry, "_polytope_from_hull_3d", _loop_hull_3d)
+    monkeypatch.setattr(geometry, "_polygon_from_hull", _loop_polygon)
+    monkeypatch.setattr(explorer, "right_angle_defect", _loop_right_angle_defect)
+    for P, Q in zip(new, _hull_corpus(), strict=True):
+        pairs = [(P.vertices, Q.vertices), (P.facet_normals, Q.facet_normals),
+                 (P.facet_offsets, Q.facet_offsets)]
+        for a, b in pairs + list(zip(P.facet_cycles, Q.facet_cycles, strict=True)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        if P.dim == 3:
+            for tol in (1e-9, 1e-4, 0.3, 0.6):
+                assert right_angle_defect(P, tol) == _loop_right_angle_defect(P, tol)
