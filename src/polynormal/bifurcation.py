@@ -49,6 +49,7 @@ ON_SHEET_TOL = 1e-7     # point_on_sheet and plane-incidence slack, relative to 
 MIN_REL_VOLUME = 1e-12  # cells below this fraction of Vol P are degenerate
 VOLUME_CHECK = 1e-9     # the cell volumes must sum to Vol P within this fraction
 BLOCK = 512             # cell vertices per plane product in ``_measure_cells``
+DRAW = 1 << 20          # most entries of one Monte-Carlo draw's facet product (8 MB)
 
 
 @dataclass(frozen=True)
@@ -683,30 +684,37 @@ def chamber_report(P, chambers=None):
 
 
 def monte_carlo_average(P, n_samples, seed=0):
-    """(estimate, standard error) of the average count by rejection sampling."""
+    """(estimate, standard error) of the average count by rejection sampling.
+
+    The samples are the first ``n_samples`` interior points of the stream
+    ``default_rng(seed).uniform`` on the bounding box, drawn in rows sized
+    from the fill ratio Vol P / Vol(box) (at most DRAW facet-product entries
+    and 2 n + 64 rows each; the stream is the same however it is cut).  They
+    are counted in one ``count_normals_batch`` call, and the marginal ones are
+    perturbed to generic points after all draws, with the same generator.
+    The estimate is the mean count; it equals that of earlier releases,
+    which perturbed between draws, unless a sample is marginal.
+    """
     if n_samples < 10**3:
         raise ValueError("need at least 1000 samples")
     rng = default_rng(seed)
     lo, hi = P.bounding_box()
-    counts = np.empty(n_samples)
-    got = 0
+    fill = P.volume / float(np.prod(hi - lo))
+    cap = min(2 * n_samples + 64, DRAW // P.n_facets)
     tol = P.tol * max(1.0, P.diameter)
+    kept, got = [], 0
     while got < n_samples:
-        batch = rng.uniform(lo, hi, size=(2 * (n_samples - got) + 64, P.dim))
-        inside = (batch @ P.facet_normals.T <= P.facet_offsets - tol).all(axis=1)
-        batch = batch[inside]
-        if not len(batch):
-            continue
-        take = min(len(batch), n_samples - got)
-        batch = batch[:take]
-        m, s, M, marg = count_normals_batch(P, batch)
-        tot = (m + s + M).astype(float)
-        for i in np.nonzero(marg)[0]:
-            y = perturb_to_generic(P, batch[i], rng)
-            mm, ss, MM, _ = count_normals_batch(P, y[None, :])
-            tot[i] = float(mm[0] + ss[0] + MM[0])
-        counts[got:got + take] = tot
-        got += take
+        need = n_samples - got
+        batch = rng.uniform(lo, hi, size=(min(int(1.25 * need / fill) + 64, cap), P.dim))
+        batch = batch[(batch @ P.facet_normals.T <= P.facet_offsets - tol).all(axis=1)][:need]
+        kept.append(batch)
+        got += len(batch)
+    Y = np.concatenate(kept)
+    m, s, M, marg = count_normals_batch(P, Y)
+    counts = (m + s + M).astype(float)
+    for i in np.flatnonzero(marg):
+        mm, ss, MM, _ = count_normals_batch(P, perturb_to_generic(P, Y[i], rng)[None, :])
+        counts[i] = float(mm[0] + ss[0] + MM[0])
     est = float(counts.mean())
     stderr = float(counts.std(ddof=1) / np.sqrt(n_samples))
     return est, stderr

@@ -403,7 +403,8 @@ def _polytope_from_hull_3d(pts, hull, tol):
     heads, facet = np.unique(first, return_inverse=True)
     key = np.unique(np.repeat(facet, 3) * nv + tris.ravel())  # (facet, vertex), sorted
     rims, ids = np.bincount(key // nv), key % nv
-    # per facet size: sort by angle about the mean, refit (Newell), keep outward
+    # per facet size: sort by angle about the mean, refit (Newell); the sort runs
+    # counterclockwise about the outward triangle normal, so the fit is outward
     normals, offsets, cycles = np.empty((len(heads), 3)), np.empty(len(heads)), np.empty_like(ids)
     for f, pos in _by_size(rims):
         n, X = tri_n[heads[f]], V[ids[pos]] - V[ids[pos]].mean(axis=1)[:, None]
@@ -413,8 +414,6 @@ def _polytope_from_hull_3d(pts, hull, tol):
         cycle = np.take_along_axis(ids[pos], np.argsort(ang, axis=1), axis=1)
         poly = V[cycle]
         fit = _unit_rows(np.cumsum(np.cross(poly, np.roll(poly, -1, axis=1)), axis=1)[:, -1])
-        flip = (fit[:, None, :] @ n[:, :, None])[:, 0, 0] < 0
-        fit[flip], cycle[flip] = -fit[flip], cycle[flip, ::-1]
         normals[f], cycles[pos] = fit, cycle
         offsets[f] = (V[cycle] @ fit[:, :, None])[..., 0].mean(axis=1)
     return Polytope(V, normals, offsets, np.split(cycles, np.cumsum(rims)[:-1]), tol)

@@ -9,14 +9,17 @@ unstable count.
 
 One row table drives counting and chambers alike: ``Polytope._region_rows``
 (facet rims; edge slab ``+-d`` and support rows; vertex edge directions),
-built once per body.  ``_face_tests`` takes one product of each block of
-points with it and a min over each face's rows, then normalises per family:
-facet margins by the facet diameter, edge slab margins by the edge length
-and support margins by the distance |w| to the edge line, vertex margins by
-|y - v|.  Batch counts, single-face records, full record lists and
-``perturb_to_generic`` all read its ``active`` and ``near`` (within tolerance
-of the test's boundary) masks, with the fixed margins REL_MARGIN and
-CONE_MARGIN.
+built once per body.  ``_blocks`` takes one product of each block of points
+with it and a min over each face's rows.  The signs of the minima decide
+``active``: each family's normalisation (facet margins by the facet
+diameter, edge slab margins by the edge length and support margins by the
+distance |w| to the edge line, vertex margins by |y - v|) is a positive
+divisor.  ``near`` (within the fixed margins REL_MARGIN and CONE_MARGIN of
+the test's boundary) is computed in full, but only on the minima that pass a
+necessary bound, so it is exact.  ``count_normals_batch`` reduces each block
+to its counts and flags, so memory is held per block; single-face records,
+full record lists and ``perturb_to_generic`` read the whole mask table of
+``_face_tests``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .geometry import contains_interior
 
 REL_MARGIN = 1e-8   # relative-interior margin, barycentric units
 CONE_MARGIN = 1e-9  # cone membership margin, sine units
-BLOCK = 512         # points per row product in ``_face_tests``
+BLOCK = 512         # points per row product; masks are held one block at a time
 
 
 @dataclass(frozen=True)
@@ -70,58 +73,101 @@ def _face_tests(P, Y):
 
     ``active`` says the face's test holds (foot inside the face, offset inside
     its normal cone); ``near`` says the test lands within tolerance of its
-    boundary, where the count is unreliable.  Points go through in blocks of
-    BLOCK, one product with the region rows each, so memory stays bounded.
-    The BLAS product rounds differently for blocks of different widths, so
-    the near points of each block are tested again from a product summed in
-    a fixed order, which gives them the same masks in any batch.
+    boundary, where the count is unreliable.  Both come from ``_blocks``: the
+    signs of each face's row minima decide ``active``, and the normalised
+    margin is taken only where it can fall in the near band, so both are
+    exact.  This table holds the masks of every point, for the callers that
+    test one point; ``count_normals_batch`` holds one block's at a time.
     """
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
-    E = len(T.dims) - F - V
     active, near = np.empty((2, len(T.dims), len(Y)), dtype=bool)  # face-major, returned transposed
+    for lo, act, nr in _blocks(P, Y):
+        active[:, lo:lo + act.shape[1]], near[:, lo:lo + act.shape[1]] = act, nr
+    families = [F, len(T.dims) - V][:P.dim - 1]
+    return list(zip(np.split(active.T, families, axis=1), np.split(near.T, families, axis=1)))
+
+
+def _blocks(P, Y):
+    """Yield (lo, active, near) for each BLOCK of points Y[lo:lo + BLOCK]: its face-major masks.
+
+    Each block takes one product with the region rows.  The BLAS product
+    rounds differently for blocks of different widths, so the near points of
+    each block are tested again from a product summed in a fixed order, which
+    gives them the same masks in any batch.  The masks are reused from block
+    to block; read them before the next one.
+    """
+    T = P._region_rows
     S = np.empty(len(T.K) * min(len(Y), BLOCK))  # reused: no fresh pages per block
+    masks = np.empty((2, len(T.dims), min(len(Y), BLOCK)), dtype=bool)
     for lo in range(0, len(Y), BLOCK):
         Yb = Y[lo:lo + BLOCK].T
         n = Yb.shape[1]
         S1 = np.matmul(T.K, np.vstack([Yb, np.ones(n)]), out=S[:len(T.K) * n].reshape(-1, n))
-        act, nr = active[:, lo:lo + n], near[:, lo:lo + n]
+        act, nr = masks[:, :, :n]
         _block_masks(P, S1, Yb, act, nr)
         flagged = np.flatnonzero(nr.any(axis=0))
         if len(flagged):
             Yf = Yb[:, flagged]
             Sf = sum(T.K[:, j, None] * Yf[j] for j in range(P.dim)) + T.K[:, -1:]
-            masks = np.empty((2, len(T.dims), len(flagged)), dtype=bool)
-            _block_masks(P, Sf, Yf, *masks)
-            act[:, flagged], nr[:, flagged] = masks
-    families = [F, F + E][:P.dim - 1]
-    return list(zip(np.split(active.T, families, axis=1), np.split(near.T, families, axis=1)))
+            fixed = np.empty((2, len(T.dims), len(flagged)), dtype=bool)
+            _block_masks(P, Sf, Yf, *fixed)
+            act[:, flagged], nr[:, flagged] = fixed
+        yield lo, act, nr
 
 
 def _block_masks(P, S1, Yb, act, nr):
     """Fill the face-major (active, near) masks of the points Yb (columns) from their
-    product S1 = K @ [Yb, 1] with the region rows."""
+    product S1 = K @ [Yb, 1] with the region rows.
+
+    A face is active when the minimum over its rows is positive, and a
+    positive divisor keeps that sign, so ``active`` reads the raw minima.
+    ``near`` is the normalised band: facet margins over the facet diameter,
+    edge slab margins over the edge length and support margins over |w|,
+    vertex margins over |y - v|, each within REL_MARGIN or CONE_MARGIN of 0.
+    The divisions run only on entries that pass a necessary bound on the raw
+    minimum: 2 REL_MARGIN scale for facet and slab rows, CONE_MARGIN reach
+    for cone rows.  reach is twice the extent of the block and the vertices,
+    and at least 2: it bounds |y - v| and |w| with room for their rounding,
+    and the divisor 1 taken at a zero norm.  On those entries the formula is
+    the full one, so both masks are exact, for points outside P too.
+    """
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
     E, n = len(T.dims) - F - V, Yb.shape[1]
-    # min over each facet's and vertex's rows, a run of equal row counts at a
-    # time, then each family's positive normalisation
-    m, col = np.empty((F + V, n)), 0
+    # raw minima, one row per test: each facet's and vertex's (a run of equal
+    # row counts at a time), then each edge's slab and support minima
+    m, col = np.empty((F + V + 2 * E, n)), 0
     for k, faces in T.runs:
         m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
         col += k * len(faces)
-    fm = m[:F] / T.scale[:F, None]
-    vn = np.sqrt(sum((P.vertices[:, j, None] - Yb[j]) ** 2 for j in range(P.dim)))
-    vm = m[F:] / np.where(vn == 0.0, 1.0, vn)
     d, nd, h0, h1, u0, u1 = S1[col:].reshape(6, E, n)
-    rel = np.minimum(d, nd) / T.scale[F:F + E, None]
-    wn = np.sqrt(u0 * u0 + u1 * u1)  # |w|, the offset from the edge line
-    cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)
-    act[:F], nr[:F] = fm > 0.0, np.abs(fm) < REL_MARGIN
-    act[F:F + E] = (rel > 0.0) & (cone > 0.0)
-    nr[F:F + E] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
-                   | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
-    act[F + E:], nr[F + E:] = vm > 0.0, np.abs(vm) < CONE_MARGIN
+    rel, cone = m[F + V:].reshape(2, E, n)
+    np.minimum(d, nd, out=rel)
+    np.minimum(h0, h1, out=cone)
+    pos = m > 0.0
+    act[:F], act[F + E:] = pos[:F], pos[F:F + V]
+    np.logical_and(pos[F + V:F + V + E], pos[F + V + E:], out=act[F:F + E])
+    # the near band, only on the minima within the bound of its test
+    X = np.concatenate([P.vertices, Yb.T])
+    reach = 2.0 * max(1.0, float(np.linalg.norm(X.max(axis=0) - X.min(axis=0))))
+    bound = np.concatenate([2.0 * REL_MARGIN * T.scale[:F], np.full(V, CONE_MARGIN * reach),
+                            2.0 * REL_MARGIN * T.scale[F:F + E], np.full(E, CONE_MARGIN * reach)])
+    i, p = np.divmod(np.flatnonzero(np.abs(m) < bound[:, None]), n)
+    nr[:] = False
+    if not len(i):
+        return
+    a, b = np.searchsorted(i, [F, F + V])
+    f, v, e = i[:a], i[a:b] - F, (i[b:] - F - V) % max(E, 1)  # slab and support rows to edges
+    fp, vp, ep = p[:a], p[a:b], p[b:]
+    nr[f, fp] = np.abs(m[f, fp] / T.scale[f]) < REL_MARGIN
+    vn = np.sqrt(sum((P.vertices[v, j] - Yb[j, vp]) ** 2 for j in range(P.dim)))
+    nr[F + E + v, vp] = np.abs(m[F + v, vp] / np.where(vn == 0.0, 1.0, vn)) < CONE_MARGIN
+    r = rel[e, ep] / T.scale[F + e]
+    wn = np.sqrt(u0[e, ep] * u0[e, ep] + u1[e, ep] * u1[e, ep])  # |w|, the offset from the edge line
+    c = cone[e, ep] / np.where(wn == 0.0, 1.0, wn)
+    nr[F + e, ep] = (((np.abs(r) < REL_MARGIN) & (c > -CONE_MARGIN))
+                     | ((np.abs(c) < CONE_MARGIN) & (r > -REL_MARGIN)))
 
 
 def _records(P, dim, faces, y):
@@ -145,14 +191,20 @@ def count_normals_batch(P, Y):
     Returns (minima, saddles, maxima, marginal): integer arrays of per-point
     counts plus a boolean mask of points sitting within tolerance of some
     active-region boundary (their counts are unreliable; perturb and retry).
+    Each block of points is reduced to its counts and flags as it is tested,
+    so memory is held per block, not per (face, point) pair.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    tests = _face_tests(P, Y)
-    counts = [active.sum(axis=1) for active, _ in tests]
-    if P.dim == 2:
-        counts.insert(1, np.zeros(len(Y), dtype=int))
-    marginal = np.any([near.any(axis=1) for _, near in tests], axis=0)
-    minima, saddles, maxima = counts
+    F, V = P.n_facets, P.n_vertices
+    counts = np.zeros((3, len(Y)), dtype=np.int32)  # summed narrow, returned as int
+    marginal = np.empty(len(Y), dtype=bool)
+    families = [(0, 0, F), (1, F, -V), (2, -V, None)] if P.dim == 3 else [(0, 0, F), (2, F, None)]
+    for lo, act, nr in _blocks(P, Y):
+        hi = lo + act.shape[1]
+        for i, a, b in families:
+            act[a:b].sum(axis=0, dtype=np.int32, out=counts[i, lo:hi])
+        nr.any(axis=0, out=marginal[lo:hi])
+    minima, saddles, maxima = counts.astype(int)
     return minima, saddles, maxima, marginal
 
 

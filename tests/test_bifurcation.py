@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from polynormal.bifurcation import (
 from polynormal.errors import InvariantViolation, NonTransversal, TooManyChambers
 from polynormal.explorer import random_polytope
 from polynormal.geometry import chebyshev_center, hull_from_points, unit
-from polynormal.normals import count_normals_batch
+from polynormal.normals import count_normals_batch, perturb_to_generic
 from polynormal.spherical import ray_scan_counts
 
 
@@ -265,6 +266,75 @@ def test_monte_carlo_average(regular_tetra, cube, obtuse_triangle):
     assert again == (est, err)
     with pytest.raises(ValueError):
         monte_carlo_average(cube, 500)
+
+
+def _round_loop_average(P, n_samples, seed=0):
+    """The estimator as earlier releases ran it: draw 2 (n - got) + 64 box points a round,
+    count the interior ones round by round and perturb each round's marginal samples
+    before the next draw."""
+    rng = default_rng(seed)
+    lo, hi = P.bounding_box()
+    counts = np.empty(n_samples)
+    got = 0
+    tol = P.tol * max(1.0, P.diameter)
+    while got < n_samples:
+        batch = rng.uniform(lo, hi, size=(2 * (n_samples - got) + 64, P.dim))
+        inside = (batch @ P.facet_normals.T <= P.facet_offsets - tol).all(axis=1)
+        batch = batch[inside]
+        if not len(batch):
+            continue
+        take = min(len(batch), n_samples - got)
+        batch = batch[:take]
+        m, s, M, marg = count_normals_batch(P, batch)
+        tot = (m + s + M).astype(float)
+        for i in np.nonzero(marg)[0]:
+            y = perturb_to_generic(P, batch[i], rng)
+            mm, ss, MM, _ = count_normals_batch(P, y[None, :])
+            tot[i] = float(mm[0] + ss[0] + MM[0])
+        counts[got:got + take] = tot
+        got += take
+    return float(counts.mean()), float(counts.std(ddof=1) / np.sqrt(n_samples))
+
+
+def _needle():
+    """A thin tetrahedron along the diagonal of its bounding box, 4.5% of the box."""
+    return hull_from_points(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                                      [0.8, 0.2, 0.5], [0.2, 0.5, 0.8]]))
+
+
+def test_monte_carlo_average_matches_round_loop(regular_tetra, cube, flat_tetra_10, flat_tetra_12,
+                                                obtuse_triangle):
+    # the fill-sized draws keep the round loop's samples, the first n interior
+    # points of the seeded stream, and count them in one call: estimate and
+    # stderr are bitwise equal.  They may differ only when a sample is
+    # marginal, since its perturbation now draws after all samples, not
+    # between rounds; none of these bodies and seeds has one that matters
+    bodies = [regular_tetra, cube, flat_tetra_10, flat_tetra_12, obtuse_triangle, _needle()]
+    bodies += [random_polytope("tangent_planes", {"k": k}, default_rng(k)) for k in (4, 8, 12, 24, 48)]
+    bodies += [random_polytope(family, {}, default_rng(s))
+               for family in ("perturbed_tetra", "perturbed_prism") for s in (1, 2)]
+    lo, hi = bodies[5].bounding_box()
+    assert bodies[5].volume / np.prod(hi - lo) < 0.1  # the first three draws are 2 n + 64 rows
+    for P in bodies:
+        for n, seeds in ((1000, (0, 1, 2)), (2000, (3, 4)), (10_000, (5,))):
+            for seed in seeds:
+                assert monte_carlo_average(P, n, seed) == _round_loop_average(P, n, seed)
+
+
+def test_monte_carlo_memory_is_bounded():
+    # 50 000 samples on a k = 48 tangent body: the round loop held a
+    # (2 n + 64) x facets product, 38 MB, and peaked at 46 MB under
+    # tracemalloc; draws of at most DRAW product entries and per-block counts
+    # peak at 14 MB.  The bound is 10 MB over the latter, 22 MB under the former
+    P = random_polytope("tangent_planes", {"k": 48}, default_rng(5))
+    P._region_rows
+    tracemalloc.start()
+    try:
+        monte_carlo_average(P, 50_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
 
 
 def test_crossing_audit_cube_no_events(cube):

@@ -15,6 +15,7 @@ from polynormal.normals import (
     CONE_MARGIN,
     REL_MARGIN,
     MorseProfile,
+    _block_masks,
     _face_keys,
     _face_tests,
     check_profile,
@@ -413,6 +414,120 @@ def test_face_tests_match_loop_oracle(obtuse_triangle):
         banded += int(near.any(axis=1).sum())
         assert len(Z) == 0 or near.any()
     assert banded > 1000
+
+
+def _normalised_block_masks(P, S1, Yb, act, nr):
+    """``_block_masks`` as earlier releases ran it: every margin normalised, then compared."""
+    T = P._region_rows
+    F, V = P.n_facets, P.n_vertices
+    E, n = len(T.dims) - F - V, Yb.shape[1]
+    m, col = np.empty((F + V, n)), 0
+    for k, faces in T.runs:
+        m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
+        col += k * len(faces)
+    fm = m[:F] / T.scale[:F, None]
+    vn = np.sqrt(sum((P.vertices[:, j, None] - Yb[j]) ** 2 for j in range(P.dim)))
+    vm = m[F:] / np.where(vn == 0.0, 1.0, vn)
+    d, nd, h0, h1, u0, u1 = S1[col:].reshape(6, E, n)
+    rel = np.minimum(d, nd) / T.scale[F:F + E, None]
+    wn = np.sqrt(u0 * u0 + u1 * u1)
+    cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)
+    act[:F], nr[:F] = fm > 0.0, np.abs(fm) < REL_MARGIN
+    act[F:F + E] = (rel > 0.0) & (cone > 0.0)
+    nr[F:F + E] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
+                   | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
+    act[F + E:], nr[F + E:] = vm > 0.0, np.abs(vm) < CONE_MARGIN
+
+
+def _cone_boundary_points(P, rng, reach):
+    """Points ``reach`` away on the boundary of each vertex's region (3-D: and each edge's),
+    moved half a CONE_MARGIN across it: far outside P, inside the cone's near band."""
+    T = P._region_rows
+    F, V = P.n_facets, P.n_vertices
+    out = []
+    for v in range(V):
+        U = T.G[T.starts[len(T.dims) - V + v]:T.starts[len(T.dims) - V + v + 1]]
+        z = rng.standard_normal((200, P.dim))
+        w = z - (z @ U[0])[:, None] * U[0]
+        w = w[(w @ U[1:].T > 0.0).all(axis=1)]
+        if len(w):
+            side = 0.5 * CONE_MARGIN * rng.choice([-1.0, 1.0])
+            out.append(P.vertices[v] + reach * (unit(w[0]) + side * U[0]))
+    for e in range(P.n_edges * (P.dim == 3)):
+        d, _, h0, h1 = T.G[T.starts[F + e]:T.starts[F + e + 1]]
+        w = unit(np.cross(d, h0))
+        w = w if w @ h1 > 0.0 else -w
+        side = 0.5 * CONE_MARGIN * rng.choice([-1.0, 1.0])
+        mid = P._edge_origin[e] + 0.5 * P._edge_len[e] * d
+        out.append(mid + reach * (w + side * h0))
+    return np.array(out)
+
+
+def _probe_points(P, rng):
+    """Points where the face tests are hardest: interior, on region-row planes and 1e-10
+    off them, within 1e-7 of vertices and of edge lines, and far outside P."""
+    Y = sample_interior(P, 400, rng)
+    a, b = P.vertices[P.edges[:, 0]], P.vertices[P.edges[:, 1]]
+    e, t = rng.integers(0, len(a), 150), rng.uniform(-0.2, 1.2, (150, 1))
+    jitter = rng.standard_normal((300, P.dim))
+    jitter *= 1e-7 / np.linalg.norm(jitter, axis=1)[:, None]
+    return np.vstack([Y[:150], _on_region_rows(P, Y[150:250], rng),
+                      _on_region_rows(P, Y[250:], rng, offset=1e-10),
+                      P.vertices[rng.integers(0, P.n_vertices, 150)] + jitter[:150],
+                      a[e] + t * (b[e] - a[e]) + jitter[150:],
+                      _cone_boundary_points(P, rng, 100.0 * P.diameter)])
+
+
+def _band_edge(P, S1, rng):
+    """Set one facet minimum (3-D: and one edge slab minimum) of every third column of S1
+    within three units in the last place of +-REL_MARGIN times its scale, where rounding
+    of the division decides the near band."""
+    T = P._region_rows
+    F, V = P.n_facets, P.n_vertices
+    rows, col = {}, 0
+    for k, faces in T.runs:
+        for i, face in enumerate(faces):
+            rows[face] = col + i + len(faces) * np.arange(k)
+        col += k * len(faces)
+    E = len(T.dims) - F - V
+    for p in range(0, S1.shape[1], 3):
+        f, e = rng.integers(0, F), rng.integers(0, max(E, 1))
+        ulps, side = rng.integers(-3, 4, 2), rng.choice([-1.0, 1.0], 2)
+        x = REL_MARGIN * T.scale[[f, F + e]]
+        x = side * (x + ulps * np.spacing(x))
+        S1[rows[f], p] = x[0]
+        if E:
+            S1[[col + e, col + E + e], p] = x[1]
+
+
+def test_block_masks_match_normalised_margins(obtuse_triangle):
+    # signs first, then the near band only where its bound lets it hold: both
+    # masks are bit for bit those of the normalised margins, across block
+    # widths, on the near band's edges, and far outside P where |y - v| and
+    # |w| exceed the diameter a hundred times
+    polygon = hull_from_points(default_rng(3).standard_normal((9, 2)))
+    bodies = [obtuse_triangle, fixtures.triangle_from_angles(1.2, 1.0), polygon, fixtures.cube(),
+              fixtures.regular_tetrahedron(), fixtures.generic_prism(seed=2), _ngon_body(30, [0.2, 0.1, 1.5]),
+              random_polytope("tangent_planes", {"k": 12}, default_rng(5)),
+              random_polytope("perturbed_tetra", {}, default_rng(6))]
+    rng = default_rng(44)
+    far_near = band_near = 0
+    for P in bodies:
+        T = P._region_rows
+        pool = _probe_points(P, rng)
+        X = pool[rng.permutation(np.resize(np.arange(len(pool)), 2 * BLOCK + 3))]
+        for n in (BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3):
+            Yb = X[:n].T
+            S1 = T.K @ np.vstack([Yb, np.ones(n)])
+            _band_edge(P, S1, rng)
+            got, want = np.empty((2, 2, len(T.dims), n), dtype=bool)
+            _block_masks(P, S1, Yb, *got)
+            _normalised_block_masks(P, S1, Yb, *want)
+            assert np.array_equal(got, want)
+            far = np.linalg.norm(Yb.T - P.centroid, axis=1) > 10.0 * P.diameter
+            far_near += int(want[1][:, far].sum())
+            band_near += int(want[1][:P.n_facets, ::3].sum())
+    assert far_near > 100 and band_near > 100, (far_near, band_near)
 
 
 def test_count_batch_blocks_match_single_points():
