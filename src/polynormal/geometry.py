@@ -6,6 +6,9 @@ edges, lattice check, region rows, volume, right-angle test and sheet planes
 read it.  The hull builder merges, sorts and refits facets in stacked passes,
 one facet size at a time.  The rest of the face lattice is held as arrays;
 ``Face`` objects are built from them on first use of ``Polytope.faces``.
+Halfspace input needs no interior point: one hull of a cone in dimension
+dim + 1 names each vertex's planes, and the vertex is solved from them.
+Only ``chebyshev_center`` solves an LP, so only it loads scipy.optimize.
 
 Coordinates are double precision.  A single tolerance (default 1e-9, applied
 relative to the body diameter wherever it guards an incidence test) rejects
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DegenerateInput,
@@ -422,28 +425,6 @@ def _polytope_from_hull_3d(pts, hull, tol):
 # -- halfspace intersection --------------------------------------------------
 
 
-def _chebyshev_lp(normals, offsets):
-    """(center, radius) of the largest inscribed ball of {x : <n, x> <= b}."""
-    # imported here so that reading an OFF file never loads scipy.optimize
-    from scipy.optimize import linprog
-
-    A = np.asarray(normals, dtype=float)
-    b = np.asarray(offsets, dtype=float)
-    m, n = A.shape
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.column_stack([A, np.linalg.norm(A, axis=1)])
-    res = linprog(c, A_ub=A_ub, b_ub=b, bounds=[(None, None)] * n + [(0, None)],
-                  method="highs")
-    if res.status == 2:
-        raise Empty("halfspace intersection is empty")
-    if res.status == 3:
-        raise Unbounded("inscribed radius is unbounded")
-    if not res.success:  # pragma: no cover
-        raise ValidationError(f"LP solver failed: {res.message}")
-    return res.x[:n], float(res.x[n])
-
-
 def _assert_bounded(normals):
     """Raise Unbounded unless the origin lies strictly inside conv(normals).
 
@@ -461,10 +442,20 @@ def _assert_bounded(normals):
 
 
 def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
-    """Vertex-enumerate the intersection of halfspaces <n, x> <= b.
+    """Vertex-enumerate the intersection P of halfspaces <n, x> <= b.
 
-    ``planes`` is a sequence of (normal, offset) pairs or rows [n..., b].
-    Raises Unbounded / Empty as appropriate, DegenerateInput on malformed input.
+    ``planes`` is a sequence of (normal, offset) pairs or rows [n..., b].  No
+    interior point is needed: x lies in P exactly when (x, 1) lies in the cone
+    {z : <(n, -b), z> <= 0}, whose extreme rays are the facet normals of
+    cone(rows (n, -b), -e) at the origin.  One hull of the origin, the unit
+    rows and -e in dimension dim + 1 names the dim planes of every vertex;
+    each vertex is solved from its own planes, points on one 1e-7 grid cell
+    are merged, and the hull of the rest is the body.
+
+    Raises DegenerateInput on malformed input, Unbounded when the normals do
+    not positively span space (or the cone meets t = 0 within rounding), and
+    Empty when the origin is no vertex of that hull, Qhull finds it flat or
+    the solved vertices span less than the ambient dimension.
     """
     try:
         rows = [[*np.asarray(p[0], dtype=float), float(p[1])]
@@ -478,22 +469,28 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
         raise DegenerateInput("zero plane normal")
     normals = normals / norms[:, None]
     offsets = offsets / norms
-    center, radius = _chebyshev_lp(normals, offsets)
-    scale = max(1.0, float(np.abs(offsets).max()))
-    if radius <= tol * scale:
-        raise Empty("halfspace intersection has empty interior")
     _assert_bounded(normals)
-    hs = np.column_stack([normals, -offsets])
+    m, dim = normals.shape
+    cone = np.vstack([np.zeros(dim + 1), _unit_rows(np.column_stack([normals, -offsets])),
+                      -np.eye(dim + 1)[-1]])
     try:
-        inter = HalfspaceIntersection(hs, center)
+        hull = ConvexHull(cone)
     except QhullError as exc:
-        raise DegenerateInput(f"halfspace intersection failed: {exc}") from exc
-    pts = inter.intersections
+        raise Empty("halfspace intersection has empty interior") from exc
+    # each simplex at point 0 holds 0 and the rows of dim planes through one vertex
+    at = np.sort(hull.simplices[(hull.simplices == 0).any(axis=1)], axis=1)[:, 1:] - 1
+    if not len(at):
+        raise Empty("halfspace intersection has empty interior")
+    if (at[:, -1] == m).any():  # -e on a vertex ray: a direction of recession
+        raise Unbounded("halfspace intersection is unbounded")
+    pts = np.linalg.solve(normals[at], offsets[at][..., None])[..., 0]
     # cluster duplicate intersection points before hulling
     grid = np.round(pts / (1e-7 * max(1.0, np.abs(pts).max())))
     _, idx = np.unique(grid, axis=0, return_index=True)
-    keep = pts[np.sort(idx)]
-    return hull_from_points(keep, tol)
+    try:
+        return hull_from_points(pts[np.sort(idx)], tol)
+    except DegenerateInput as exc:
+        raise Empty("halfspace intersection is flat at the 1e-7 vertex grid") from exc
 
 
 # -- operations ---------------------------------------------------------------
@@ -549,9 +546,17 @@ def chebyshev_center(P, rng=None):
     When the optimum center is not unique the optimizer is swept to a vertex
     of the optimal set, which always carries at least dim + 1 tangent facets.
     """
+    # imported here: the one LP caller, so that building or reading a body
+    # never loads scipy.optimize
     from scipy.optimize import linprog
 
-    center, radius = _chebyshev_lp(P.facet_normals, P.facet_offsets)
+    # the largest ball: maximise r subject to <n, x> + |n| r <= b
+    A_ub = np.column_stack([P.facet_normals, np.linalg.norm(P.facet_normals, axis=1)])
+    res = linprog(np.r_[np.zeros(P.dim), -1.0], A_ub=A_ub, b_ub=P.facet_offsets,
+                  bounds=[(None, None)] * P.dim + [(0, None)], method="highs")
+    if not res.success:  # pragma: no cover - P is bounded with an interior
+        raise ValidationError(f"LP solver failed: {res.message}")
+    center, radius = res.x[:P.dim], float(res.x[P.dim])
     rng = default_rng(0) if rng is None else rng
     scale = max(1.0, P.diameter)
     # sweep within the optimal set {y : <n, y> <= b - r} to a vertex

@@ -64,9 +64,9 @@ def test_malformed_construction_input_raises_degenerate_input(monkeypatch, build
     def solver(*args, **kwargs):
         raise AssertionError("a solver ran on malformed input")
 
-    for name in ("_chebyshev_lp", "ConvexHull", "HalfspaceIntersection"):
-        monkeypatch.setattr(geometry, name, solver)
-    monkeypatch.setattr(np.linalg, "svd", solver)
+    monkeypatch.setattr(geometry, "ConvexHull", solver)
+    for name in ("solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, solver)
     with pytest.raises(DegenerateInput):
         build(arg)
 
@@ -86,6 +86,11 @@ def test_halfspaces_unbounded_and_empty():
     with pytest.raises(Unbounded):
         # open box: the origin lies on the boundary of conv(normals)
         polytope_from_halfspaces(CUBE_PLANES[:5])
+    with pytest.raises(Unbounded):
+        # the normals surround the origin by more than the margin, but a vertex
+        # ray of the cone hull lies at t = 0 within rounding: a needle over 1e14 long
+        polytope_from_halfspaces([([1.0, -0.3, 6.5e-12], 500.0), ([0.0, 1.0, -4.6e-12], 700.0),
+                                  ([-0.4, -0.9, -3.1e-12], 800.0), ([-0.7, 0.8, 1.22e-11], 600.0)])
     with pytest.raises(Empty):
         polytope_from_halfspaces(CUBE_PLANES + [([1, 0, 0], -2)])
 
@@ -101,6 +106,102 @@ def test_hull_halfspace_round_trip():
         a = np.array(sorted(map(tuple, np.round(P.vertices, 9))))
         b = np.array(sorted(map(tuple, np.round(back.vertices, 9))))
         assert np.allclose(a, b, atol=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-8, 1e-10, 1e-13, 0.0, -1e-13])
+def test_thin_slab_is_empty_below_the_svd_threshold(t):
+    # the cube's side planes with 0 <= z <= t: a slab thinner than the 1e-7
+    # vertex grid leaves flat vertices, which is an empty interior
+    planes = CUBE_PLANES[:4] + [([0, 0, 1], t), ([0, 0, -1], 0)]
+    if t < 1e-7:
+        with pytest.raises(Empty):
+            polytope_from_halfspaces(planes)
+        return
+    P = polytope_from_halfspaces(planes)
+    assert (P.n_vertices, P.n_edges, P.n_facets) == (8, 12, 6)
+    assert abs(P.volume - 4.0 * t) < 1e-12
+
+
+def _lp_halfspaces(planes, tol=geometry.DEFAULT_TOL):
+    """The reference build: an interior point from the Chebyshev-centre LP, then
+    Qhull's HalfspaceIntersection about it, the same grid and hull."""
+    from scipy.spatial import HalfspaceIntersection
+
+    arr = np.array([[*n, b] for n, b in planes], dtype=float)
+    norms = np.linalg.norm(arr[:, :-1], axis=1)
+    normals, offsets = arr[:, :-1] / norms[:, None], arr[:, -1] / norms
+    dim = normals.shape[1]
+    res = linprog(np.r_[np.zeros(dim), -1.0],
+                  A_ub=np.column_stack([normals, np.linalg.norm(normals, axis=1)]), b_ub=offsets,
+                  bounds=[(None, None)] * dim + [(0, None)], method="highs")
+    assert res.success and res.x[dim] > tol * max(1.0, np.abs(offsets).max())
+    pts = HalfspaceIntersection(np.column_stack([normals, -offsets]), res.x[:dim]).intersections
+    grid = np.round(pts / (1e-7 * max(1.0, np.abs(pts).max())))
+    _, idx = np.unique(grid, axis=0, return_index=True)
+    return hull_from_points(pts[np.sort(idx)], tol)
+
+
+def _plane_corpus():
+    """Halfspace inputs: (planes, True) for bodies the LP build must match,
+    (planes, False) where four planes are copied with 1e-11 noise."""
+    rng = default_rng(17)
+    phi = (1.0 + 5.0 ** 0.5) / 2.0
+    ico = np.array([p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                    for p in ((0.0, a, b * phi), (a, b * phi, 0.0), (b * phi, 0.0, a))])
+    dodeca = np.array(CUBE_CORNERS + [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                                      for p in ((0.0, a / phi, b * phi), (a / phi, b * phi, 0.0),
+                                                (b * phi, 0.0, a / phi))])
+    planes_of = lambda P: list(zip(P.facet_normals, P.facet_offsets))
+    tangent = []
+    for k in range(4, 49):
+        u = rng.standard_normal((k, 3))
+        while np.linalg.matrix_rank(u) < 3 or linprog(  # redraw until bounded
+                np.zeros(k), A_eq=u.T, b_eq=np.zeros(3), bounds=[(1.0, None)] * k).status:
+            u = rng.standard_normal((k, 3))
+        tangent.append([(n, 1.0) for n in u])
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 11))
+    exact = (tangent
+             + [planes_of(hull_from_points(rng.standard_normal((12, 3)))) for _ in range(10)]
+             + [planes_of(hull_from_points(dodeca + 1e-10 * default_rng(3).standard_normal((20, 3))))]
+             + [[(n, 1.0) for n in np.array(CUBE_CORNERS, float)],  # octahedron
+                [([0, 0, -1], 0)] + [(n, 1.0) for n in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))],
+                [(n, 1.0) for n in ico],  # dodecahedron
+                [(n, 1.0) for n in dodeca]]  # icosahedron: five planes at each vertex
+             + [[([1, 0], 1), ([-1, 0], 1), ([0, 1], 2), ([0, -1], 0.5)],
+                planes_of(hull_from_points(np.column_stack([np.cos(t), np.sin(t)]))),
+                planes_of(hull_from_points(rng.standard_normal((9, 2))))]
+             + [CUBE_PLANES + CUBE_PLANES[:3] + [([1, 1, 0], 2), ([1, 1, 1], 3), ([0, 0, 1], 5)]])
+    near = []
+    for i in range(50):
+        planes = tangent[i % len(tangent)]
+        near.append(planes + [(n + 1e-11 * rng.standard_normal(3), b + 1e-11 * rng.standard_normal())
+                              for n, b in planes[:4]])
+    return [(p, True) for p in exact] + [(p, False) for p in near]
+
+
+def test_cone_hull_matches_lp_build():
+    # vertices are solved from their own planes: the LP build's lattice and
+    # vertex set, each vertex on dim input planes, no plane violated; planes
+    # that nearly coincide cluster on the grid differently, so there only the
+    # body's validity is required
+    for planes, exact in _plane_corpus():
+        P = polytope_from_halfspaces(planes)
+        arr = np.array([[*n, b] for n, b in planes], dtype=float)
+        norms = np.linalg.norm(arr[:, :-1], axis=1)
+        normals, offsets = arr[:, :-1] / norms[:, None], arr[:, -1] / norms
+        scale = max(1.0, np.abs(offsets).max())
+        residual = P.vertices @ normals.T - offsets
+        assert residual.max() <= P.tol * scale
+        if P.dim == 3:
+            assert P.n_vertices - P.n_edges + P.n_facets == 2
+        if not exact:
+            continue
+        Q = _lp_halfspaces(planes)
+        assert (P.n_vertices, P.n_edges, P.n_facets) == (Q.n_vertices, Q.n_edges, Q.n_facets)
+        gap = np.linalg.norm(P.vertices[:, None] - Q.vertices[None], axis=2)
+        assert np.array_equal(np.sort(gap.argmin(axis=1)), np.arange(Q.n_vertices))
+        assert gap.min(axis=1).max() <= 1e-12 * P.diameter
+        assert (np.sort(abs(residual), axis=1)[:, P.dim - 1] <= 1e-13 * scale).all()
 
 
 def test_euler_formula_random():

@@ -316,8 +316,9 @@ def test_cli_quiet(tetra_off, capsys):
     assert code == 0 and out == ""
 
 
-def test_reading_off_does_not_load_scipy_optimize(tetra_off):
-    # only the halfspace path and chebyshev_center need linprog
+def test_reading_off_does_not_load_scipy_optimize(tetra_off, tmp_path):
+    # only chebyshev_center needs linprog: reading an OFF or a halfspace file
+    # and drawing bodies from planes load no scipy.optimize, each step checked
     import os
     import subprocess
     import sys
@@ -325,10 +326,18 @@ def test_reading_off_does_not_load_scipy_optimize(tetra_off):
 
     import polynormal
 
+    cube = tmp_path / "cube_planes.json"
+    cube.write_text(json.dumps({"halfspaces": [[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 0, 1],
+                                               [0, -1, 0, 1], [0, 0, 1, 1], [0, 0, -1, 1]]}))
     src = str(Path(polynormal.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, polynormal; polynormal.read_polytope(sys.argv[1]); "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tetra_off)],
+    code = ("import sys, polynormal\n"
+            "from numpy.random import default_rng\n"
+            "loaded = lambda: 'scipy.optimize' in sys.modules\n"
+            "polynormal.read_polytope(sys.argv[1]); print(loaded())\n"
+            "assert polynormal.read_polytope(sys.argv[2]).n_vertices == 8; print(loaded())\n"
+            "for family in ('perturbed_prism', 'tangent_planes'):\n"
+            "    polynormal.random_polytope(family, {}, default_rng(3)); print(loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tetra_off), str(cube)],
                          capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False"] * 4
