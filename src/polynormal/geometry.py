@@ -6,9 +6,13 @@ edges, lattice check, region rows, volume, right-angle test and sheet planes
 read it.  The hull builder merges, sorts and refits facets in stacked passes,
 one facet size at a time.  The rest of the face lattice is held as arrays;
 ``Face`` objects are built from them on first use of ``Polytope.faces``.
-Halfspace input needs no interior point: one hull of a cone in dimension
-dim + 1 names each vertex's planes, and the vertex is solved from them.
-Only ``chebyshev_center`` solves an LP, so only it loads scipy.optimize.
+Halfspace input needs no interior point and no hull: every plane-pair line
+is clipped by all planes at once, its surviving segments are the edges, and
+each endpoint is solved from the planes that bound it.  OFF faces give the
+facets directly (``fileio``), and both routes build through the same facet
+helper as the hull.  Only ``hull_from_points`` runs Qhull, so only it loads
+scipy.spatial; only ``chebyshev_center`` solves an LP, so only it loads
+scipy.optimize.
 
 Coordinates are double precision.  A single tolerance (default 1e-9, applied
 relative to the body diameter wherever it guards an incidence test) rejects
@@ -22,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DegenerateInput,
@@ -53,12 +56,42 @@ def _unit_rows(X):
     return X / n
 
 
+def _cross(x, y):
+    """np.cross over the last axis of 3-vectors, bit for bit, without its axis handling."""
+    return x[..., [1, 2, 0]] * y[..., [2, 0, 1]] - x[..., [2, 0, 1]] * y[..., [1, 2, 0]]
+
+
 def _by_size(sizes):
     """For each size k: the items of size k and their (items, k) positions when laid end to end."""
     start = np.cumsum(sizes) - sizes
-    for k in np.unique(sizes):
+    for k in np.flatnonzero(np.bincount(sizes)):  # np.unique(sizes) would import numpy.ma
         f = np.flatnonzero(sizes == k)
         yield f, start[f, None] + np.arange(k)
+
+
+def _diameter(V):
+    """Largest distance between two rows of V, measured on row differences.  Above 32
+    rows only the pairs within 1e-9 of the largest squared distance in the Gram form
+    (about the mean) are measured."""
+    if len(V) <= 32:
+        D = (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1])
+    else:
+        X = V - V.mean(axis=0)
+        G = X @ X.T
+        D2 = G.diagonal()[:, None] + G.diagonal() - 2.0 * G
+        i, j = np.nonzero(D2 >= (1.0 - 1e-9) * D2.max())
+        D = V[i] - V[j]
+    return float(np.sqrt((D[:, None, :] @ D[:, :, None]).max()))
+
+
+def _ranks(V, ids, sizes, diameter):
+    """Affine rank of each vertex set at the lattice tolerance 1e-7 * diameter; the sets'
+    vertex ids lie end to end in ``ids``, ``sizes`` gives their lengths."""
+    rank = np.empty(len(sizes), dtype=int)
+    for f, pos in _by_size(sizes):
+        X = V[ids[pos]]
+        rank[f] = np.linalg.matrix_rank(X - X[:, :1], tol=1e-7 * max(1.0, diameter))
+    return rank
 
 
 def _float_rows(rows, widths, what, error=DegenerateInput):
@@ -146,8 +179,7 @@ class Polytope:
         self.facet_normals = np.array(facet_normals, dtype=float)
         self.facet_offsets = np.array(facet_offsets, dtype=float)
         self.facet_cycles = [np.array(c, dtype=int) for c in facet_cycles]
-        D = self.vertices[:, None, :] - self.vertices[None, :, :]
-        self.diameter = float(np.sqrt((D[..., None, :] @ D[..., :, None]).max()))
+        self.diameter = _diameter(self.vertices)
         self._validate_basic()
         self._build_edges()
         self._check_lattice()
@@ -207,10 +239,7 @@ class Polytope:
             v, e, f = len(self.vertices), len(self.edges), len(self.facet_cycles)
             if v - e + f != 2:
                 raise InvariantViolation(f"Euler formula V - E + F = 2 failed: {v} - {e} + {f}")
-        rank = np.empty(len(self._rims), dtype=int)
-        for f, ids in self._facet_stacks:
-            X = self.vertices[ids]
-            rank[f] = np.linalg.matrix_rank(X - X[:, :1], tol=1e-7 * max(1.0, self.diameter))
+        rank = _ranks(self.vertices, self._cycle_ids, self._rims, self.diameter)
         if (rank != self.dim - 1).any():
             f = np.flatnonzero(rank != self.dim - 1)[0]
             raise InvariantViolation(f"facet {f} vertex set is not affinely {self.dim - 1}-dimensional")
@@ -306,7 +335,7 @@ class Polytope:
         k = np.arange(len(ids)) - np.repeat(start, rims)  # position in its cycle
         mid = np.flatnonzero((k > 0) & (k < np.repeat(rims, rims) - 1))
         p0, p1, p2 = V[ids[np.repeat(start, rims - 2)]], V[ids[mid]], V[ids[mid + 1]]
-        v6 = (p0[:, None, :] @ np.cross(p1, p2)[:, :, None])[:, 0, 0]
+        v6 = (p0[:, None, :] @ _cross(p1, p2)[:, :, None])[:, 0, 0]
         vol = np.cumsum(v6)[-1] / 6.0
         centroid = np.cumsum(v6[:, None] * (p0 + p1 + p2), axis=0)[-1] / (24.0 * vol)
         return float(vol), centroid
@@ -363,6 +392,7 @@ def hull_from_points(points, tol=DEFAULT_TOL):
 
     Points interior to the hull are dropped.  Raises DegenerateInput unless the
     points are finite (n, 2) or (n, 3) rows spanning the ambient dimension.
+    The only Qhull caller: scipy.spatial is imported on the first call.
     """
     pts = _float_rows(points, (2, 3), "points")
     dim = pts.shape[1]
@@ -372,6 +402,9 @@ def hull_from_points(points, tol=DEFAULT_TOL):
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[dim - 1] <= 1e-9 * max(1.0, sv[0]):
         raise DegenerateInput("points are affinely degenerate")
+    # imported here, so that reading OFF faces or halfspaces never loads scipy.spatial
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:  # pragma: no cover - degeneracy is caught above
@@ -382,12 +415,17 @@ def hull_from_points(points, tol=DEFAULT_TOL):
 
 
 def _polygon_from_hull(pts, hull, tol):
-    V = pts[hull.vertices]  # counterclockwise per scipy
+    return _polygon(pts[hull.vertices], tol)  # counterclockwise per scipy
+
+
+def _polygon(V, tol, flat=None):
+    """The polygon with counterclockwise vertices V (``flat``: see _polytope_from_facets)."""
+    i = np.arange(len(V))
+    cycles = np.column_stack([i, np.roll(i, -1)])
+    _check_flat(V, cycles.ravel(), np.full(len(V), 2), flat)
     D = np.roll(V, -1, axis=0) - V
     normals = _unit_rows(np.column_stack([D[:, 1], -D[:, 0]]))
-    i = np.arange(len(V))
-    return Polytope(V, normals, (normals[:, None, :] @ V[:, :, None])[:, 0, 0],
-                    np.column_stack([i, np.roll(i, -1)]), tol)
+    return Polytope(V, normals, (normals[:, None, :] @ V[:, :, None])[:, 0, 0], cycles, tol)
 
 
 def _polytope_from_hull_3d(pts, hull, tol):
@@ -396,66 +434,90 @@ def _polytope_from_hull_3d(pts, hull, tol):
     remap[used] = np.arange(len(used))
     V, nv = pts[used], len(used)
     tris, tri_n, tri_b = remap[hull.simplices], hull.equations[:, :3], -hull.equations[:, 3]
-    scale = max(1.0, float(np.linalg.norm(V.max(0) - V.min(0))))
-    # a triangle joins the facet of the first triangle it merges with
-    merge = (tri_n @ tri_n.T >= np.cos(MERGE_ANGLE)) & (abs(tri_b[:, None] - tri_b) <= 1e-7 * scale)
+    facet, heads = _merge_planes(tri_n, tri_b, _box_scale(V))
+    key = np.unique(np.repeat(facet, 3) * nv + tris.ravel())  # (facet, vertex), sorted
+    return _polytope_from_facets(V, key, tri_n[heads], tol)
+
+
+def _box_scale(V):
+    """The bounding-box diagonal of V, at least 1."""
+    return max(1.0, float(np.linalg.norm(V.max(0) - V.min(0))))
+
+
+def _merge_planes(normals, offsets, scale):
+    """Each plane's facet and each facet's first plane: a plane joins the facet of the
+    first plane it merges with (normals within MERGE_ANGLE, offsets within 1e-7 * scale)."""
+    merge = ((normals @ normals.T >= np.cos(MERGE_ANGLE))
+             & (abs(offsets[:, None] - offsets) <= 1e-7 * scale))
     np.fill_diagonal(merge, True)
     first = merge.argmax(axis=1)
     while (first[first] != first).any():
         first = first[first]
     heads, facet = np.unique(first, return_inverse=True)
-    key = np.unique(np.repeat(facet, 3) * nv + tris.ravel())  # (facet, vertex), sorted
+    return facet, heads
+
+
+def _check_flat(V, ids, sizes, flat):
+    """Raise ``flat`` when a facet (vertex ids end to end, of the given sizes) spans
+    less than a hyperplane at the lattice's rank tolerance; the test and the sets
+    are those of ``Polytope._check_lattice``, so a body that passes builds."""
+    if flat is not None and (_ranks(V, ids, sizes, _diameter(V)) < V.shape[1] - 1).any():
+        raise flat("a facet is flat at the lattice's 1e-7 * diameter rank tolerance")
+
+
+def _polytope_from_facets(V, key, outward, tol, flat=None):
+    """The 3-polytope with vertices V and facets given by sorted (facet, vertex) keys
+    ``facet * len(V) + vertex``, each facet's outward normal roughly ``outward``.
+
+    Per facet size: the vertices are sorted by angle about their mean,
+    counterclockwise about ``outward``, so the refit plane (Newell) is outward.
+    With an error class ``flat``, flat facets raise it before Polytope runs.
+    """
+    nv = len(V)
     rims, ids = np.bincount(key // nv), key % nv
-    # per facet size: sort by angle about the mean, refit (Newell); the sort runs
-    # counterclockwise about the outward triangle normal, so the fit is outward
-    normals, offsets, cycles = np.empty((len(heads), 3)), np.empty(len(heads)), np.empty_like(ids)
+    normals, offsets, cycles = np.empty((len(rims), 3)), np.empty(len(rims)), np.empty_like(ids)
     for f, pos in _by_size(rims):
-        n, X = tri_n[heads[f]], V[ids[pos]] - V[ids[pos]].mean(axis=1)[:, None]
+        n, X = outward[f], V[ids[pos]] - V[ids[pos]].mean(axis=1)[:, None]
         u1 = _unit_rows(X[:, 0])
-        u2 = np.cross(n, u1)
+        u2 = _cross(n, u1)
         ang = np.arctan2((X @ u2[:, :, None])[..., 0], (X @ u1[:, :, None])[..., 0])
         cycle = np.take_along_axis(ids[pos], np.argsort(ang, axis=1), axis=1)
         poly = V[cycle]
-        fit = _unit_rows(np.cumsum(np.cross(poly, np.roll(poly, -1, axis=1)), axis=1)[:, -1])
+        fit = _unit_rows(np.cumsum(_cross(poly, np.roll(poly, -1, axis=1)), axis=1)[:, -1])
         normals[f], cycles[pos] = fit, cycle
         offsets[f] = (V[cycle] @ fit[:, :, None])[..., 0].mean(axis=1)
+    _check_flat(V, cycles, rims, flat)
     return Polytope(V, normals, offsets, np.split(cycles, np.cumsum(rims)[:-1]), tol)
 
 
 # -- halfspace intersection --------------------------------------------------
 
-
-def _assert_bounded(normals):
-    """Raise Unbounded unless the origin lies strictly inside conv(normals).
-
-    {x : <n_i, x> <= b_i} with a nonempty interior is bounded exactly when
-    its unit normals positively span space; too few or coplanar normals make
-    Qhull fail and leave a direction of recession.  The 1e-12 margin is above
-    the rounding noise of unit normals.
-    """
-    try:
-        hull = ConvexHull(normals)
-    except QhullError as exc:
-        raise Unbounded("halfspace intersection is unbounded") from exc
-    if not (hull.equations[:, -1] < -1e-12).all():
-        raise Unbounded("halfspace intersection is unbounded")
+CLIP = 2 ** 14  # line-by-plane entries per block of the line clip (128 kB per array)
+BIG = 1e300  # masks a crossing out of a min or max
 
 
 def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     """Vertex-enumerate the intersection P of halfspaces <n, x> <= b.
 
     ``planes`` is a sequence of (normal, offset) pairs or rows [n..., b].  No
-    interior point is needed: x lies in P exactly when (x, 1) lies in the cone
-    {z : <(n, -b), z> <= 0}, whose extreme rays are the facet normals of
-    cone(rows (n, -b), -e) at the origin.  One hull of the origin, the unit
-    rows and -e in dimension dim + 1 names the dim planes of every vertex;
-    each vertex is solved from its own planes, points on one 1e-7 grid cell
-    are merged, and the hull of the rest is the body.
+    interior point and no hull is needed.  Every edge of P lies on a line where
+    two planes meet (in 2-D, on one plane).  With the slopes and offsets of all
+    lines a + t d against all planes, taken in one product per block of lines,
+    each line's interval [lo, hi] is one masked max and min (``_edges``), and
+    the planes attaining them are the third planes of its two endpoints.
+    Coincident planes, by the hull's merge rule, count once.  Every endpoint
+    is solved from its sorted plane triple, points on one 1e-7 grid cell
+    merge, and each plane through at least dim vertices (the first of planes
+    through the same ones) is a facet.  The cost is O(m^3) in the number of
+    planes m.
 
-    Raises DegenerateInput on malformed input, Unbounded when the normals do
-    not positively span space (or the cone meets t = 0 within rounding), and
-    Empty when the origin is no vertex of that hull, Qhull finds it flat or
-    the solved vertices span less than the ambient dimension.
+    Raises DegenerateInput on malformed input.  Raises Unbounded, before any
+    emptiness test, when the normals span less than space or a line direction
+    +-d has <n, d> <= 1e-12 |(n, -b)| against every plane: the extreme rays of
+    a recession cone lie on such lines.  Raises Empty when no line holds an
+    edge longer than tol times the largest offset (at least 1), when fewer
+    than dim + 1 facets remain, or when a facet is flat at the lattice's
+    1e-7 * diameter rank tolerance.
     """
     try:
         rows = [[*np.asarray(p[0], dtype=float), float(p[1])]
@@ -469,28 +531,86 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
         raise DegenerateInput("zero plane normal")
     normals = normals / norms[:, None]
     offsets = offsets / norms
-    _assert_bounded(normals)
-    m, dim = normals.shape
-    cone = np.vstack([np.zeros(dim + 1), _unit_rows(np.column_stack([normals, -offsets])),
-                      -np.eye(dim + 1)[-1]])
-    try:
-        hull = ConvexHull(cone)
-    except QhullError as exc:
-        raise Empty("halfspace intersection has empty interior") from exc
-    # each simplex at point 0 holds 0 and the rows of dim planes through one vertex
-    at = np.sort(hull.simplices[(hull.simplices == 0).any(axis=1)], axis=1)[:, 1:] - 1
-    if not len(at):
-        raise Empty("halfspace intersection has empty interior")
-    if (at[:, -1] == m).any():  # -e on a vertex ray: a direction of recession
+    if np.linalg.matrix_rank(normals) < normals.shape[1]:
         raise Unbounded("halfspace intersection is unbounded")
+    # coincident planes, by the hull's merge rule, are one plane: the first
+    scale = max(1.0, np.abs(offsets).max())
+    heads = _merge_planes(normals, offsets, scale)[1]
+    normals, offsets = normals[heads], offsets[heads]
+    m, dim = normals.shape
+    pair, ends = _edges(normals, offsets, tol * scale)
+    if not len(pair):
+        raise Empty("halfspace intersection has empty interior")
+    # every endpoint's sorted plane triple (pair in 2-D), each once
+    at = np.sort(np.column_stack([np.repeat(pair, 2, axis=0), ends.ravel()]), axis=1)
+    at = at[np.unique(at @ m ** np.arange(dim - 1, -1, -1), return_index=True)[1]]
     pts = np.linalg.solve(normals[at], offsets[at][..., None])[..., 0]
-    # cluster duplicate intersection points before hulling
     grid = np.round(pts / (1e-7 * max(1.0, np.abs(pts).max())))
-    _, idx = np.unique(grid, axis=0, return_index=True)
-    try:
-        return hull_from_points(pts[np.sort(idx)], tol)
-    except DegenerateInput as exc:
-        raise Empty("halfspace intersection is flat at the 1e-7 vertex grid") from exc
+    _, first, cell = np.unique(grid, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    V, vertex = pts[first[order]], np.argsort(order)[cell.ravel()]
+    nv = len(V)
+    inc = np.zeros((m, nv))
+    inc[at, vertex[:, None]] = 1.0
+    # planes through dim vertices are facets; two facets share at most dim - 1
+    # vertices unless they are one facet, which keeps its first plane
+    maybe = np.flatnonzero(inc.sum(axis=1) >= dim)
+    facets = maybe[~np.triu(inc[maybe] @ inc[maybe].T >= dim, 1).any(axis=0)]
+    if len(facets) <= dim:
+        raise Empty("halfspace intersection is flat: fewer than dim + 1 facets")
+    if dim == 3:
+        return _polytope_from_facets(V, np.flatnonzero(inc[facets]), normals[facets], tol, Empty)
+    X = V - V.mean(axis=0)
+    return _polygon(V[np.argsort(np.arctan2(X[:, 1], X[:, 0]))], tol, Empty)
+
+
+def _edges(normals, offsets, eps):
+    """The lines of the halfspace build that hold an edge longer than eps.
+
+    Every line a + t d where two planes meet (in 2-D, every plane) is clipped
+    by all planes, one block of lines at a time.  Along the line each plane has
+    a slope s and an offset o, taken on its unit row (n, -b) / |(n, -b)|; the
+    line's interval runs from lo = max(-o / s) over s < 0 to hi = min(-o / s)
+    over s > 0, and a plane with s = 0 < o empties it.  Returns each edge's
+    planes (pairs in 3-D) and the planes attaining lo and hi.  Raises Unbounded
+    when some line direction +-d has s <= 1e-12 against every plane.
+    """
+    m, dim = normals.shape
+    if dim == 3:
+        i, j = np.triu_indices(m, 1)
+        c = _cross(normals[i], normals[j])
+        s = np.sqrt((c * c).sum(axis=1))
+        keep = s > MERGE_ANGLE  # planes closer than this in direction have no line
+        pair, c, s = np.column_stack([i, j])[keep], c[keep], s[keep, None]
+        # the direction and the point of both planes nearest the origin
+        d = c / s
+        a = _cross(c, offsets[pair[:, 1:]] * normals[pair[:, 0]]
+                   - offsets[pair[:, :1]] * normals[pair[:, 1]]) / (s * s)
+    else:
+        pair = np.arange(m)[:, None]
+        d, a = normals @ np.array([[0.0, 1.0], [-1.0, 0.0]]), offsets[:, None] * normals
+    rows = _unit_rows(np.column_stack([normals, -offsets]))
+    lines = np.column_stack([a, np.ones(len(a))])
+    found = []
+    step = max(1, CLIP // m)
+    for start in range(0, len(d), step):
+        b = slice(start, start + step)
+        s, o = rows[:, :-1] @ d[b].T, rows @ lines[b].T
+        if ((s.max(axis=0) <= 1e-12) | (s.min(axis=0) >= -1e-12)).any():
+            raise Unbounded("halfspace intersection is unbounded")
+        own = pair[b].T, np.arange(s.shape[1])
+        s[own], o[own] = 0.0, -1.0  # a line's own planes do not clip it
+        up, down = s > 0.0, s < 0.0
+        flat = np.nonzero(~(up | down))
+        s[flat] = 1.0
+        w = o / s  # -t at each crossing; below, -lo = min(w) over s < 0, -hi = max(w) over s > 0
+        lower, upper = w + BIG * ~down, w - BIG * ~up
+        keep = lower.min(axis=0) - upper.max(axis=0) > eps
+        keep[flat[1][o[flat] > 0.0]] = False
+        e = np.flatnonzero(keep)
+        found.append((pair[b][e], np.column_stack([lower[:, e].argmin(axis=0),
+                                                   upper[:, e].argmax(axis=0)])))
+    return tuple(np.concatenate(x) for x in zip(*found))
 
 
 # -- operations ---------------------------------------------------------------

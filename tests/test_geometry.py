@@ -64,9 +64,12 @@ def test_malformed_construction_input_raises_degenerate_input(monkeypatch, build
     def solver(*args, **kwargs):
         raise AssertionError("a solver ran on malformed input")
 
-    monkeypatch.setattr(geometry, "ConvexHull", solver)
-    for name in ("solve", "svd"):
+    import scipy.spatial
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", solver)
+    for name in ("solve", "svd", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, solver)
+    monkeypatch.setattr(geometry, "_edges", solver)
     with pytest.raises(DegenerateInput):
         build(arg)
 
@@ -122,6 +125,28 @@ def test_thin_slab_is_empty_below_the_svd_threshold(t):
     assert abs(P.volume - 4.0 * t) < 1e-12
 
 
+@pytest.mark.parametrize("t", [7e-8, 1e-7, 2e-7])
+def test_thin_slab_flat_at_the_lattice_tolerance_is_empty(t):
+    # thicker than the 1e-7 vertex grid but flat at the lattice's 1e-7 * diameter
+    # rank tolerance: Empty, not an InvariantViolation from the lattice check
+    with pytest.raises(Empty):
+        polytope_from_halfspaces(CUBE_PLANES[:4] + [([0, 0, 1], t), ([0, 0, -1], 0)])
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-6])
+def test_needle_is_built_or_empty(eps):
+    # three side planes tilted by eps over z >= -1: the apex lies about 1 / eps
+    # away, and at eps = 1e-8 the base vertices share one cell of the 1e-7
+    # vertex grid, which leaves no facet; that is Empty, never a bare error
+    planes = [([0.0, 0.0, -1.0], 1.0)] + [([np.cos(a), np.sin(a), eps], 1.0)
+                                          for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)]
+    try:
+        P = polytope_from_halfspaces(planes)
+    except Empty:
+        return
+    assert (P.n_vertices, P.n_edges, P.n_facets) == (4, 6, 4)
+
+
 def _lp_halfspaces(planes, tol=geometry.DEFAULT_TOL):
     """The reference build: an interior point from the Chebyshev-centre LP, then
     Qhull's HalfspaceIntersection about it, the same grid and hull."""
@@ -152,13 +177,15 @@ def _plane_corpus():
                                       for p in ((0.0, a / phi, b * phi), (a / phi, b * phi, 0.0),
                                                 (b * phi, 0.0, a / phi))])
     planes_of = lambda P: list(zip(P.facet_normals, P.facet_offsets))
-    tangent = []
-    for k in range(4, 49):
+
+    def tangent_planes(k, rng):
         u = rng.standard_normal((k, 3))
         while np.linalg.matrix_rank(u) < 3 or linprog(  # redraw until bounded
                 np.zeros(k), A_eq=u.T, b_eq=np.zeros(3), bounds=[(1.0, None)] * k).status:
             u = rng.standard_normal((k, 3))
-        tangent.append([(n, 1.0) for n in u])
+        return [(n, 1.0) for n in u]
+
+    tangent = [tangent_planes(k, rng) for k in range(4, 49)]
     t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 11))
     exact = (tangent
              + [planes_of(hull_from_points(rng.standard_normal((12, 3)))) for _ in range(10)]
@@ -170,7 +197,9 @@ def _plane_corpus():
              + [[([1, 0], 1), ([-1, 0], 1), ([0, 1], 2), ([0, -1], 0.5)],
                 planes_of(hull_from_points(np.column_stack([np.cos(t), np.sin(t)]))),
                 planes_of(hull_from_points(rng.standard_normal((9, 2))))]
-             + [CUBE_PLANES + CUBE_PLANES[:3] + [([1, 1, 0], 2), ([1, 1, 1], 3), ([0, 0, 1], 5)]])
+             + [CUBE_PLANES + CUBE_PLANES[:3] + [([1, 1, 0], 2), ([1, 1, 1], 3), ([0, 0, 1], 5)]]
+             # above every workload's plane count: the line clip is O(m^3)
+             + [tangent_planes(k, default_rng([5, k])) for k in (96, 200)])
     near = []
     for i in range(50):
         planes = tangent[i % len(tangent)]
@@ -558,9 +587,11 @@ def _hull_corpus():
              hull_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.4, 1)]),
              fixtures.equilateral_triangle(), fixtures.triangle_from_angles(1.2, 1.0),
              hull_from_points(np.column_stack([np.cos(t), np.sin(t)]))]
-            + [explorer.random_polytope("tangent_planes", {"k": k}, default_rng([5, k]))
+            # random bodies re-hulled from their vertices: halfspace bodies are not hulled
+            + [hull_from_points(explorer.random_polytope("tangent_planes", {"k": k},
+                                                         default_rng([5, k])).vertices)
                for k in range(4, 25)]
-            + [explorer.random_polytope(family, {}, rng)
+            + [hull_from_points(explorer.random_polytope(family, {}, rng).vertices)
                for family in ("perturbed_tetra", "perturbed_prism", "vertex_cloud") for _ in range(6)])
 
 

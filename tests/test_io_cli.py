@@ -317,8 +317,10 @@ def test_cli_quiet(tetra_off, capsys):
 
 
 def test_reading_off_does_not_load_scipy_optimize(tetra_off, tmp_path):
-    # only chebyshev_center needs linprog: reading an OFF or a halfspace file
-    # and drawing bodies from planes load no scipy.optimize, each step checked
+    # only chebyshev_center needs linprog and only hull_from_points needs Qhull:
+    # reading an OFF or a halfspace file, drawing bodies from planes and the CLI
+    # commands on an OFF file load neither scipy.optimize nor scipy.spatial,
+    # each step checked
     import os
     import subprocess
     import sys
@@ -333,11 +335,68 @@ def test_reading_off_does_not_load_scipy_optimize(tetra_off, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, polynormal\n"
             "from numpy.random import default_rng\n"
+            "from polynormal.cli import main\n"
             "loaded = lambda: 'scipy.optimize' in sys.modules\n"
-            "polynormal.read_polytope(sys.argv[1]); print(loaded())\n"
-            "assert polynormal.read_polytope(sys.argv[2]).n_vertices == 8; print(loaded())\n"
+            "spatial = lambda: 'scipy.spatial' in sys.modules\n"
+            "print(spatial())\n"
+            "polynormal.read_polytope(sys.argv[1]); print(loaded(), spatial())\n"
+            "assert polynormal.read_polytope(sys.argv[2]).n_vertices == 8; print(loaded(), spatial())\n"
             "for family in ('perturbed_prism', 'tangent_planes'):\n"
-            "    polynormal.random_polytope(family, {}, default_rng(3)); print(loaded())\n")
+            "    polynormal.random_polytope(family, {}, default_rng(3)); print(loaded(), spatial())\n"
+            "for argv in (['count', '--point', '0,0,0'], ['max'], ['average', '--exact'], ['classify']):\n"
+            "    assert main([*argv, '--quiet', sys.argv[1]]) == 0; print(spatial())\n")
     out = subprocess.run([sys.executable, "-c", code, str(tetra_off), str(cube)],
                          capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split() == ["False"] * 4
+    assert out.stdout.split() == ["False"] * 13
+
+
+def _off_file(path, vertices, faces):
+    lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
+    lines += [" ".join(repr(float(x)) for x in v) for v in vertices]
+    lines += [" ".join(map(str, [len(f), *f])) for f in faces]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+OCTAHEDRON_FACES = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+
+
+def test_off_faces_are_the_facets(tmp_path):
+    # a cube written as 12 triangles, every other one turned clockwise, reads as
+    # the cube: coplanar triangles merge, the file's vertex order stays
+    corners = [(x, y, z) for x in (0.0, 1.0) for y in (0.0, 2.0) for z in (0.0, 3.0)]
+    faces = []
+    for i, (a, b, c, d) in enumerate([(0, 1, 3, 2), (4, 5, 7, 6), (0, 1, 5, 4),
+                                      (2, 3, 7, 6), (0, 2, 6, 4), (1, 3, 7, 5)]):
+        faces += [[a, b, c][::(-1) ** i], [a, c, d]]
+    P = read_polytope(_off_file(tmp_path / "cube.off", corners, faces))
+    assert (P.n_vertices, P.n_edges, P.n_facets) == (8, 12, 6)
+    assert np.array_equal(P.vertices, np.array(corners))
+    assert abs(P.volume - 6.0) < 1e-12
+    assert read_polytope(_off_file(tmp_path / "octa.off", OCTAHEDRON, OCTAHEDRON_FACES)).n_facets == 8
+
+
+@pytest.mark.parametrize("vertices, faces, message", [
+    # a tetrahedron with one face missing
+    ([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], [[0, 1, 2], [0, 1, 3], [0, 2, 3]],
+     "fewer than 3"),
+    # an octahedron with one face replaced by a triangle through its centre
+    (OCTAHEDRON, OCTAHEDRON_FACES[1:] + [[0, 1, 2]], "outside the plane"),
+    # an octahedron with one face missing: every vertex still lies on 3 planes
+    (OCTAHEDRON, OCTAHEDRON_FACES[1:], "do not close up"),
+    # an interior vertex listed in no face
+    (OCTAHEDRON + [(0.1, 0.2, 0.1)], OCTAHEDRON_FACES, "input vertices are not in convex position"),
+    # a face of two vertices
+    (OCTAHEDRON, OCTAHEDRON_FACES[1:] + [[0, 2]], "degenerate"),
+])
+def test_off_faces_that_do_not_bound_the_body_are_rejected(tmp_path, vertices, faces, message):
+    with pytest.raises(ValidationError, match=message):
+        read_polytope(_off_file(tmp_path / "bad.off", vertices, faces))
+
+
+def test_off_without_faces_reads_through_the_hull(tmp_path):
+    P = read_polytope(_off_file(tmp_path / "cloud.off", OCTAHEDRON, []))
+    assert (P.n_vertices, P.n_edges, P.n_facets) == (6, 12, 8)
+    with pytest.raises(ValidationError, match="not in convex position"):
+        read_polytope(_off_file(tmp_path / "inner.off", OCTAHEDRON + [(0.1, 0.2, 0.1)], []))
