@@ -51,22 +51,15 @@ VALIDATION_EXIT = 2
 INVARIANT_EXIT = 3
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+def _json_default(x):
+    """``json.dumps`` hook for what JSON has no type for: numpy arrays and scalars, frozensets."""
     if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
     if isinstance(x, frozenset):
         return sorted(x)
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _digest(path):
@@ -84,10 +77,10 @@ def _emit(args, command, params, payload, input_path=None):
         "version": __version__,
         "command": command,
         "digest": _digest(input_path) if input_path else None,
-        "parameters": _jsonable(params),
-        "payload": _jsonable(payload),
+        "parameters": params,
+        "payload": payload,
     }
-    print(json.dumps(envelope, sort_keys=True))
+    print(json.dumps(envelope, sort_keys=True, default=_json_default))
 
 
 def _parse_point(text, dim):

@@ -2,13 +2,14 @@
 
 JSON accepts {"vertices": [[x,y,z],...]}, {"halfspaces": [[nx,ny,nz,b],...]}
 or {"polygon": [[x,y],...]}; writing emits "vertices" (3-D) or "polygon"
-(2-D).  OFF files are validated line by line.  Their faces are the facets:
-the vertices keep the file order, coincident face planes merge (so a
-triangulated facet is one facet), and every vertex must lie on at least
-three face planes and above none.  An OFF file with no faces and the JSON
-vertex lists go through the hull, where every listed vertex has to be a
-hull vertex.  Halfspace files are clipped plane by plane; only the hull
-loads scipy.spatial.
+(2-D).  OFF files are validated line by line.  Their faces are the facets
+(``geometry.polytope_from_faces``): the vertices keep the file order,
+coincident face planes merge (so a triangulated facet is one facet), and
+every vertex must lie on at least three face planes and above none.  An OFF
+file with no faces and the JSON vertex lists go through the hull, where
+every listed vertex has to be a hull vertex.  Halfspace files are clipped
+plane by plane; only the hull loads scipy.spatial.  All three 3-D builds
+share geometry's facet route, so they give one body the same lattice.
 """
 
 from __future__ import annotations
@@ -22,16 +23,9 @@ from .bifurcation import plane_section, sheet_planes
 from .errors import ParseError, ValidationError
 from .geometry import (
     DEFAULT_TOL,
-    _box_scale,
-    _by_size,
-    _cross,
-    _diameter,
     _float_rows,
-    _merge_planes,
-    _polytope_from_facets,
-    _ranks,
-    _unit_rows,
     hull_from_points,
+    polytope_from_faces,
     polytope_from_halfspaces,
 )
 
@@ -44,7 +38,7 @@ def read_polytope(path, tol=DEFAULT_TOL):
         vertices, faces = _parse_off(text)
         if not faces:
             return _from_convex_vertices(vertices, tol)
-        return _from_off_faces(vertices, faces, tol)
+        return polytope_from_faces(vertices, faces, tol)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -71,54 +65,6 @@ def _from_convex_vertices(vertices, tol):
     if P.n_vertices != distinct:
         raise ValidationError("input vertices are not in convex position")
     return P
-
-
-def _from_off_faces(V, faces, tol):
-    """The 3-polytope whose facets are the OFF faces, vertices in file order.
-
-    Each face's plane is its Newell plane, oriented away from the vertex
-    mean; coincident planes merge, and a facet holds every vertex on its
-    plane within tol times the diameter.  Raises ValidationError before any
-    Polytope is built when a face is degenerate, a vertex lies above a face
-    plane or on fewer than three of them, or the faces leave a hole.
-    """
-    nv, sizes = len(V), np.array([len(f) for f in faces])
-    ids = np.concatenate(faces).astype(int)
-    diameter = _diameter(V)
-    scale = max(1.0, float(np.abs(V).max()))
-    # with return_index, np.unique does not import numpy.ma (15-20 ms)
-    if len(np.unique(np.round(V / (1e-9 * scale)), axis=0, return_index=True)[1]) < nv:
-        raise ValidationError("input vertices are not distinct")
-    flat = np.flatnonzero(sizes < 3)
-    if not len(flat):
-        flat = np.flatnonzero(_ranks(V, ids, sizes, diameter) < 2)
-    if len(flat):
-        raise ValidationError(f"face {flat[0]} is degenerate: its vertices span no plane")
-    normals = np.empty((len(faces), 3))
-    for f, pos in _by_size(sizes):
-        poly = V[ids[pos]]
-        normals[f] = _cross(poly, np.roll(poly, -1, axis=1)).sum(axis=1)
-    centers = np.add.reduceat(V[ids], np.cumsum(sizes) - sizes) / sizes[:, None]
-    normals = _unit_rows(normals)
-    normals[((centers - V.mean(axis=0)) * normals).sum(axis=1) < 0.0] *= -1.0
-    offsets = (centers * normals).sum(axis=1)
-    slack = V @ normals.T - offsets
-    eps = tol * max(1.0, diameter)
-    if (slack > eps).any():
-        v, f = np.argwhere(slack > eps)[0]
-        raise ValidationError(f"vertex {v} lies outside the plane of face {f}")
-    _, heads = _merge_planes(normals, offsets, _box_scale(V))
-    on = np.abs(slack[:, heads]) <= eps  # (vertex, facet)
-    count = on.sum(axis=1)
-    if not count.all():
-        raise ValidationError("input vertices are not in convex position")
-    if count.min() < 3:
-        v = int(count.argmin())
-        raise ValidationError(f"vertex {v} lies on {count[v]} face planes, fewer than 3: "
-                              "a face is missing or the vertex is not in convex position")
-    if 2 * (nv + len(heads) - 2) != count.sum():  # Euler, with each edge on two facets
-        raise ValidationError("the faces do not close up: a face is missing")
-    return _polytope_from_facets(V, np.flatnonzero(on.T), normals[heads], tol, ValidationError)
 
 
 def _parse_off(text):
@@ -173,16 +119,19 @@ def _parse_off(text):
     return np.array(vertices, dtype=float), faces
 
 
+def _off_text(vertices, faces, n_edges):
+    """ASCII OFF text: the vertex rows, then each face's vertex ids."""
+    out = ["OFF", f"{len(vertices)} {len(faces)} {n_edges}"]
+    out += [" ".join(repr(float(x)) for x in v) for v in vertices]
+    out += [" ".join(map(str, [len(f), *f])) for f in faces]
+    return "\n".join(out) + "\n"
+
+
 def off_string(P):
     """ASCII OFF text for a 3-polytope (facet cycles as faces)."""
     if P.dim != 3:
         raise ValidationError("OFF output is 3-D only; use JSON for polygons")
-    out = ["OFF", f"{P.n_vertices} {P.n_facets} {P.n_edges}"]
-    for v in P.vertices:
-        out.append(" ".join(repr(float(x)) for x in v))
-    for cycle in P.facet_cycles:
-        out.append(str(len(cycle)) + " " + " ".join(str(int(i)) for i in cycle))
-    return "\n".join(out) + "\n"
+    return _off_text(P.vertices, P.facet_cycles, P.n_edges)
 
 
 def json_dict(P):
@@ -220,18 +169,8 @@ def sheets_off_scene(P, planes=None):
         raise ValidationError("sheet scenes are 3-D only")
     if planes is None:
         planes = sheet_planes(P)
-    polys = []
-    for sp in planes:
-        sec = plane_section(P, sp.normal, sp.offset)
-        if sec is not None and len(sec) >= 3:
-            polys.append(sec)
-    nv = sum(len(p) for p in polys)
-    out = ["OFF", f"{nv} {len(polys)} 0"]
-    for p in polys:
-        for v in p:
-            out.append(" ".join(repr(float(x)) for x in v))
-    base = 0
-    for p in polys:
-        out.append(str(len(p)) + " " + " ".join(str(base + i) for i in range(len(p))))
-        base += len(p)
-    return "\n".join(out) + "\n"
+    sections = (plane_section(P, sp.normal, sp.offset) for sp in planes)
+    polys = [sec for sec in sections if sec is not None and len(sec) >= 3]
+    ends = np.cumsum([len(p) for p in polys], dtype=int)
+    faces = [range(end - len(p), end) for p, end in zip(polys, ends)]
+    return _off_text([v for p in polys for v in p], faces, 0)

@@ -3,19 +3,22 @@ angles and inscribed spheres.
 
 The facet cycles are laid out once, flat (``Polytope._build_edges``); the
 edges, lattice check, region rows, volume, right-angle test and sheet planes
-read it.  The hull builder merges, sorts and refits facets in stacked passes,
-one facet size at a time.  The rest of the face lattice is held as arrays;
-``Face`` objects are built from them on first use of ``Polytope.faces``.
+read it.  The rest of the face lattice is held as arrays; ``Face`` objects
+are built from them on first use of ``Polytope.faces``.
+
+Every 3-D build (hull, OFF faces, halfspaces) ends in one route from vertices
+and candidate planes, ``_polytope_from_planes``: it merges coincident planes,
+takes the planes through at least 3 vertices as facets, checks the
+incidences against Euler's formula, sorts and refits the facets one size at
+a time, and raises the lattice's errors as the build's own error class.
 Halfspace input needs no interior point and no hull: every plane-pair line
-is clipped by all planes at once, its surviving segments are the edges, and
-each endpoint is solved from the planes that bound it.  OFF faces give the
-facets directly (``fileio``), and both routes build through the same facet
-helper as the hull.  Only ``hull_from_points`` runs Qhull, so only it loads
-scipy.spatial; only ``chebyshev_center`` solves an LP, so only it loads
-scipy.optimize.
+is clipped by all planes at once, and the endpoints of the surviving
+segments are solved from the planes that bound them.  Only
+``hull_from_points`` runs Qhull, so only it loads scipy.spatial; only
+``chebyshev_center`` solves an LP, so only it loads scipy.optimize.
 
 Coordinates are double precision.  A single tolerance (default 1e-9, applied
-relative to the body diameter wherever it guards an incidence test) rejects
+relative to the body's size wherever it guards an incidence test) rejects
 near-degenerate input instead of resolving it exactly.
 """
 
@@ -70,17 +73,8 @@ def _by_size(sizes):
 
 
 def _diameter(V):
-    """Largest distance between two rows of V, measured on row differences.  Above 32
-    rows only the pairs within 1e-9 of the largest squared distance in the Gram form
-    (about the mean) are measured."""
-    if len(V) <= 32:
-        D = (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1])
-    else:
-        X = V - V.mean(axis=0)
-        G = X @ X.T
-        D2 = G.diagonal()[:, None] + G.diagonal() - 2.0 * G
-        i, j = np.nonzero(D2 >= (1.0 - 1e-9) * D2.max())
-        D = V[i] - V[j]
+    """Largest distance between two rows of V, measured on all row differences."""
+    D = (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1])
     return float(np.sqrt((D[:, None, :] @ D[:, :, None]).max()))
 
 
@@ -415,28 +409,29 @@ def hull_from_points(points, tol=DEFAULT_TOL):
 
 
 def _polygon_from_hull(pts, hull, tol):
-    return _polygon(pts[hull.vertices], tol)  # counterclockwise per scipy
+    return _polygon(pts[hull.vertices], tol, InvariantViolation)  # counterclockwise per scipy
 
 
-def _polygon(V, tol, flat=None):
-    """The polygon with counterclockwise vertices V (``flat``: see _polytope_from_facets)."""
+def _polygon(V, tol, error):
+    """The polygon with counterclockwise vertices V; lattice errors raise ``error``."""
     i = np.arange(len(V))
-    cycles = np.column_stack([i, np.roll(i, -1)])
-    _check_flat(V, cycles.ravel(), np.full(len(V), 2), flat)
     D = np.roll(V, -1, axis=0) - V
     normals = _unit_rows(np.column_stack([D[:, 1], -D[:, 0]]))
-    return Polytope(V, normals, (normals[:, None, :] @ V[:, :, None])[:, 0, 0], cycles, tol)
+    offsets = (normals[:, None, :] @ V[:, :, None])[:, 0, 0]
+    return _built(error, V, normals, offsets, np.column_stack([i, np.roll(i, -1)]), tol)
+
+
+def _built(error, *args):
+    """``Polytope(*args)``, its lattice errors raised as ``error``."""
+    try:
+        return Polytope(*args)
+    except InvariantViolation as exc:
+        raise error(str(exc)) from exc
 
 
 def _polytope_from_hull_3d(pts, hull, tol):
-    used = hull.vertices
-    remap = -np.ones(len(pts), dtype=int)
-    remap[used] = np.arange(len(used))
-    V, nv = pts[used], len(used)
-    tris, tri_n, tri_b = remap[hull.simplices], hull.equations[:, :3], -hull.equations[:, 3]
-    facet, heads = _merge_planes(tri_n, tri_b, _box_scale(V))
-    key = np.unique(np.repeat(facet, 3) * nv + tris.ravel())  # (facet, vertex), sorted
-    return _polytope_from_facets(V, key, tri_n[heads], tol)
+    V, eq = pts[hull.vertices], hull.equations
+    return _polytope_from_planes(V, eq[:, :3], -eq[:, 3], _box_scale(V), tol, InvariantViolation)
 
 
 def _box_scale(V):
@@ -457,23 +452,36 @@ def _merge_planes(normals, offsets, scale):
     return facet, heads
 
 
-def _check_flat(V, ids, sizes, flat):
-    """Raise ``flat`` when a facet (vertex ids end to end, of the given sizes) spans
-    less than a hyperplane at the lattice's rank tolerance; the test and the sets
-    are those of ``Polytope._check_lattice``, so a body that passes builds."""
-    if flat is not None and (_ranks(V, ids, sizes, _diameter(V)) < V.shape[1] - 1).any():
-        raise flat("a facet is flat at the lattice's 1e-7 * diameter rank tolerance")
+def _polytope_from_planes(V, normals, offsets, scale, tol, error):
+    """The 3-polytope with vertices V whose facets are among the outward planes
+    <n, x> = b: every 3-D build ends here, and its checks and the lattice's
+    raise ``error``.
 
-
-def _polytope_from_facets(V, key, outward, tol, flat=None):
-    """The 3-polytope with vertices V and facets given by sorted (facet, vertex) keys
-    ``facet * len(V) + vertex``, each facet's outward normal roughly ``outward``.
-
-    Per facet size: the vertices are sorted by angle about their mean,
-    counterclockwise about ``outward``, so the refit plane (Newell) is outward.
-    With an error class ``flat``, flat facets raise it before Polytope runs.
+    Coincident planes merge (``_merge_planes`` at ``scale``).  A vertex lies on
+    a merged plane when it lies within tol * scale of one of its planes; a
+    plane through at least 3 vertices is a facet, the first of planes through
+    the same ones.  Each vertex must lie on at least 3 facets, and the facet
+    sizes must sum to twice the edge count Euler's formula gives.  Per facet
+    size, the vertices are sorted by angle about their mean, counterclockwise
+    about the plane's normal, so the refit plane (Newell) is outward.
     """
-    nv = len(V)
+    facet, heads = _merge_planes(normals, offsets, scale)
+    on = np.zeros((len(V), len(heads)), dtype=bool)
+    np.logical_or.at(on.T, facet, (abs(V @ normals.T - offsets) <= tol * scale).T)
+    facets = np.flatnonzero(on.sum(axis=0) >= 3)
+    # equal rows as one void item each: np.unique(axis=0) compares column by column,
+    # about 25 times slower; with return_index, np.unique does not import numpy.ma
+    facets = facets[np.sort(np.unique(on.T[facets].view(f"V{len(V)}")[:, 0], return_index=True)[1])]
+    on, outward, nv = on[:, facets], normals[heads[facets]], len(V)
+    count = on.sum(axis=1)
+    if not count.all():
+        raise error("input vertices are not in convex position")
+    if count.min() < 3:
+        v = int(count.argmin())
+        raise error(f"vertex {v} lies on {count[v]} facet planes, fewer than 3")
+    if 2 * (nv + len(facets) - 2) != count.sum():  # Euler, with each edge on two facets
+        raise error("the facets do not close up: their sizes break Euler's formula")
+    key = np.flatnonzero(on.T)  # facet * nv + vertex, sorted
     rims, ids = np.bincount(key // nv), key % nv
     normals, offsets, cycles = np.empty((len(rims), 3)), np.empty(len(rims)), np.empty_like(ids)
     for f, pos in _by_size(rims):
@@ -486,8 +494,43 @@ def _polytope_from_facets(V, key, outward, tol, flat=None):
         fit = _unit_rows(np.cumsum(_cross(poly, np.roll(poly, -1, axis=1)), axis=1)[:, -1])
         normals[f], cycles[pos] = fit, cycle
         offsets[f] = (V[cycle] @ fit[:, :, None])[..., 0].mean(axis=1)
-    _check_flat(V, cycles, rims, flat)
-    return Polytope(V, normals, offsets, np.split(cycles, np.cumsum(rims)[:-1]), tol)
+    return _built(error, V, normals, offsets, np.split(cycles, np.cumsum(rims)[:-1]), tol)
+
+
+def polytope_from_faces(V, faces, tol=DEFAULT_TOL):
+    """The 3-polytope with vertex rows V, in their order, whose facets are the
+    given faces (lists of vertex ids), as read from an OFF file.
+
+    Each face's plane is its Newell plane, oriented away from the vertex mean;
+    coincident face planes are one facet (so a triangulated facet reads whole).
+    Raises ValidationError when the vertices are not distinct, a face is
+    degenerate, a vertex lies above a face plane by more than tol times the
+    diameter, or the face planes do not bound a polytope with these vertices.
+    """
+    nv, sizes = len(V), np.array([len(f) for f in faces])
+    ids = np.concatenate(faces).astype(int)
+    diameter = _diameter(V)
+    scale = max(1.0, float(np.abs(V).max()))
+    if len(np.unique(np.round(V / (1e-9 * scale)), axis=0, return_index=True)[1]) < nv:
+        raise ValidationError("input vertices are not distinct")
+    flat = np.flatnonzero(sizes < 3)
+    if not len(flat):
+        flat = np.flatnonzero(_ranks(V, ids, sizes, diameter) < 2)
+    if len(flat):
+        raise ValidationError(f"face {flat[0]} is degenerate: its vertices span no plane")
+    normals = np.empty((len(faces), 3))
+    for f, pos in _by_size(sizes):
+        poly = V[ids[pos]]
+        normals[f] = _cross(poly, np.roll(poly, -1, axis=1)).sum(axis=1)
+    centers = np.add.reduceat(V[ids], np.cumsum(sizes) - sizes) / sizes[:, None]
+    normals = _unit_rows(normals)
+    normals[((centers - V.mean(axis=0)) * normals).sum(axis=1) < 0.0] *= -1.0
+    offsets = (centers * normals).sum(axis=1)
+    above = V @ normals.T - offsets > tol * max(1.0, diameter)
+    if above.any():
+        v, f = np.argwhere(above)[0]
+        raise ValidationError(f"vertex {v} lies outside the plane of face {f}")
+    return _polytope_from_planes(V, normals, offsets, _box_scale(V), tol, ValidationError)
 
 
 # -- halfspace intersection --------------------------------------------------
@@ -506,18 +549,20 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     each line's interval [lo, hi] is one masked max and min (``_edges``), and
     the planes attaining them are the third planes of its two endpoints.
     Coincident planes, by the hull's merge rule, count once.  Every endpoint
-    is solved from its sorted plane triple, points on one 1e-7 grid cell
-    merge, and each plane through at least dim vertices (the first of planes
-    through the same ones) is a facet.  The cost is O(m^3) in the number of
-    planes m.
+    is solved from its sorted plane triple, and endpoints on the same planes
+    (within tol times the largest offset, at least 1) are one vertex, the
+    first.  In 3-D the facets are then found as for any vertex set
+    (``_polytope_from_planes``), at the same scale.  The cost is O(m^3) in
+    the number of planes m.
 
     Raises DegenerateInput on malformed input.  Raises Unbounded, before any
     emptiness test, when the normals span less than space or a line direction
     +-d has <n, d> <= 1e-12 |(n, -b)| against every plane: the extreme rays of
     a recession cone lie on such lines.  Raises Empty when no line holds an
-    edge longer than tol times the largest offset (at least 1), when fewer
-    than dim + 1 facets remain, or when a facet is flat at the lattice's
-    1e-7 * diameter rank tolerance.
+    edge longer than tol times the largest offset, when the vertices do not
+    bound a polytope on these planes (a 2-D one has fewer than 3), or when the
+    face lattice fails, as when a facet is flat at its 1e-7 * diameter rank
+    tolerance.
     """
     try:
         rows = [[*np.asarray(p[0], dtype=float), float(p[1])]
@@ -545,21 +590,14 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     at = np.sort(np.column_stack([np.repeat(pair, 2, axis=0), ends.ravel()]), axis=1)
     at = at[np.unique(at @ m ** np.arange(dim - 1, -1, -1), return_index=True)[1]]
     pts = np.linalg.solve(normals[at], offsets[at][..., None])[..., 0]
-    grid = np.round(pts / (1e-7 * max(1.0, np.abs(pts).max())))
-    _, first, cell = np.unique(grid, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    V, vertex = pts[first[order]], np.argsort(order)[cell.ravel()]
-    nv = len(V)
-    inc = np.zeros((m, nv))
-    inc[at, vertex[:, None]] = 1.0
-    # planes through dim vertices are facets; two facets share at most dim - 1
-    # vertices unless they are one facet, which keeps its first plane
-    maybe = np.flatnonzero(inc.sum(axis=1) >= dim)
-    facets = maybe[~np.triu(inc[maybe] @ inc[maybe].T >= dim, 1).any(axis=0)]
-    if len(facets) <= dim:
-        raise Empty("halfspace intersection is flat: fewer than dim + 1 facets")
+    # endpoints on the same planes are one vertex, the first (rows as void items,
+    # as for the facets in _polytope_from_planes)
+    on = abs(pts @ normals.T - offsets) <= tol * scale
+    V = pts[np.sort(np.unique(on.view(f"V{m}")[:, 0], return_index=True)[1])]
     if dim == 3:
-        return _polytope_from_facets(V, np.flatnonzero(inc[facets]), normals[facets], tol, Empty)
+        return _polytope_from_planes(V, normals, offsets, scale, tol, Empty)
+    if len(V) <= dim:
+        raise Empty("halfspace intersection is flat: fewer than 3 vertices")
     X = V - V.mean(axis=0)
     return _polygon(V[np.argsort(np.arctan2(X[:, 1], X[:, 0]))], tol, Empty)
 

@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 
 from polynormal import explorer, fixtures, geometry
 from polynormal.errors import DegenerateInput, Empty, InvariantViolation, Unbounded, ValidationError
+from polynormal.fileio import read_polytope, write_polytope
 from polynormal.geometry import (
     MERGE_ANGLE,
     Polytope,
@@ -98,23 +99,40 @@ def test_halfspaces_unbounded_and_empty():
         polytope_from_halfspaces(CUBE_PLANES + [([1, 0, 0], -2)])
 
 
-def test_hull_halfspace_round_trip():
+def test_hull_halfspace_round_trip(tmp_path):
+    # each body read back from its facet halfspaces and from its OFF faces gives
+    # the hull's lattice, vertices, facet normals and volume; the octahedron,
+    # square pyramid, icosahedron and dodecahedron have vertices on 4 or 5 planes
     rng = default_rng(11)
-    for _ in range(10):
-        pts = rng.standard_normal((12, 3))
+    phi = (1.0 + 5.0 ** 0.5) / 2.0
+    ico = [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+           for p in ((0.0, a, b * phi), (a, b * phi, 0.0), (b * phi, 0.0, a))]
+    dodeca = CUBE_CORNERS + [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                             for p in ((0.0, a / phi, b * phi), (a / phi, b * phi, 0.0),
+                                       (b * phi, 0.0, a / phi))]
+    octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    pyramid = [(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0), (0.2, 0.1, 1)]
+    clouds = [rng.standard_normal((12, 3)) for _ in range(10)] + [octahedron, pyramid, ico, dodeca]
+    for pts in clouds:
         P = hull_from_points(pts)
-        back = polytope_from_halfspaces(list(zip(P.facet_normals, P.facet_offsets)))
-        assert back.n_vertices == P.n_vertices
-        # vertex sets match up to permutation
-        a = np.array(sorted(map(tuple, np.round(P.vertices, 9))))
-        b = np.array(sorted(map(tuple, np.round(back.vertices, 9))))
-        assert np.allclose(a, b, atol=1e-9)
+        planes = polytope_from_halfspaces(list(zip(P.facet_normals, P.facet_offsets)))
+        faces = read_polytope(write_polytope(P, tmp_path / "body.off"))
+        for Q in (planes, faces):
+            assert (Q.n_vertices, Q.n_edges, Q.n_facets) == (P.n_vertices, P.n_edges, P.n_facets)
+            gap = np.linalg.norm(P.vertices[:, None] - Q.vertices[None], axis=2)
+            assert np.array_equal(np.sort(gap.argmin(axis=1)), np.arange(P.n_vertices))
+            assert gap.min(axis=1).max() <= 1e-12 * P.diameter
+            turn = 1.0 - P.facet_normals @ Q.facet_normals.T
+            assert np.array_equal(np.sort(turn.argmin(axis=1)), np.arange(P.n_facets))
+            assert turn.min(axis=1).max() <= 1e-12
+            assert abs(Q.volume - P.volume) <= 1e-12 * P.volume
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-8, 1e-10, 1e-13, 0.0, -1e-13])
 def test_thin_slab_is_empty_below_the_svd_threshold(t):
-    # the cube's side planes with 0 <= z <= t: a slab thinner than the 1e-7
-    # vertex grid leaves flat vertices, which is an empty interior
+    # the cube's side planes with 0 <= z <= t: below 1e-7 the side facets are flat
+    # at the lattice's 1e-7 * diameter rank tolerance, and below the tolerance both
+    # faces hold the same vertices; either is an empty interior
     planes = CUBE_PLANES[:4] + [([0, 0, 1], t), ([0, 0, -1], 0)]
     if t < 1e-7:
         with pytest.raises(Empty):
@@ -127,8 +145,8 @@ def test_thin_slab_is_empty_below_the_svd_threshold(t):
 
 @pytest.mark.parametrize("t", [7e-8, 1e-7, 2e-7])
 def test_thin_slab_flat_at_the_lattice_tolerance_is_empty(t):
-    # thicker than the 1e-7 vertex grid but flat at the lattice's 1e-7 * diameter
-    # rank tolerance: Empty, not an InvariantViolation from the lattice check
+    # thicker than the tolerance but flat at the lattice's 1e-7 * diameter rank
+    # tolerance: Empty, not an InvariantViolation from the lattice check
     with pytest.raises(Empty):
         polytope_from_halfspaces(CUBE_PLANES[:4] + [([0, 0, 1], t), ([0, 0, -1], 0)])
 
@@ -136,8 +154,8 @@ def test_thin_slab_flat_at_the_lattice_tolerance_is_empty(t):
 @pytest.mark.parametrize("eps", [1e-8, 1e-6])
 def test_needle_is_built_or_empty(eps):
     # three side planes tilted by eps over z >= -1: the apex lies about 1 / eps
-    # away, and at eps = 1e-8 the base vertices share one cell of the 1e-7
-    # vertex grid, which leaves no facet; that is Empty, never a bare error
+    # away, and at eps = 1e-8 the base, 3.5 wide, is flat at the lattice's rank
+    # tolerance of 1e-7 times the diameter 1e8; that is Empty, never a bare error
     planes = [([0.0, 0.0, -1.0], 1.0)] + [([np.cos(a), np.sin(a), eps], 1.0)
                                           for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)]
     try:
@@ -582,6 +600,9 @@ def _hull_corpus():
              fixtures.flat_tetrahedron_10(), fixtures.perturbed_cube(), hull_from_points(dodeca),
              hull_from_points(corners + 1e-10 * default_rng(0).standard_normal((8, 3))),
              hull_from_points(dodeca + 1e-10 * default_rng(3).standard_normal((20, 3))),
+             # Qhull's pentagons hold vertices more than tol * diameter off their
+             # first triangle's plane; the facet route tests every merged plane
+             hull_from_points(dodeca + 1e-9 * default_rng(3).standard_normal((20, 3))),
              # right planar angles, no right dihedral angle
              hull_from_points([(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0), (0.2, 0.1, 1)]),
              hull_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.4, 1)]),
