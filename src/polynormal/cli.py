@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng
@@ -62,13 +63,6 @@ def _json_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 def _emit(args, command, params, payload, input_path=None):
     if args.quiet:
         return
@@ -76,7 +70,7 @@ def _emit(args, command, params, payload, input_path=None):
         "tool": "polynormal",
         "version": __version__,
         "command": command,
-        "digest": _digest(input_path) if input_path else None,
+        "digest": hashlib.sha256(Path(input_path).read_bytes()).hexdigest() if input_path else None,
         "parameters": params,
         "payload": payload,
     }

@@ -6,11 +6,12 @@ edges, lattice check, region rows, volume, right-angle test and sheet planes
 read it.  The rest of the face lattice is held as arrays; ``Face`` objects
 are built from them on first use of ``Polytope.faces``.
 
-Every 3-D build (hull, OFF faces, halfspaces) ends in one route from vertices
-and candidate planes, ``_polytope_from_planes``: it merges coincident planes,
-takes the planes through at least 3 vertices as facets, checks the
-incidences against Euler's formula, sorts and refits the facets one size at
-a time, and raises the lattice's errors as the build's own error class.
+Every 3-D build (hull, OFF faces, halfspaces) ends in one route,
+``_polytope_from_planes``, given vertices, candidate planes and the incidence
+the build knows (Qhull's triangles, OFF face planes, the planes a halfspace
+vertex is solved from): it takes planes through 3 vertices as facets, checks
+Euler's formula, sorts and refits the facets one size at a time, and raises
+the lattice's errors as the build's own error class.
 Halfspace input needs no interior point and no hull: every plane-pair line
 is clipped by all planes at once, and the endpoints of the surviving
 segments are solved from the planes that bound them.  Only
@@ -430,49 +431,45 @@ def _built(error, *args):
 
 
 def _polytope_from_hull_3d(pts, hull, tol):
-    V, eq = pts[hull.vertices], hull.equations
-    return _polytope_from_planes(V, eq[:, :3], -eq[:, 3], _box_scale(V), tol, InvariantViolation)
-
-
-def _box_scale(V):
-    """The bounding-box diagonal of V, at least 1."""
-    return max(1.0, float(np.linalg.norm(V.max(0) - V.min(0))))
+    """Triangles merge at 1e-7 * diameter; a facet's vertices are its triangles' corners."""
+    eq, V = hull.equations, pts[hull.vertices]
+    facet, heads = _merge_planes(eq[:, :3], -eq[:, 3], max(1.0, _diameter(V)))
+    on = np.zeros((len(pts), len(heads)), dtype=bool)
+    on[hull.simplices, facet[:, None]] = True
+    return _polytope_from_planes(V, on[hull.vertices], eq[heads, :3], tol, InvariantViolation)
 
 
 def _merge_planes(normals, offsets, scale):
-    """Each plane's facet and each facet's first plane: a plane joins the facet of the
-    first plane it merges with (normals within MERGE_ANGLE, offsets within 1e-7 * scale)."""
-    merge = ((normals @ normals.T >= np.cos(MERGE_ANGLE))
-             & (abs(offsets[:, None] - offsets) <= 1e-7 * scale))
+    """Each plane's facet and each facet's first plane (``_first_of``): planes merge
+    when their normals lie within MERGE_ANGLE and their offsets within 1e-7 * scale."""
+    return _first_of((normals @ normals.T >= np.cos(MERGE_ANGLE))
+                     & (abs(offsets[:, None] - offsets) <= 1e-7 * scale))
+
+
+def _first_of(merge):
+    """Each item's group and each group's first item, in order: an item joins the
+    group of the first item it merges with (``merge``, a square boolean matrix)."""
     np.fill_diagonal(merge, True)
     first = merge.argmax(axis=1)
     while (first[first] != first).any():
         first = first[first]
-    heads, facet = np.unique(first, return_inverse=True)
-    return facet, heads
+    heads, group = np.unique(first, return_inverse=True)
+    return group, heads
 
 
-def _polytope_from_planes(V, normals, offsets, scale, tol, error):
-    """The 3-polytope with vertices V whose facets are among the outward planes
-    <n, x> = b: every 3-D build ends here, and its checks and the lattice's
-    raise ``error``.
+def _polytope_from_planes(V, on, outward, tol, error):
+    """The 3-polytope with vertices V and facets among the planes with outward
+    normals roughly ``outward``, ``on`` the (vertex, plane) incidence: every 3-D
+    build ends here, and its checks and the lattice's raise ``error``.
 
-    Coincident planes merge (``_merge_planes`` at ``scale``).  A vertex lies on
-    a merged plane when it lies within tol * scale of one of its planes; a
-    plane through at least 3 vertices is a facet, the first of planes through
-    the same ones.  Each vertex must lie on at least 3 facets, and the facet
-    sizes must sum to twice the edge count Euler's formula gives.  Per facet
-    size, the vertices are sorted by angle about their mean, counterclockwise
-    about the plane's normal, so the refit plane (Newell) is outward.
+    A plane through at least 3 vertices is a facet.  Each vertex must lie on at
+    least 3 facets, and the facet sizes must sum to twice the edge count
+    Euler's formula gives.  Per facet size, the vertices are sorted by angle
+    about their mean, counterclockwise about the outward normal, so the refit
+    plane (Newell) is outward.
     """
-    facet, heads = _merge_planes(normals, offsets, scale)
-    on = np.zeros((len(V), len(heads)), dtype=bool)
-    np.logical_or.at(on.T, facet, (abs(V @ normals.T - offsets) <= tol * scale).T)
     facets = np.flatnonzero(on.sum(axis=0) >= 3)
-    # equal rows as one void item each: np.unique(axis=0) compares column by column,
-    # about 25 times slower; with return_index, np.unique does not import numpy.ma
-    facets = facets[np.sort(np.unique(on.T[facets].view(f"V{len(V)}")[:, 0], return_index=True)[1])]
-    on, outward, nv = on[:, facets], normals[heads[facets]], len(V)
+    on, outward, nv = on[:, facets], outward[facets], len(V)
     count = on.sum(axis=1)
     if not count.all():
         raise error("input vertices are not in convex position")
@@ -502,10 +499,11 @@ def polytope_from_faces(V, faces, tol=DEFAULT_TOL):
     given faces (lists of vertex ids), as read from an OFF file.
 
     Each face's plane is its Newell plane, oriented away from the vertex mean;
-    coincident face planes are one facet (so a triangulated facet reads whole).
+    coincident face planes are one facet (so a triangulated facet reads whole),
+    which holds every vertex within tol times the diameter of its first plane.
     Raises ValidationError when the vertices are not distinct, a face is
-    degenerate, a vertex lies above a face plane by more than tol times the
-    diameter, or the face planes do not bound a polytope with these vertices.
+    degenerate, a vertex lies above a face plane by more than that, or the face
+    planes do not bound a polytope with these vertices.
     """
     nv, sizes = len(V), np.array([len(f) for f in faces])
     ids = np.concatenate(faces).astype(int)
@@ -526,11 +524,14 @@ def polytope_from_faces(V, faces, tol=DEFAULT_TOL):
     normals = _unit_rows(normals)
     normals[((centers - V.mean(axis=0)) * normals).sum(axis=1) < 0.0] *= -1.0
     offsets = (centers * normals).sum(axis=1)
-    above = V @ normals.T - offsets > tol * max(1.0, diameter)
-    if above.any():
-        v, f = np.argwhere(above)[0]
+    slack = V @ normals.T - offsets
+    eps = tol * max(1.0, diameter)
+    if (slack > eps).any():
+        v, f = np.argwhere(slack > eps)[0]
         raise ValidationError(f"vertex {v} lies outside the plane of face {f}")
-    return _polytope_from_planes(V, normals, offsets, _box_scale(V), tol, ValidationError)
+    heads = _merge_planes(normals, offsets, max(1.0, diameter))[1]
+    return _polytope_from_planes(V, abs(slack[:, heads]) <= eps, normals[heads], tol,
+                                 ValidationError)
 
 
 # -- halfspace intersection --------------------------------------------------
@@ -549,11 +550,11 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     each line's interval [lo, hi] is one masked max and min (``_edges``), and
     the planes attaining them are the third planes of its two endpoints.
     Coincident planes, by the hull's merge rule, count once.  Every endpoint
-    is solved from its sorted plane triple, and endpoints on the same planes
-    (within tol times the largest offset, at least 1) are one vertex, the
-    first.  In 3-D the facets are then found as for any vertex set
-    (``_polytope_from_planes``), at the same scale.  The cost is O(m^3) in
-    the number of planes m.
+    is solved from its sorted plane triple; endpoints closer than 1e-8 times
+    the widest gap between two of them are one vertex, the first, which lies
+    on every plane they were solved from.  In 3-D the facets follow from that
+    incidence (``_polytope_from_planes``).  The cost is O(m^3) in the number
+    of planes m.
 
     Raises DegenerateInput on malformed input.  Raises Unbounded, before any
     emptiness test, when the normals span less than space or a line direction
@@ -590,12 +591,15 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     at = np.sort(np.column_stack([np.repeat(pair, 2, axis=0), ends.ravel()]), axis=1)
     at = at[np.unique(at @ m ** np.arange(dim - 1, -1, -1), return_index=True)[1]]
     pts = np.linalg.solve(normals[at], offsets[at][..., None])[..., 0]
-    # endpoints on the same planes are one vertex, the first (rows as void items,
-    # as for the facets in _polytope_from_planes)
-    on = abs(pts @ normals.T - offsets) <= tol * scale
-    V = pts[np.sort(np.unique(on.view(f"V{m}")[:, 0], return_index=True)[1])]
+    # endpoints closer than 1e-8 times the widest gap (max norm) are one vertex,
+    # the first, which lies on every plane they were solved from
+    gap = abs(pts[:, None] - pts).max(axis=2)
+    vertex, first = _first_of(gap <= 1e-8 * gap.max())
+    V = pts[first]
     if dim == 3:
-        return _polytope_from_planes(V, normals, offsets, scale, tol, Empty)
+        on = np.zeros((len(V), m), dtype=bool)
+        on[vertex[:, None], at] = True
+        return _polytope_from_planes(V, on, normals, tol, Empty)
     if len(V) <= dim:
         raise Empty("halfspace intersection is flat: fewer than 3 vertices")
     X = V - V.mean(axis=0)

@@ -50,6 +50,12 @@ def test_hull_rejects_degenerate_input():
 
 
 CUBE_CORNERS = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+PHI = (1.0 + 5.0 ** 0.5) / 2.0
+ICOSAHEDRON = np.array([p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                        for p in ((0.0, a, b * PHI), (a, b * PHI, 0.0), (b * PHI, 0.0, a))])
+DODECAHEDRON = np.array(CUBE_CORNERS + [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                                        for p in ((0.0, a / PHI, b * PHI), (a / PHI, b * PHI, 0.0),
+                                                  (b * PHI, 0.0, a / PHI))])
 
 
 @pytest.mark.parametrize("build, arg", [
@@ -104,15 +110,10 @@ def test_hull_halfspace_round_trip(tmp_path):
     # the hull's lattice, vertices, facet normals and volume; the octahedron,
     # square pyramid, icosahedron and dodecahedron have vertices on 4 or 5 planes
     rng = default_rng(11)
-    phi = (1.0 + 5.0 ** 0.5) / 2.0
-    ico = [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
-           for p in ((0.0, a, b * phi), (a, b * phi, 0.0), (b * phi, 0.0, a))]
-    dodeca = CUBE_CORNERS + [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
-                             for p in ((0.0, a / phi, b * phi), (a / phi, b * phi, 0.0),
-                                       (b * phi, 0.0, a / phi))]
     octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     pyramid = [(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0), (0.2, 0.1, 1)]
-    clouds = [rng.standard_normal((12, 3)) for _ in range(10)] + [octahedron, pyramid, ico, dodeca]
+    clouds = ([rng.standard_normal((12, 3)) for _ in range(10)]
+              + [octahedron, pyramid, ICOSAHEDRON, DODECAHEDRON])
     for pts in clouds:
         P = hull_from_points(pts)
         planes = polytope_from_halfspaces(list(zip(P.facet_normals, P.facet_offsets)))
@@ -131,8 +132,8 @@ def test_hull_halfspace_round_trip(tmp_path):
 @pytest.mark.parametrize("t", [1e-3, 1e-8, 1e-10, 1e-13, 0.0, -1e-13])
 def test_thin_slab_is_empty_below_the_svd_threshold(t):
     # the cube's side planes with 0 <= z <= t: below 1e-7 the side facets are flat
-    # at the lattice's 1e-7 * diameter rank tolerance, and below the tolerance both
-    # faces hold the same vertices; either is an empty interior
+    # at the lattice's 1e-7 * diameter rank tolerance, and below 1e-8 times the
+    # slab's width its top and bottom vertices are one; either is an empty interior
     planes = CUBE_PLANES[:4] + [([0, 0, 1], t), ([0, 0, -1], 0)]
     if t < 1e-7:
         with pytest.raises(Empty):
@@ -145,8 +146,8 @@ def test_thin_slab_is_empty_below_the_svd_threshold(t):
 
 @pytest.mark.parametrize("t", [7e-8, 1e-7, 2e-7])
 def test_thin_slab_flat_at_the_lattice_tolerance_is_empty(t):
-    # thicker than the tolerance but flat at the lattice's 1e-7 * diameter rank
-    # tolerance: Empty, not an InvariantViolation from the lattice check
+    # thicker than the endpoint merge (1e-8 times the width) but flat at the lattice's
+    # 1e-7 * diameter rank tolerance: Empty, not an InvariantViolation from the lattice check
     with pytest.raises(Empty):
         polytope_from_halfspaces(CUBE_PLANES[:4] + [([0, 0, 1], t), ([0, 0, -1], 0)])
 
@@ -163,6 +164,30 @@ def test_needle_is_built_or_empty(eps):
     except Empty:
         return
     assert (P.n_vertices, P.n_edges, P.n_facets) == (4, 6, 4)
+
+
+def test_halfspace_vertices_lie_on_the_planes_they_are_solved_from():
+    # a vertex lies on the planes it was solved from, and not on a plane that
+    # passes within tol of it: tangent bodies with four planes copied at noise
+    # 1e-7 .. 1e-13 (bodies 61 and 133 have such a plane) and the polars of
+    # noisy dodecahedra, five nearly concurrent planes at each vertex, all build;
+    # a copy merged into its plane cuts a vertex x by about noise * (1 + |x|)
+    rng = default_rng(17)
+    for _ in range(200):
+        P = explorer.random_polytope("tangent_planes", {"k": int(rng.integers(4, 30))}, rng)
+        planes = list(zip(P.facet_normals, P.facet_offsets))
+        noise = 10.0 ** -rng.integers(7, 14)
+        planes += [(n + noise * rng.standard_normal(3), b + noise * rng.standard_normal())
+                   for n, b in planes[:4]]
+        Q = polytope_from_halfspaces(planes)
+        assert Q.n_vertices - Q.n_edges + Q.n_facets == 2
+        N, b = np.array([n for n, _ in planes]), np.array([b for _, b in planes])
+        cut = ((Q.vertices @ N.T - b) / np.linalg.norm(N, axis=1)).max()
+        assert cut <= max(Q.tol, 5.0 * noise * (1.0 + abs(Q.vertices).max()))
+    for seed in range(20):
+        X = DODECAHEDRON + 1e-9 * default_rng(seed).standard_normal((20, 3))
+        Q = polytope_from_halfspaces([(v, 1.0) for v in X])
+        assert (Q.n_vertices, Q.n_edges, Q.n_facets) == (12, 30, 20)
 
 
 def _lp_halfspaces(planes, tol=geometry.DEFAULT_TOL):
@@ -188,12 +213,6 @@ def _plane_corpus():
     """Halfspace inputs: (planes, True) for bodies the LP build must match,
     (planes, False) where four planes are copied with 1e-11 noise."""
     rng = default_rng(17)
-    phi = (1.0 + 5.0 ** 0.5) / 2.0
-    ico = np.array([p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
-                    for p in ((0.0, a, b * phi), (a, b * phi, 0.0), (b * phi, 0.0, a))])
-    dodeca = np.array(CUBE_CORNERS + [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
-                                      for p in ((0.0, a / phi, b * phi), (a / phi, b * phi, 0.0),
-                                                (b * phi, 0.0, a / phi))])
     planes_of = lambda P: list(zip(P.facet_normals, P.facet_offsets))
 
     def tangent_planes(k, rng):
@@ -207,11 +226,11 @@ def _plane_corpus():
     t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 11))
     exact = (tangent
              + [planes_of(hull_from_points(rng.standard_normal((12, 3)))) for _ in range(10)]
-             + [planes_of(hull_from_points(dodeca + 1e-10 * default_rng(3).standard_normal((20, 3))))]
+             + [planes_of(hull_from_points(DODECAHEDRON + 1e-10 * default_rng(3).standard_normal((20, 3))))]
              + [[(n, 1.0) for n in np.array(CUBE_CORNERS, float)],  # octahedron
                 [([0, 0, -1], 0)] + [(n, 1.0) for n in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))],
-                [(n, 1.0) for n in ico],  # dodecahedron
-                [(n, 1.0) for n in dodeca]]  # icosahedron: five planes at each vertex
+                [(n, 1.0) for n in ICOSAHEDRON],  # dodecahedron
+                [(n, 1.0) for n in DODECAHEDRON]]  # icosahedron: five planes at each vertex
              + [[([1, 0], 1), ([-1, 0], 1), ([0, 1], 2), ([0, -1], 0.5)],
                 planes_of(hull_from_points(np.column_stack([np.cos(t), np.sin(t)]))),
                 planes_of(hull_from_points(rng.standard_normal((9, 2))))]
@@ -229,8 +248,8 @@ def _plane_corpus():
 def test_cone_hull_matches_lp_build():
     # vertices are solved from their own planes: the LP build's lattice and
     # vertex set, each vertex on dim input planes, no plane violated; planes
-    # that nearly coincide cluster on the grid differently, so there only the
-    # body's validity is required
+    # that nearly coincide are merged differently by the reference's 1e-7 grid and
+    # by the build's endpoint merge, so there only the body's validity is required
     for planes, exact in _plane_corpus():
         P = polytope_from_halfspaces(planes)
         arr = np.array([[*n, b] for n, b in planes], dtype=float)
@@ -589,20 +608,16 @@ def _loop_right_angle_defect(P, tol):
 
 
 def _hull_corpus():
-    phi = (1.0 + 5.0 ** 0.5) / 2.0
-    dodeca = np.array(CUBE_CORNERS + [p for a in (-1.0, 1.0) for b in (-1.0, 1.0)
-                                      for p in ((0.0, a / phi, b * phi), (a / phi, b * phi, 0.0),
-                                                (b * phi, 0.0, a / phi))])
     corners = np.array(CUBE_CORNERS, float) / 2.0 + 0.5
     rng = default_rng(55)
     t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 17))
     return ([fixtures.cube(), fixtures.right_prism(), fixtures.regular_tetrahedron(),
-             fixtures.flat_tetrahedron_10(), fixtures.perturbed_cube(), hull_from_points(dodeca),
+             fixtures.flat_tetrahedron_10(), fixtures.perturbed_cube(), hull_from_points(DODECAHEDRON),
              hull_from_points(corners + 1e-10 * default_rng(0).standard_normal((8, 3))),
-             hull_from_points(dodeca + 1e-10 * default_rng(3).standard_normal((20, 3))),
+             hull_from_points(DODECAHEDRON + 1e-10 * default_rng(3).standard_normal((20, 3))),
              # Qhull's pentagons hold vertices more than tol * diameter off their
-             # first triangle's plane; the facet route tests every merged plane
-             hull_from_points(dodeca + 1e-9 * default_rng(3).standard_normal((20, 3))),
+             # first triangle's plane; the facets hold their triangles' corners
+             hull_from_points(DODECAHEDRON + 1e-9 * default_rng(3).standard_normal((20, 3))),
              # right planar angles, no right dihedral angle
              hull_from_points([(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0), (0.2, 0.1, 1)]),
              hull_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.4, 1)]),
