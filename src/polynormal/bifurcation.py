@@ -18,19 +18,19 @@ and counts from interval membership, not from samples.
 Chambers are cut along the same rows only where a region is undecided, so
 each cell lies outside every region or inside its closure, and its count is
 read from the rows at its vertices, not sampled.
-All cells share one stacked vertex array: a face's signed distances are one
-product, ``reduceat`` over the cell starts gives each cell's rows above eps
-and below -eps somewhere, and a row cuts all its straddled cells in one
-batch, which changes only those cells' entries.  Every cell vertex carries
-a bitmask of the geometric planes it lies on (region rows and facet planes
-of P, coincident ones merged), so a cut crosses only the (plus, minus)
-vertex pairs that share dim - 1 planes; these include every cell edge.
-The crossings and the on-plane vertices are sorted by angle in the plane
-and pruned by rounds of chord tests, which drop twins and collinear points,
-with no point set rounded to a grid.  A cell's volume comes from its facet
-polygons, each on a region row or a facet plane of P: the sum of facet area
-times the distance from the cell's vertex mean, over dim.  No chamber step
-calls Qhull.
+All cells share one stacked vertex array: a face's rows and their negations
+give one product, whose ``logical_or.reduceat`` over the cell starts is a
+boolean table of each cell's rows above eps and below -eps somewhere; a row
+cuts all its straddled cells in one batch, which changes only their entries.
+Every cell vertex carries a bitmask of the geometric planes it lies on
+(region rows and facet planes of P, coincident ones merged), so a cut
+crosses only the (plus, minus) vertex pairs that share dim - 1 planes; these
+include every cell edge.  The crossings and the on-plane vertices are sorted
+by angle in the plane and pruned by rounds of chord tests, which drop twins
+and collinear points, with no point set rounded to a grid.  A cell's volume
+comes from its facet polygons, each on a region row or a facet plane of P:
+the sum of facet area times the distance from the cell's vertex mean, over
+dim.  No chamber step calls Qhull.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import InvariantViolation, NonTransversal, TooManyChambers
+from .geometry import _cross
 from .normals import MorseProfile, count_normals_batch, perturb_to_generic
 
 PLANE_TOL = 1e-9        # coincidence of sheet planes: normal cosine and offset
@@ -228,7 +229,7 @@ def _plane_basis(normals):
     t = np.where(np.abs(n[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     u = t - (t * n).sum(axis=-1, keepdims=True) * n
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return np.stack([u, np.cross(n, u)], axis=-2)
+    return np.stack([u, _cross(n, u)], axis=-2)
 
 
 def _plane_groups(P):
@@ -388,7 +389,7 @@ class _Cells:
 
 
 def _cut(cells, cut, r, face, basis, eps):
-    """Cut cells ``cut`` (ascending) along row r of ``face = (G, c)``; returns the halves' sign words.
+    """Cut cells ``cut`` (ascending) along row r of ``face = (G, c)``; returns the halves' sign rows.
 
     A cut polygon's candidates are the crossings of the (plus, minus) vertex
     pairs that share dim - 1 plane groups, which include every cell edge,
@@ -396,8 +397,8 @@ def _cut(cells, cut, r, face, basis, eps):
     minus half, then its plus half: the strict side's vertices in order,
     then the section ring.  The rows of ``cells.verts`` and ``cells.on`` are
     gathered once from the old rows and the ring's; the face's rows are
-    evaluated on the cut cells and rings only.  The sign words (see
-    ``_split_face``) come as two arrays, the minus halves' and the plus
+    evaluated on the cut cells and rings only.  The sign rows (see
+    ``_split_face``) come as two tables, the minus halves' and the plus
     halves'.
     """
     G, c = face
@@ -426,7 +427,7 @@ def _cut(cells, cut, r, face, basis, eps):
     for side, (rank, count), at in zip(sides, halves, (first, first + n_lo)):
         block[at[local[side]] + rank] = np.flatnonzero(side)
         block[(at + count)[section_cell] + section_rank] = len(X) + np.arange(len(ring))
-    signs = np.take((np.concatenate([S, _distances(section, G, c)]) > eps).view(np.uint64), block, axis=0)
+    signs = np.take(np.concatenate([S, _distances(section, G, c)]) > eps, block, axis=0)
     # each output row comes from [old rows; ring rows]; other cells keep their
     # rows, shifted by what the cuts before them added
     grow = np.zeros(len(sizes), dtype=int)
@@ -438,30 +439,26 @@ def _cut(cells, cut, r, face, basis, eps):
     cells.verts = np.take(np.concatenate([verts, section]), src, axis=0)
     cells.on = np.take(np.concatenate([on, _incidence(section, cells.planes)]), src, axis=0)
     cells.sizes = _replace(sizes, cut, n_lo, n_hi)
-    words = np.bitwise_or.reduceat(signs, np.column_stack([first, first + n_lo]).ravel())
-    return words[0::2], words[1::2]
+    sign = np.logical_or.reduceat(signs, np.column_stack([first, first + n_lo]).ravel())
+    return sign[0::2], sign[1::2]
 
 
-def _split_face(cells, face, full, bases, eps, cap):
-    """Cut the cells along the rows of one face (``_faces``), in order; returns the cells' sign words.
+def _split_face(cells, face, bases, eps, cap):
+    """Cut the cells along the rows of one face (``_faces``), in order; returns the cells' sign rows.
 
-    A cell's sign words hold one byte per row of ``face``, 1 where the row
-    exceeds eps at some cell vertex: the first half says which rows are
-    above eps somewhere, the second which are below -eps somewhere.  A cell
-    straddling row r is cut only while the face is not *out* on it (some
-    row <= eps at every cell vertex).  The words are taken once over all
-    cells; a cut replaces only the cut cells' words, by their halves'.
+    A cell's sign row says, for each of the face's 2k rows, whether it
+    exceeds eps at some cell vertex: its first k entries mark the rows above
+    eps somewhere, the last k the rows below -eps somewhere.  A cell is open
+    (the face is not *out* on it) when its first k entries are all set, and
+    it is cut along row r when it is open and entry k + r is set.  The table
+    is taken once over all cells; a cut replaces only the cut cells' rows.
     """
-    words = len(full)
-    sign = np.bitwise_or.reduceat((_distances(cells.verts, *face) > eps).view(np.uint64),
-                                  np.cumsum(cells.sizes) - cells.sizes)
-    for r in range(len(bases)):
-        if r == 0 or len(cut):  # the words changed
-            open_ = sign[:, 0] == full[0]
-            for w in range(1, words):
-                open_ &= sign[:, w] == full[w]
-            below = sign[:, words:].view(bool)
-        cut = np.flatnonzero(open_ & below[:, r])
+    k = len(bases)
+    sign = np.logical_or.reduceat(_distances(cells.verts, *face) > eps, np.cumsum(cells.sizes) - cells.sizes)
+    for r in range(k):
+        if r == 0 or len(cut):  # the table changed
+            open_ = sign[:, :k].all(axis=1)
+        cut = np.flatnonzero(open_ & sign[:, k + r])
         if len(cut):
             sign = _replace(sign, cut, *_cut(cells, cut, r, face, bases[r], eps))
         if len(cells.sizes) > cap:
@@ -470,24 +467,15 @@ def _split_face(cells, face, full, bases, eps, cap):
 
 
 def _faces(P):
-    """Each face's rows as ``_split_face`` takes them: ((G, c), full, bases) per face, in order.
+    """Each face's rows as ``_split_face`` takes them: ((G, c), bases) per face, in order.
 
-    G holds the face's k rows padded with zero rows to a multiple of 8, then
-    the same rows negated, and c their offsets; ``full`` is the uint64 view
-    of the first half's real-row mask, ``bases`` the rows' plane bases.
+    G holds the face's k region rows, then the same rows negated, and c
+    their offsets; ``bases`` are the k rows' plane bases.
     """
     G, c, rows = P._region_rows[:3]
-    k = np.diff(rows)
-    pad = -(-k // 8) * 8
-    ends = np.cumsum(2 * pad)
-    at = np.repeat(ends - 2 * pad - rows[:-1], k) + np.arange(len(G))
-    neg = at + np.repeat(pad, k)
-    Gp, cp, real = np.zeros((ends[-1], P.dim)), np.zeros(ends[-1]), np.zeros(ends[-1], dtype=bool)
-    Gp[at], cp[at], real[at], Gp[neg], cp[neg] = G, c, True, -G, -c
     bases = _plane_basis(G)
-    return [((Gp[a:b], cp[a:b]), real[a:a + n].view(np.uint64), bases[r0:r1])
-            for a, b, n, r0, r1 in zip((ends - 2 * pad).tolist(), ends.tolist(), pad.tolist(),
-                                       rows[:-1].tolist(), rows[1:].tolist())]
+    return [((np.concatenate([G[a:b], -G[a:b]]), np.concatenate([c[a:b], -c[a:b]])), bases[a:b])
+            for a, b in zip(rows[:-1].tolist(), rows[1:].tolist())]
 
 
 def split_by_planes(P, cap=10**6):
@@ -501,8 +489,8 @@ def split_by_planes(P, cap=10**6):
     """
     eps = 1e-12 * max(1.0, P.diameter)
     cells = _Cells(P)
-    for face, full, bases in _faces(P):
-        _split_face(cells, face, full, bases, eps, cap)
+    for face, bases in _faces(P):
+        _split_face(cells, face, bases, eps, cap)
     ends = np.cumsum(cells.sizes).tolist()
     return [cells.verts[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
@@ -596,17 +584,16 @@ def _measure_cells(P, verts, sizes):
     starts = np.cumsum(sizes) - sizes
     volumes, means = np.empty(len(sizes)), np.empty((len(sizes), dim))
     inside = np.empty((len(sizes), len(rows) - 1), dtype=bool)
-    blocks = np.unique(np.append(np.searchsorted(starts, np.arange(0, len(verts), BLOCK)), len(sizes)))
+    blocks = np.append(np.searchsorted(starts, np.arange(0, len(verts), BLOCK)), len(sizes))
+    blocks = blocks[np.diff(blocks, prepend=-1) != 0]  # np.unique would import numpy.ma
     bounds = np.append(starts, len(verts))[blocks]
     buffer = np.empty((np.diff(bounds).max(), len(Q)))  # reused: no fresh pages per block
     for c0, c1, v0, v1 in zip(blocks[:-1], blocks[1:], bounds[:-1], bounds[1:]):
         st = starts[c0:c1] - v0
         S = np.matmul(verts[v0:v1], Q.T, out=buffer[:v1 - v0])
         S -= q
-        # whether a row exceeds eps somewhere on a cell: its bits OR-ed over the cell
-        hit = np.bitwise_or.reduceat(np.packbits(S[:, :len(G)] > eps, axis=1), st)
-        inside[c0:c1] = np.logical_and.reduceat(
-            np.unpackbits(hit, axis=1, count=len(G)).view(bool), rows[:-1], axis=1)
+        inside[c0:c1] = np.logical_and.reduceat(np.logical_or.reduceat(S[:, :len(G)] > eps, st),
+                                                rows[:-1], axis=1)
         means[c0:c1] = np.add.reduceat(verts[v0:v1], st) / sizes[c0:c1, None]
         fc, fp, v, n_on = _facets(S, st, sizes[c0:c1], dim, eps)
         area = _polygon_areas(verts[v0 + v[:, None], np.repeat(cols[fp], n_on, axis=0)], n_on)

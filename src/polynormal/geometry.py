@@ -138,11 +138,10 @@ class RegionRows(NamedTuple):
     The rows are the face tests without their positive normalisations (the
     per-face fixed divisor is ``scale``: facet diameter, edge length, 1).
     ``K`` has the rows ``(g, -c)`` for ``K @ [y, 1]``, laid out for
-    counting, every row once: one run per row count k among the facets and
-    vertices, holding row r of each of its faces in block r; ``runs`` lists
-    (k, faces) with faces indexed facets first, then vertices.  The edges'
-    four rows follow the same way, then two frame rows per edge orthogonal
-    to it.
+    counting, every row once and no other: one run per row count k among
+    the facets and vertices, holding row r of each of its faces in block r;
+    ``runs`` lists (k, faces) with faces indexed facets first, then vertices.
+    The edges' four rows follow the same way.
     """
 
     G: np.ndarray
@@ -278,7 +277,7 @@ class Polytope:
         # diameters over all vertex pairs, the facets of one size at a time
         W = V[self._cycle_next] - V[i]
         if self.dim == 3:
-            W = np.cross(self.facet_normals[self._cycle_facet], W)
+            W = _cross(self.facet_normals[self._cycle_facet], W)
         W /= np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]
         diameters = np.empty(len(rims))
         for f, ids in self._facet_stacks:
@@ -292,25 +291,21 @@ class Polytope:
         # per family (facets, edges in 3-D, vertices): rows, offsets, rows per face, divisors
         families = [(W, (W[:, None, :] @ V[i][:, :, None])[:, 0, 0], rims, diameters),
                     (U, offsets, sizes, np.ones(len(V)))]
-        frame = np.zeros((0, self.dim + 1))
         if self.dim == 3:
             d, a, h, L = self._edge_dir, self._edge_origin, self._edge_support, self._edge_len
             da = np.einsum("ed,ed->e", d, a)
             c = np.column_stack([da, -da - L, np.einsum("ekd,ed->ek", h, a)]).ravel()
             families.insert(1, (np.stack([d, -d, h[:, 0], h[:, 1]], axis=1).reshape(-1, 3), c,
                                 np.full(len(d), 4), L))
-            u = h[:, 0] - np.einsum("ed,ed->e", h[:, 0], d)[:, None] * d
-            u /= np.linalg.norm(u, axis=1)[:, None]
-            u = np.stack([u, np.cross(d, u)])
-            frame = np.column_stack([u.reshape(-1, 3), -np.einsum("fed,ed->fe", u, a).ravel()])
         G, c, sizes, scale = (np.concatenate(x) for x in zip(*families))
         starts = np.concatenate([[0], np.cumsum(sizes)])
         F, nf = len(rims), len(sizes)
         faces = np.r_[:F, nf - len(V):nf]  # facets, then vertices
-        runs = tuple((k, np.flatnonzero(sizes[faces] == k)) for k in np.unique(sizes[faces]))
+        runs = tuple((k, np.flatnonzero(sizes[faces] == k))
+                     for k in np.flatnonzero(np.bincount(sizes[faces])))
         blocks = [(k, faces[f]) for k, f in runs] + [(4, np.arange(F, nf - len(V)))]
         order = np.concatenate([(starts[f] + np.arange(k)[:, None]).ravel() for k, f in blocks])
-        K = np.vstack([np.column_stack([G[order], -c[order]]), frame])
+        K = np.column_stack([G[order], -c[order]])
         dims = np.repeat(np.arange(self.dim - 1, -1, -1), [len(f[2]) for f in families])
         return RegionRows(G, c, starts, dims, K, runs, scale)
 

@@ -10,16 +10,15 @@ unstable count.
 One row table drives counting and chambers alike: ``Polytope._region_rows``
 (facet rims; edge slab ``+-d`` and support rows; vertex edge directions),
 built once per body.  ``_blocks`` takes one product of each block of points
-with it and a min over each face's rows.  The signs of the minima decide
-``active``: each family's normalisation (facet margins by the facet
-diameter, edge slab margins by the edge length and support margins by the
-distance |w| to the edge line, vertex margins by |y - v|) is a positive
-divisor.  ``near`` (within the fixed margins REL_MARGIN and CONE_MARGIN of
-the test's boundary) is computed in full, but only on the minima that pass a
-necessary bound, so it is exact.  ``count_normals_batch`` reduces each block
-to its counts and flags, so memory is held per block; single-face records,
-full record lists and ``perturb_to_generic`` read the whole mask table of
-``_face_tests``.
+with exactly these rows and a min over each face's rows.  The signs of the
+minima decide ``active``: each family's normalisation (the facet diameter;
+the edge length, or the distance |w| to the edge line; |y - v|) is positive.
+``near`` (within the fixed margins REL_MARGIN and CONE_MARGIN of the test's
+boundary) is computed in full, but only on the minima that pass a necessary
+bound, so it is exact; |w| and |y - v| are taken from coordinates there only.
+``count_normals_batch`` reduces each block to its counts and flags, so memory
+is held per block; single-face records, full record lists and
+``perturb_to_generic`` read the whole mask table of ``_face_tests``.
 """
 
 from __future__ import annotations
@@ -125,12 +124,13 @@ def _block_masks(P, S1, Yb, act, nr):
     ``near`` is the normalised band: facet margins over the facet diameter,
     edge slab margins over the edge length and support margins over |w|,
     vertex margins over |y - v|, each within REL_MARGIN or CONE_MARGIN of 0.
-    The divisions run only on entries that pass a necessary bound on the raw
-    minimum: 2 REL_MARGIN scale for facet and slab rows, CONE_MARGIN reach
-    for cone rows.  reach is twice the extent of the block and the vertices,
-    and at least 2: it bounds |y - v| and |w| with room for their rounding,
-    and the divisor 1 taken at a zero norm.  On those entries the formula is
-    the full one, so both masks are exact, for points outside P too.
+    Only entries that pass a necessary bound on the raw minimum are divided,
+    and only there are |w| (the distance to the edge line) and |y - v| taken
+    from coordinates: 2 REL_MARGIN scale for facet and slab rows, CONE_MARGIN
+    reach for cone rows.  reach is twice the extent of the block and the
+    vertices, and at least 2: it bounds |y - v| and |w| with room for their
+    rounding, and the divisor 1 taken at a zero norm.  On those entries the
+    formula is the full one, so both masks are exact, for points outside P too.
     """
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
@@ -141,7 +141,7 @@ def _block_masks(P, S1, Yb, act, nr):
     for k, faces in T.runs:
         m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
         col += k * len(faces)
-    d, nd, h0, h1, u0, u1 = S1[col:].reshape(6, E, n)
+    d, nd, h0, h1 = S1[col:].reshape(4, E, n)
     rel, cone = m[F + V:].reshape(2, E, n)
     np.minimum(d, nd, out=rel)
     np.minimum(h0, h1, out=cone)
@@ -158,13 +158,16 @@ def _block_masks(P, S1, Yb, act, nr):
     if not len(i):
         return
     a, b = np.searchsorted(i, [F, F + V])
-    f, v, e = i[:a], i[a:b] - F, (i[b:] - F - V) % max(E, 1)  # slab and support rows to edges
-    fp, vp, ep = p[:a], p[a:b], p[b:]
+    f, v, fp, vp = i[:a], i[a:b] - F, p[:a], p[a:b]
     nr[f, fp] = np.abs(m[f, fp] / T.scale[f]) < REL_MARGIN
     vn = np.sqrt(sum((P.vertices[v, j] - Yb[j, vp]) ** 2 for j in range(P.dim)))
     nr[F + E + v, vp] = np.abs(m[F + v, vp] / np.where(vn == 0.0, 1.0, vn)) < CONE_MARGIN
+    if b == len(i):  # no edge entry is a candidate, as in 2-D
+        return
+    e, ep = (i[b:] - F - V) % E, p[b:]  # slab and support rows to edges
     r = rel[e, ep] / T.scale[F + e]
-    wn = np.sqrt(u0[e, ep] * u0[e, ep] + u1[e, ep] * u1[e, ep])  # |w|, the offset from the edge line
+    z, u = Yb[:, ep] - P._edge_origin[e].T, P._edge_dir[e].T
+    wn = np.linalg.norm(z - (z * u).sum(axis=0) * u, axis=0)  # |w|, the distance to the edge line
     c = cone[e, ep] / np.where(wn == 0.0, 1.0, wn)
     nr[F + e, ep] = (((np.abs(r) < REL_MARGIN) & (c > -CONE_MARGIN))
                      | ((np.abs(c) < CONE_MARGIN) & (r > -REL_MARGIN)))

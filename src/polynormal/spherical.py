@@ -39,7 +39,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import Borderline, NonSimpleVertex, NotGeneric, NotSimple, ValidationError
-from .geometry import contains_interior, right_angle_defect, unit
+from .geometry import _cross, contains_interior, right_angle_defect, unit
 from .normals import _random_unit
 
 RIGHT = np.pi / 2
@@ -51,7 +51,7 @@ RIGHT_ANGLE_TOL = 1e-9  # dihedral/planar angles this close to pi/2 are not gene
 
 def _arcs(x, y):
     """Row-wise geodesic distances between unit vectors, robust near 0 and pi."""
-    n = np.cross(x, y)
+    n = _cross(x, y)
     return np.arctan2(np.sqrt(n[:, None, :] @ n[:, :, None]), x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
@@ -139,7 +139,7 @@ def spherical_project(x, y, z):
     midpoint is returned.
     """
     x, y, z = unit(x), unit(y), unit(z)
-    g = unit(np.cross(y, z))
+    g = unit(_cross(y, z))
     w = x - float(x @ g) * g
     nw = np.linalg.norm(w)
     if nw < 1e-12:
@@ -165,10 +165,10 @@ def witness_constraints(tri):
     """
     v = tri.verts
     y, z = v[[1, 2, 0]], v[[2, 0, 1]]
-    g = np.cross(y, z)
+    g = _cross(y, z)
     g /= np.linalg.norm(g, axis=1)[:, None]
     inward = np.where(np.einsum("ij,ij->i", g, v) > 0, 1.0, -1.0)[:, None] * g
-    projection = np.stack([np.cross(g, y), np.cross(z, g)], axis=1).reshape(6, 3)
+    projection = np.stack([_cross(g, y), _cross(z, g)], axis=1).reshape(6, 3)
     return np.vstack([inward, projection, v])
 
 
@@ -192,7 +192,7 @@ def _best_witness_enumeration(H):
     ns = np.linalg.norm(s, axis=1)
     keep = ns > 1e-9
     s = s[keep] / ns[keep, None]
-    t = np.cross(H[a] - H[b], H[b] - H[c])
+    t = _cross(H[a] - H[b], H[b] - H[c])
     nt = np.linalg.norm(t, axis=1)
     keep = nt > 1e-9
     t = t[keep] / nt[keep, None]
@@ -239,12 +239,12 @@ def _foot_of_right_angle(tri, a, b, c):
     """Z on arc (a->c) with the arc ZB orthogonal to BC at B, or None."""
     v = tri.verts
     t_bc = _tangents(v[b][None], v[c][None])[0]
-    g_ac = np.cross(v[a], v[c])
+    g_ac = _cross(v[a], v[c])
     n = np.linalg.norm(g_ac)
     if n < 1e-12:
         return None
     g_ac /= n
-    z = np.cross(t_bc, g_ac)
+    z = _cross(t_bc, g_ac)
     nz = np.linalg.norm(z)
     if nz < 1e-12:
         return None

@@ -40,16 +40,39 @@ def test_public_names_are_pinned():
     assert set(polynormal.__all__) == PUBLIC
 
 
-def test_tracer_extra_names_are_layer_functions():
-    # bench/spans.py wraps these by name; a refactor that renames or moves one
-    # would silently drop its spans and counters from a traced run
+def _bench_spans():
+    """bench/spans.py, loaded read-only."""
     spec = importlib.util.spec_from_file_location(
         "spans", Path(__file__).resolve().parent.parent / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_extra_names_are_layer_functions():
+    # bench/spans.py wraps these by name; a refactor that renames or moves one
+    # would silently drop its spans and counters from a traced run
+    spans = _bench_spans()
     assert spans.EXTRA
     for layer, names in spans.EXTRA.items():
         module = importlib.import_module(f"polynormal.{layer}")
         for name in names:
             fn = getattr(module, name, None)
             assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (layer, name)
+
+
+def test_tracer_counts_chamber_cells_and_counted_points():
+    # the bench counters are read at the layer boundary: a refactor that routes
+    # chambers around split_by_planes, or Monte Carlo around count_normals_batch,
+    # would zero them silently instead of failing
+    tracer = _bench_spans().Tracer()
+    P = polynormal.fixtures.perturbed_cube()
+    tracer.install(polynormal)
+    try:
+        tracer.active = True
+        polynormal.chamber_decomposition(P)
+        polynormal.monte_carlo_average(P, 1000)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["bifurcation.cells"] > 0
+    assert tracer.counts["normals.points"] >= 1000

@@ -727,7 +727,7 @@ def test_split_matches_all_pair_oracle():
 def test_split_carries_fresh_incidence_and_signs(cube, obtuse_triangle):
     # after every face the carried plane-group bitmask of each vertex, and
     # each cell's rows above eps and below -eps somewhere, equal a fresh test
-    # a pyramid over a 9-gon: its apex has 9 rows, two sign words
+    # a pyramid over a 9-gon: its apex has 9 rows
     pyramid = hull_from_points(np.array([(np.cos(t), np.sin(t), 0.0) for t in 2.0 * np.pi * np.arange(9) / 9]
                                         + [(0.1, 0.05, 1.3)]) + default_rng(3).normal(0.0, 1e-3, (10, 3)))
     bodies = [cube, fixtures.flat_tetrahedron_10(), obtuse_triangle, pyramid,
@@ -738,16 +738,16 @@ def test_split_carries_fresh_incidence_and_signs(cube, obtuse_triangle):
         Q, q, tol, bits, words = cells.planes
         word = np.searchsorted(words, np.arange(len(Q)), side="right") - 1
         G, c, rows = P._region_rows[:3]
-        for (face, full, bases), a, b in zip(bifurcation._faces(P), rows[:-1], rows[1:]):
-            sign = bifurcation._split_face(cells, face, full, bases, eps, 10**6)
+        for (face, bases), a, b in zip(bifurcation._faces(P), rows[:-1], rows[1:]):
+            sign = bifurcation._split_face(cells, face, bases, eps, 10**6)
             fresh = np.zeros_like(cells.on)
             for p in range(len(Q)):
                 fresh[np.abs(cells.verts @ Q[p] - q[p]) <= tol, word[p]] |= bits[p]
             assert np.array_equal(cells.on, fresh)
             S, starts = cells.verts @ G[a:b].T - c[a:b], np.cumsum(cells.sizes) - cells.sizes
-            carried = sign.view(bool).reshape(len(cells.sizes), 2, -1)[:, :, :b - a]
-            assert np.array_equal(carried[:, 0], np.maximum.reduceat(S, starts) > eps)
-            assert np.array_equal(carried[:, 1], np.minimum.reduceat(S, starts) < -eps)
+            assert sign.shape == (len(cells.sizes), 2 * (b - a))
+            assert np.array_equal(sign[:, :b - a], np.maximum.reduceat(S, starts) > eps)
+            assert np.array_equal(sign[:, b - a:], np.minimum.reduceat(S, starts) < -eps)
         cells_out = split_by_planes(P)
         assert [len(v) for v in cells_out] == cells.sizes.tolist()
         assert np.array_equal(np.concatenate(cells_out), cells.verts)

@@ -25,6 +25,19 @@ CUBE_PLANES = [([1, 0, 0], 1), ([-1, 0, 0], 1), ([0, 1, 0], 1),
                ([0, -1, 0], 1), ([0, 0, 1], 1), ([0, 0, -1], 1)]
 
 
+def test_cross_matches_numpy_bit_for_bit():
+    # _cross stands in for np.cross on stacked rows, single vectors and
+    # broadcast pairs, with the same rounding, underflow and overflow
+    rng = default_rng(21)
+    for ex, ey in [(a, b) for a in range(-300, 301, 100) for b in (-300, 0, 300)]:
+        x, y = rng.standard_normal((2, 40, 3)) * [[[10.0 ** ex]], [[10.0 ** ey]]]
+        for a, b in ((x, y), (x[0], y[0]), (x, y[0]), (x[:8, None], y[None, :5])):
+            with np.errstate(all="ignore"):
+                got, want = geometry._cross(a, b), np.cross(a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (ex, ey)
+
+
 def test_hull_regular_tetrahedron(regular_tetra):
     assert (regular_tetra.n_vertices, regular_tetra.n_edges, regular_tetra.n_facets) == (4, 6, 4)
     assert all(len(c) == 3 for c in regular_tetra.facet_cycles)

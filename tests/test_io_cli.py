@@ -320,7 +320,7 @@ def test_reading_off_does_not_load_scipy_optimize(tetra_off, tmp_path):
     # only chebyshev_center needs linprog and only hull_from_points needs Qhull:
     # reading an OFF or a halfspace file, drawing bodies from planes and the CLI
     # commands on an OFF file load neither scipy.optimize nor scipy.spatial,
-    # each step checked
+    # and the commands do not load numpy.ma either, each step checked
     import os
     import subprocess
     import sys
@@ -344,10 +344,10 @@ def test_reading_off_does_not_load_scipy_optimize(tetra_off, tmp_path):
             "for family in ('perturbed_prism', 'tangent_planes'):\n"
             "    polynormal.random_polytope(family, {}, default_rng(3)); print(loaded(), spatial())\n"
             "for argv in (['count', '--point', '0,0,0'], ['max'], ['average', '--exact'], ['classify']):\n"
-            "    assert main([*argv, '--quiet', sys.argv[1]]) == 0; print(spatial())\n")
+            "    assert main([*argv, '--quiet', sys.argv[1]]) == 0; print(spatial(), 'numpy.ma' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code, str(tetra_off), str(cube)],
                          capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split() == ["False"] * 13
+    assert out.stdout.split() == ["False"] * 17
 
 
 def _off_file(path, vertices, faces):

@@ -332,7 +332,7 @@ def _loop_facet_rims(P):
 def test_region_rows_facet_rims_match_loop_build(obtuse_triangle):
     # the array-built facet rows, offsets and diameters equal the edge-by-edge
     # build, also with one large facet among small ones, and the counting
-    # layout holds every row once: no padding columns
+    # layout holds every row once and nothing else: no padding or frame rows
     bodies = [fixtures.cube(), fixtures.generic_prism(seed=2), obtuse_triangle,
               fixtures.triangle_from_angles(1.2, 1.0), _ngon_body(200), _ngon_body(60, [0.2, 0.1, 1.5]),
               random_polytope("tangent_planes", {"k": 48}, default_rng(5))]
@@ -343,7 +343,7 @@ def test_region_rows_facet_rims_match_loop_build(obtuse_triangle):
             np.testing.assert_allclose(T.G[rows], w, rtol=0.0, atol=1e-14)
             np.testing.assert_allclose(T.c[rows], c, rtol=1e-14, atol=1e-14)
             np.testing.assert_allclose(T.scale[f], scale, rtol=1e-14)
-        assert T.K.shape == (len(T.G) + 2 * P.n_edges * (P.dim == 3), P.dim + 1)
+        assert T.K.shape == (len(T.G), P.dim + 1)
         runs = np.concatenate([faces for _, faces in T.runs])
         assert np.array_equal(np.sort(runs), np.arange(P.n_facets + P.n_vertices))
 
@@ -428,9 +428,13 @@ def _normalised_block_masks(P, S1, Yb, act, nr):
     fm = m[:F] / T.scale[:F, None]
     vn = np.sqrt(sum((P.vertices[:, j, None] - Yb[j]) ** 2 for j in range(P.dim)))
     vm = m[F:] / np.where(vn == 0.0, 1.0, vn)
-    d, nd, h0, h1, u0, u1 = S1[col:].reshape(6, E, n)
+    d, nd, h0, h1 = S1[col:].reshape(4, E, n)
     rel = np.minimum(d, nd) / T.scale[F:F + E, None]
-    wn = np.sqrt(u0 * u0 + u1 * u1)
+    if E:  # |w|, the distance to the edge line, from coordinates
+        z, u = Yb[:, None, :] - P._edge_origin.T[:, :, None], P._edge_dir.T[:, :, None]
+        wn = np.linalg.norm(z - (z * u).sum(axis=0) * u, axis=0)
+    else:
+        wn = np.ones((0, n))
     cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)
     act[:F], nr[:F] = fm > 0.0, np.abs(fm) < REL_MARGIN
     act[F:F + E] = (rel > 0.0) & (cone > 0.0)
