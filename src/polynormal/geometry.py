@@ -141,7 +141,8 @@ class RegionRows(NamedTuple):
     counting, every row once and no other: one run per row count k among
     the facets and vertices, holding row r of each of its faces in block r;
     ``runs`` lists (k, faces) with faces indexed facets first, then vertices.
-    The edges' four rows follow the same way.
+    The edges' four rows follow the same way, last, so ``K[:len(K) - 4E]``
+    holds the facet and vertex rows alone.
     """
 
     G: np.ndarray
@@ -533,6 +534,7 @@ def polytope_from_faces(V, faces, tol=DEFAULT_TOL):
 
 CLIP = 2 ** 14  # line-by-plane entries per block of the line clip (128 kB per array)
 BIG = 1e300  # masks a crossing out of a min or max
+FLAT_SLOPE = 1e-9  # a slope on a unit row (n, -b) / |(n, -b)| at most this is flat
 
 
 def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
@@ -553,12 +555,12 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
 
     Raises DegenerateInput on malformed input.  Raises Unbounded, before any
     emptiness test, when the normals span less than space or a line direction
-    +-d has <n, d> <= 1e-12 |(n, -b)| against every plane: the extreme rays of
-    a recession cone lie on such lines.  Raises Empty when no line holds an
-    edge longer than tol times the largest offset, when the vertices do not
-    bound a polytope on these planes (a 2-D one has fewer than 3), or when the
-    face lattice fails, as when a facet is flat at its 1e-7 * diameter rank
-    tolerance.
+    +-d has <n, d> <= FLAT_SLOPE |(n, -b)| against every plane: the extreme
+    rays of a recession cone lie on such lines.  Raises Empty when no line
+    holds an edge longer than tol times the largest offset, when an endpoint's
+    planes do not meet in one point, when the vertices do not bound a polytope
+    on these planes (a 2-D one has fewer than 3), or when the face lattice
+    fails, as when a facet is flat at its 1e-7 * diameter rank tolerance.
     """
     try:
         rows = [[*np.asarray(p[0], dtype=float), float(p[1])]
@@ -585,7 +587,10 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     # every endpoint's sorted plane triple (pair in 2-D), each once
     at = np.sort(np.column_stack([np.repeat(pair, 2, axis=0), ends.ravel()]), axis=1)
     at = at[np.unique(at @ m ** np.arange(dim - 1, -1, -1), return_index=True)[1]]
-    pts = np.linalg.solve(normals[at], offsets[at][..., None])[..., 0]
+    try:
+        pts = np.linalg.solve(normals[at], offsets[at][..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:  # a singular triple: its planes meet in no one point
+        raise Empty("an edge endpoint's planes do not meet in one point") from exc
     # endpoints closer than 1e-8 times the widest gap (max norm) are one vertex,
     # the first, which lies on every plane they were solved from
     gap = abs(pts[:, None] - pts).max(axis=2)
@@ -607,10 +612,14 @@ def _edges(normals, offsets, eps):
     Every line a + t d where two planes meet (in 2-D, every plane) is clipped
     by all planes, one block of lines at a time.  Along the line each plane has
     a slope s and an offset o, taken on its unit row (n, -b) / |(n, -b)|; the
-    line's interval runs from lo = max(-o / s) over s < 0 to hi = min(-o / s)
-    over s > 0, and a plane with s = 0 < o empties it.  Returns each edge's
-    planes (pairs in 3-D) and the planes attaining lo and hi.  Raises Unbounded
-    when some line direction +-d has s <= 1e-12 against every plane.
+    line's interval runs from lo = max(-o / s) over s < -FLAT_SLOPE to
+    hi = min(-o / s) over s > FLAT_SLOPE.  A plane with |s| <= FLAT_SLOPE is
+    flat: where three planes share a line, the third has a slope along it of
+    about 1e-17 from rounding, or about 1e-10 on a body with 1e-10 vertex
+    noise, and its crossing -o / s is noise.  A flat plane empties the line
+    only when o > eps.  Returns each edge's planes (pairs in 3-D) and the
+    planes attaining lo and hi.  Raises Unbounded when some line direction
+    +-d has s <= FLAT_SLOPE against every plane.
     """
     m, dim = normals.shape
     if dim == 3:
@@ -633,17 +642,17 @@ def _edges(normals, offsets, eps):
     for start in range(0, len(d), step):
         b = slice(start, start + step)
         s, o = rows[:, :-1] @ d[b].T, rows @ lines[b].T
-        if ((s.max(axis=0) <= 1e-12) | (s.min(axis=0) >= -1e-12)).any():
+        if ((s.max(axis=0) <= FLAT_SLOPE) | (s.min(axis=0) >= -FLAT_SLOPE)).any():
             raise Unbounded("halfspace intersection is unbounded")
         own = pair[b].T, np.arange(s.shape[1])
         s[own], o[own] = 0.0, -1.0  # a line's own planes do not clip it
-        up, down = s > 0.0, s < 0.0
+        up, down = s > FLAT_SLOPE, s < -FLAT_SLOPE
         flat = np.nonzero(~(up | down))
         s[flat] = 1.0
         w = o / s  # -t at each crossing; below, -lo = min(w) over s < 0, -hi = max(w) over s > 0
         lower, upper = w + BIG * ~down, w - BIG * ~up
         keep = lower.min(axis=0) - upper.max(axis=0) > eps
-        keep[flat[1][o[flat] > 0.0]] = False
+        keep[flat[1][o[flat] > eps]] = False
         e = np.flatnonzero(keep)
         found.append((pair[b][e], np.column_stack([lower[:, e].argmin(axis=0),
                                                    upper[:, e].argmax(axis=0)])))

@@ -10,19 +10,23 @@ unstable count.
 One row table drives counting and chambers alike: ``Polytope._region_rows``
 (facet rims; edge slab ``+-d`` and support rows; vertex edge directions),
 built once per body.  ``_blocks`` takes one product of each block of points
-with exactly these rows and a min over each face's rows.  The signs of the
-minima decide ``active``: each family's normalisation (the facet diameter;
-the edge length, or the distance |w| to the edge line; |y - v|) is positive.
+with these rows and a min over each face's rows.  The signs of the minima
+decide ``active``: each family's normalisation (the facet diameter; the edge
+length, or the distance |w| to the edge line; |y - v|) is positive.
 ``near`` (within the fixed margins REL_MARGIN and CONE_MARGIN of the test's
 boundary) is computed in full, but only on the minima that pass a necessary
 bound, so it is exact; |w| and |y - v| are taken from coordinates there only.
-``count_normals_batch`` reduces each block to its counts and flags, so memory
-is held per block; single-face records, full record lists and
-``perturb_to_generic`` read the whole mask table of ``_face_tests``.
+``count_normals_batch`` multiplies only the facet and vertex rows, the
+leading runs of the table, and in 3-D derives the saddles from the Morse
+identity minima - saddles + maxima = 2 (at interior points); it reduces each
+block to its counts and flags, so memory is held per block.  Single-face
+records, full record lists and ``perturb_to_generic`` read the whole mask
+table of ``_face_tests``, every family tested.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,99 +76,122 @@ def _face_tests(P, Y):
 
     ``active`` says the face's test holds (foot inside the face, offset inside
     its normal cone); ``near`` says the test lands within tolerance of its
-    boundary, where the count is unreliable.  Both come from ``_blocks``: the
-    signs of each face's row minima decide ``active``, and the normalised
+    boundary, where the count is unreliable.  Both come from ``_block_masks``:
+    the signs of each face's row minima decide ``active``, and the normalised
     margin is taken only where it can fall in the near band, so both are
-    exact.  This table holds the masks of every point, for the callers that
-    test one point; ``count_normals_batch`` holds one block's at a time.
+    exact.  This table holds the masks of every face and point, edges
+    included, for the callers that test one point; ``count_normals_batch``
+    holds one block's facet and vertex masks at a time.
     """
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
     active, near = np.empty((2, len(T.dims), len(Y)), dtype=bool)  # face-major, returned transposed
-    for lo, act, nr in _blocks(P, Y):
+    for lo, act, nr in _blocks(P, Y, T.K, _block_masks, len(T.dims)):
         active[:, lo:lo + act.shape[1]], near[:, lo:lo + act.shape[1]] = act, nr
     families = [F, len(T.dims) - V][:P.dim - 1]
     return list(zip(np.split(active.T, families, axis=1), np.split(near.T, families, axis=1)))
 
 
-def _blocks(P, Y):
-    """Yield (lo, active, near) for each BLOCK of points Y[lo:lo + BLOCK]: its face-major masks.
+def _blocks(P, Y, K, fill, faces):
+    """Yield (lo, active, near) for each BLOCK of points Y[lo:lo + BLOCK]: the face-major
+    masks, ``faces`` rows high, that ``fill`` reads off the block's product with the rows K.
 
-    Each block takes one product with the region rows.  The BLAS product
-    rounds differently for blocks of different widths, so the near points of
-    each block are tested again from a product summed in a fixed order, which
-    gives them the same masks in any batch.  The masks are reused from block
-    to block; read them before the next one.
+    K is ``RegionRows.K`` for every face (``_block_masks``) or its leading
+    runs for the facets and vertices only (``_extreme_masks``).  The BLAS
+    product rounds differently for blocks of different widths, so the near
+    points of each block are tested again from a product summed in a fixed
+    order, which gives them the same masks in any batch.  The masks are
+    reused from block to block; read them before the next one.
     """
-    T = P._region_rows
-    S = np.empty(len(T.K) * min(len(Y), BLOCK))  # reused: no fresh pages per block
-    masks = np.empty((2, len(T.dims), min(len(Y), BLOCK)), dtype=bool)
+    S = np.empty(len(K) * min(len(Y), BLOCK))  # reused: no fresh pages per block
+    masks = np.empty((2, faces, min(len(Y), BLOCK)), dtype=bool)
     for lo in range(0, len(Y), BLOCK):
         Yb = Y[lo:lo + BLOCK].T
         n = Yb.shape[1]
-        S1 = np.matmul(T.K, np.vstack([Yb, np.ones(n)]), out=S[:len(T.K) * n].reshape(-1, n))
+        S1 = np.matmul(K, np.vstack([Yb, np.ones(n)]), out=S[:len(K) * n].reshape(-1, n))
         act, nr = masks[:, :, :n]
-        _block_masks(P, S1, Yb, act, nr)
+        fill(P, S1, Yb, act, nr)
         flagged = np.flatnonzero(nr.any(axis=0))
         if len(flagged):
             Yf = Yb[:, flagged]
-            Sf = sum(T.K[:, j, None] * Yf[j] for j in range(P.dim)) + T.K[:, -1:]
-            fixed = np.empty((2, len(T.dims), len(flagged)), dtype=bool)
-            _block_masks(P, Sf, Yf, *fixed)
+            Sf = sum(K[:, j, None] * Yf[j] for j in range(P.dim)) + K[:, -1:]
+            fixed = np.empty((2, faces, len(flagged)), dtype=bool)
+            fill(P, Sf, Yf, *fixed)
             act[:, flagged], nr[:, flagged] = fixed
         yield lo, act, nr
 
 
-def _block_masks(P, S1, Yb, act, nr):
-    """Fill the face-major (active, near) masks of the points Yb (columns) from their
-    product S1 = K @ [Yb, 1] with the region rows.
+def _extreme_masks(P, S1, Yb, act, nr):
+    """Fill the (active, near) masks of the facets, then the vertices, for the points Yb
+    (columns) from S1, whose leading rows are the product of ``RegionRows.K``'s facet
+    and vertex runs with [Yb, 1]; return the reach it used.
 
     A face is active when the minimum over its rows is positive, and a
     positive divisor keeps that sign, so ``active`` reads the raw minima.
-    ``near`` is the normalised band: facet margins over the facet diameter,
-    edge slab margins over the edge length and support margins over |w|,
-    vertex margins over |y - v|, each within REL_MARGIN or CONE_MARGIN of 0.
+    ``near`` is the normalised band: facet margins over the facet diameter
+    within REL_MARGIN of 0, vertex margins over |y - v| within CONE_MARGIN.
     Only entries that pass a necessary bound on the raw minimum are divided,
-    and only there are |w| (the distance to the edge line) and |y - v| taken
-    from coordinates: 2 REL_MARGIN scale for facet and slab rows, CONE_MARGIN
-    reach for cone rows.  reach is twice the extent of the block and the
-    vertices, and at least 2: it bounds |y - v| and |w| with room for their
-    rounding, and the divisor 1 taken at a zero norm.  On those entries the
-    formula is the full one, so both masks are exact, for points outside P too.
+    and only there is |y - v| taken from coordinates: 2 REL_MARGIN scale for
+    facet rows, CONE_MARGIN reach for vertex rows.  reach is twice the extent
+    of the block and the vertices, and at least 2: it bounds |y - v| (and
+    |w|, the distance to an edge line) with room for its rounding, and the
+    divisor 1 taken at a zero norm.  On those entries the formula is the full
+    one, so both masks are exact, for points outside P too.
+    """
+    T = P._region_rows
+    F, n = P.n_facets, Yb.shape[1]
+    m, col = np.empty(act.shape), 0  # raw minima: a run of equal row counts at a time
+    for k, faces in T.runs:
+        m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
+        col += k * len(faces)
+    np.greater(m, 0.0, out=act)
+    X = np.concatenate([P.vertices, Yb.T])
+    extent = X.max(axis=0) - X.min(axis=0)
+    reach = 2.0 * max(1.0, math.sqrt(extent @ extent))
+    bound = np.concatenate([2.0 * REL_MARGIN * T.scale[:F],
+                            np.full(len(m) - F, CONE_MARGIN * reach)])
+    i, p = np.divmod(np.flatnonzero(np.abs(m) < bound[:, None]), n)
+    nr[:] = False
+    if not len(i):
+        return reach
+    a = np.searchsorted(i, F)
+    f, v, fp, vp = i[:a], i[a:], p[:a], p[a:]
+    nr[f, fp] = np.abs(m[f, fp] / T.scale[f]) < REL_MARGIN
+    vn = np.sqrt(sum((P.vertices[v - F, j] - Yb[j, vp]) ** 2 for j in range(P.dim)))
+    nr[v, vp] = np.abs(m[v, vp] / np.where(vn == 0.0, 1.0, vn)) < CONE_MARGIN
+    return reach
+
+
+def _block_masks(P, S1, Yb, act, nr):
+    """Fill the face-major (active, near) masks of every face, facets, edges (3-D), then
+    vertices, for the points Yb (columns) from their product S1 = K @ [Yb, 1] with all
+    the region rows.
+
+    The facets and vertices are ``_extreme_masks``'s.  An edge is active when
+    its slab minimum (over the rows +-d) and its support minimum are both
+    positive.  Its near band is the slab margin over the edge length and the
+    support margin over |w|, the distance to the edge line, each within
+    REL_MARGIN or CONE_MARGIN of 0; as for the other faces, it is taken in
+    full only where one raw minimum lies within its bound (2 REL_MARGIN
+    length, CONE_MARGIN reach), and only there is |w| taken from coordinates.
     """
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
     E, n = len(T.dims) - F - V, Yb.shape[1]
-    # raw minima, one row per test: each facet's and vertex's (a run of equal
-    # row counts at a time), then each edge's slab and support minima
-    m, col = np.empty((F + V + 2 * E, n)), 0
-    for k, faces in T.runs:
-        m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
-        col += k * len(faces)
-    d, nd, h0, h1 = S1[col:].reshape(4, E, n)
-    rel, cone = m[F + V:].reshape(2, E, n)
-    np.minimum(d, nd, out=rel)
-    np.minimum(h0, h1, out=cone)
-    pos = m > 0.0
-    act[:F], act[F + E:] = pos[:F], pos[F:F + V]
-    np.logical_and(pos[F + V:F + V + E], pos[F + V + E:], out=act[F:F + E])
-    # the near band, only on the minima within the bound of its test
-    X = np.concatenate([P.vertices, Yb.T])
-    reach = 2.0 * max(1.0, float(np.linalg.norm(X.max(axis=0) - X.min(axis=0))))
-    bound = np.concatenate([2.0 * REL_MARGIN * T.scale[:F], np.full(V, CONE_MARGIN * reach),
-                            2.0 * REL_MARGIN * T.scale[F:F + E], np.full(E, CONE_MARGIN * reach)])
-    i, p = np.divmod(np.flatnonzero(np.abs(m) < bound[:, None]), n)
-    nr[:] = False
-    if not len(i):
+    ext = np.empty((2, F + V, n), dtype=bool)
+    reach = _extreme_masks(P, S1, Yb, *ext)
+    act[:F], act[F + E:] = ext[0, :F], ext[0, F:]
+    nr[:F], nr[F + E:] = ext[1, :F], ext[1, F:]
+    if not E:  # a polygon has no edge family
         return
-    a, b = np.searchsorted(i, [F, F + V])
-    f, v, fp, vp = i[:a], i[a:b] - F, p[:a], p[a:b]
-    nr[f, fp] = np.abs(m[f, fp] / T.scale[f]) < REL_MARGIN
-    vn = np.sqrt(sum((P.vertices[v, j] - Yb[j, vp]) ** 2 for j in range(P.dim)))
-    nr[F + E + v, vp] = np.abs(m[F + v, vp] / np.where(vn == 0.0, 1.0, vn)) < CONE_MARGIN
-    if b == len(i):  # no edge entry is a candidate, as in 2-D
+    d, nd, h0, h1 = S1[len(S1) - 4 * E:].reshape(4, E, n)
+    rel, cone = np.minimum(d, nd), np.minimum(h0, h1)
+    np.logical_and(rel > 0.0, cone > 0.0, out=act[F:F + E])
+    e, ep = np.divmod(np.flatnonzero((np.abs(rel) < 2.0 * REL_MARGIN * T.scale[F:F + E, None])
+                                     | (np.abs(cone) < CONE_MARGIN * reach)), n)
+    nr[F:F + E] = False
+    if not len(e):
         return
-    e, ep = (i[b:] - F - V) % E, p[b:]  # slab and support rows to edges
     r = rel[e, ep] / T.scale[F + e]
     z, u = Yb[:, ep] - P._edge_origin[e].T, P._edge_dir[e].T
     wn = np.linalg.norm(z - (z * u).sum(axis=0) * u, axis=0)  # |w|, the distance to the edge line
@@ -194,20 +221,28 @@ def count_normals_batch(P, Y):
     Returns (minima, saddles, maxima, marginal): integer arrays of per-point
     counts plus a boolean mask of points sitting within tolerance of some
     active-region boundary (their counts are unreliable; perturb and retry).
-    Each block of points is reduced to its counts and flags as it is tested,
-    so memory is held per block, not per (face, point) pair.
+    Only the facet and vertex rows are multiplied: in 3-D the saddles follow
+    from the Morse identity m - s + M = 2, which holds at interior points
+    only, so the counts of points outside P are not normal counts.  Every
+    sheet bounds a facet or a vertex region (an edge's support rows are its
+    facets' rims, its slab rows its vertices' rows), so the facet and vertex
+    near bands flag every point whose derived count could be wrong.  Each
+    block of points is reduced to its counts and flags as it is tested, so
+    memory is held per block, not per (face, point) pair.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    T = P._region_rows
     F, V = P.n_facets, P.n_vertices
-    counts = np.zeros((3, len(Y)), dtype=np.int32)  # summed narrow, returned as int
+    E = len(T.dims) - F - V
+    counts = np.zeros((2, len(Y)), dtype=np.int32)  # summed narrow, returned as int
     marginal = np.empty(len(Y), dtype=bool)
-    families = [(0, 0, F), (1, F, -V), (2, -V, None)] if P.dim == 3 else [(0, 0, F), (2, F, None)]
-    for lo, act, nr in _blocks(P, Y):
+    for lo, act, nr in _blocks(P, Y, T.K[:len(T.K) - 4 * E], _extreme_masks, F + V):
         hi = lo + act.shape[1]
-        for i, a, b in families:
-            act[a:b].sum(axis=0, dtype=np.int32, out=counts[i, lo:hi])
+        act[:F].sum(axis=0, dtype=np.int32, out=counts[0, lo:hi])
+        act[F:].sum(axis=0, dtype=np.int32, out=counts[1, lo:hi])
         nr.any(axis=0, out=marginal[lo:hi])
-    minima, saddles, maxima = counts.astype(int)
+    minima, maxima = counts.astype(int)
+    saddles = minima + maxima - 2 if P.dim == 3 else np.zeros_like(minima)
     return minima, saddles, maxima, marginal
 
 

@@ -179,6 +179,51 @@ def test_needle_is_built_or_empty(eps):
     assert (P.n_vertices, P.n_edges, P.n_facets) == (4, 6, 4)
 
 
+@pytest.mark.parametrize("extra", [[([1, 1, 0], 2)], [([1, 1, 0], 2), ([1, 2, 0], 3)]])
+def test_rotated_cube_with_planes_through_an_edge_line(extra):
+    # redundant planes touching the unit cube along its edge x = y = 1 share that
+    # line with two facets: rotated, the third plane's slope along the line is
+    # rounding, about 1e-17, and it must read as flat, not as a crossing
+    from scipy.spatial.transform import Rotation
+
+    planes = [([1, 0, 0], 1), ([-1, 0, 0], 0), ([0, 1, 0], 1),
+              ([0, -1, 0], 0), ([0, 0, 1], 1), ([0, 0, -1], 0)] + extra
+    for seed in range(200):
+        R = Rotation.random(random_state=seed).as_matrix()
+        P = polytope_from_halfspaces([(R @ np.array(n, dtype=float), b) for n, b in planes])
+        assert (P.n_vertices, P.n_edges, P.n_facets) == (8, 12, 6)
+        assert abs(P.volume - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("noise_seed", [None, 3, 4, 5])
+def test_face_regions_build_where_their_rows_share_the_face_lines(regular_tetra, noise_seed):
+    # each face's active region within P is a halfspace body: P's facets plus the
+    # face's region rows (-G, -c).  Those rows pass through the face, so a facet
+    # region's rims share its edge lines with the facet and its neighbours.  With
+    # 1e-10 vertex noise on the dodecahedron the rims miss those lines by about
+    # 1e-10 in slope, which must read as flat.  Every region builds, and the
+    # volumes obey the integrated Morse identity: facets - edges + vertices = 2 Vol P
+    P = regular_tetra if noise_seed is None else hull_from_points(
+        DODECAHEDRON + 1e-10 * default_rng(noise_seed).standard_normal(DODECAHEDRON.shape))
+    T = P._region_rows
+    planes = list(zip(P.facet_normals, P.facet_offsets))
+    total = 0.0
+    for i, dim in enumerate(T.dims):
+        rows = slice(T.starts[i], T.starts[i + 1])
+        region = polytope_from_halfspaces(planes + list(zip(-T.G[rows], -T.c[rows])))
+        total += (-1) ** int(dim) * region.volume
+    assert abs(total - 2.0 * P.volume) < 1e-9 * P.volume
+
+
+def test_singular_endpoint_triple_is_empty(monkeypatch):
+    # an endpoint whose planes meet in no one point raises the typed Empty, never
+    # numpy's LinAlgError: here the clip is made to end the line where the
+    # planes x = 1 and y = 1 meet on the plane x = -1, parallel to the first
+    monkeypatch.setattr(geometry, "_edges", lambda *args: (np.array([[0, 2]]), np.array([[1, 1]])))
+    with pytest.raises(Empty):
+        polytope_from_halfspaces(CUBE_PLANES)
+
+
 def test_halfspace_vertices_lie_on_the_planes_they_are_solved_from():
     # a vertex lies on the planes it was solved from, and not on a plane that
     # passes within tol of it: tangent bodies with four planes copied at noise

@@ -132,14 +132,18 @@ def test_perturb_failure_budget(obtuse_triangle):
 
 
 def test_profile_invariants_random_bodies():
+    # the batch counter derives its saddles from m - s + M = 2, so the identity
+    # is checked on the face tests, which test every family, edges included
     rng = default_rng(21)
     bodies = [fixtures.regular_tetrahedron(), fixtures.cube(),
               fixtures.flat_tetrahedron_10(),
               hull_from_points(rng.standard_normal((12, 3)))]
     for P in bodies:
         pts = sample_interior(P, 300, rng)
-        m, s, M, marg = count_normals_batch(P, pts)
-        m, s, M = m[~marg], s[~marg], M[~marg]
+        tests = _face_tests(P, pts)
+        generic = ~np.any([near.any(axis=1) for _, near in tests], axis=0)
+        m, s, M = (active[generic].sum(axis=1) for active, _ in tests)
+        assert generic.sum() > 250
         assert ((m - s + M) == 2).all()
         assert ((m + s + M) == 2 + 2 * s).all()
         assert ((m + s + M) % 2 == 0).all()
@@ -567,6 +571,35 @@ def test_marginal_counts_do_not_depend_on_the_batch(obtuse_triangle):
             assert np.array_equal(got, np.concatenate(one))
         flagged += int(batch[3].sum())
     assert flagged > 300
+
+
+def test_derived_saddles_match_face_tests_at_hard_points():
+    # the batch counter multiplies only the facet and vertex rows and takes
+    # s = m + M - 2: at the interior hard points of _probe_points, its flags
+    # are among the face tests' (which add the edge bands), and wherever
+    # neither route flags, its counts are the face tests' mask sums
+    octahedron = hull_from_points([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                   (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    bodies = [fixtures.regular_tetrahedron(), fixtures.flat_tetrahedron_10(),
+              fixtures.flat_tetrahedron_12(), fixtures.four_normal_tetrahedron(), fixtures.cube(),
+              fixtures.perturbed_cube(), fixtures.generic_prism(seed=2), fixtures.right_prism(), octahedron]
+    rng = default_rng(46)
+    bodies += [random_polytope("tangent_planes", {"k": k}, rng) for k in (12, 12, 48, 48)]
+    bodies += [random_polytope(family, {}, rng)
+               for family in ["perturbed_tetra"] * 5 + ["perturbed_prism"] * 3]
+    points = flagged = 0
+    for P in bodies:
+        Y = np.vstack([_probe_points(P, rng), _probe_points(P, rng)])
+        Y = Y[(Y @ P.facet_normals.T <= P.facet_offsets - 1e-7 * max(1.0, P.diameter)).all(axis=1)]
+        m, s, M, marginal = count_normals_batch(P, Y)
+        tests = _face_tests(P, Y)
+        near = np.any([nr.any(axis=1) for _, nr in tests], axis=0)
+        assert not (marginal & ~near).any()
+        for got, (active, _) in zip((m, s, M), tests):
+            assert np.array_equal(got[~near], active[~near].sum(axis=1))
+        points += len(Y)
+        flagged += int(near.sum())
+    assert len(bodies) >= 20 and points > 8000 and flagged > 2000, (points, flagged)
 
 
 @settings(max_examples=12, deadline=None)
