@@ -7,9 +7,10 @@ or {"polygon": [[x,y],...]}; writing emits "vertices" (3-D) or "polygon"
 coincident face planes merge (so a triangulated facet is one facet), and
 every vertex must lie on at least three face planes and above none.  An OFF
 file with no faces and the JSON vertex lists go through the hull, where
-every listed vertex has to be a hull vertex.  Halfspace files are clipped
-plane by plane; only the hull loads scipy.spatial.  All three 3-D builds
-share geometry's facet route, so they give one body the same lattice.
+every listed vertex has to be a hull vertex.  The hull and the halfspace
+files share geometry's one vertex enumeration, and all three 3-D builds
+share its facet route, so they give one body the same lattice; no read
+loads scipy or numpy.ma.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def polytope_from_json(doc, tol=DEFAULT_TOL):
 def _from_convex_vertices(vertices, tol):
     P = hull_from_points(vertices, tol)
     scale = max(1.0, float(np.abs(vertices).max()))
-    distinct = len(np.unique(np.round(vertices / (1e-9 * scale)), axis=0))
+    # the return_index form: the plain np.unique(..., axis=0) imports numpy.ma
+    distinct = len(np.unique(np.round(vertices / (1e-9 * scale)), axis=0, return_index=True)[1])
     if P.n_vertices != distinct:
         raise ValidationError("input vertices are not in convex position")
     return P

@@ -8,15 +8,12 @@ are built from them on first use of ``Polytope.faces``.
 
 Every 3-D build (hull, OFF faces, halfspaces) ends in one route,
 ``_polytope_from_planes``, given vertices, candidate planes and the incidence
-the build knows (Qhull's triangles, OFF face planes, the planes a halfspace
-vertex is solved from): it takes planes through 3 vertices as facets, checks
-Euler's formula, sorts and refits the facets one size at a time, and raises
-the lattice's errors as the build's own error class.
-Halfspace input needs no interior point and no hull: every plane-pair line
-is clipped by all planes at once, and the endpoints of the surviving
-segments are solved from the planes that bound them.  Only
-``hull_from_points`` runs Qhull, so only it loads scipy.spatial; only
-``chebyshev_center`` solves an LP, so only it loads scipy.optimize.
+the build knows (OFF face planes, the planes a vertex is solved from): it
+takes planes through 3 vertices as facets, checks Euler's formula, sorts and
+refits the facets one size at a time, and raises the lattice's errors as the
+build's own error class.  Halfspaces and point clouds (through the polar)
+share one vertex enumeration, ``_clip``, with no interior point, hull or LP.
+No build loads scipy; only ``chebyshev_center`` loads scipy.optimize.
 
 Coordinates are double precision.  A single tolerance (default 1e-9, applied
 relative to the body's size wherever it guards an incidence test) rejects
@@ -40,7 +37,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-MERGE_ANGLE = 1e-7  # radians; hull triangles closer than this in normal direction merge
+MERGE_ANGLE = 1e-7  # radians; planes closer than this in normal direction merge, and meet in no line
 
 
 def unit(v):
@@ -379,11 +376,17 @@ class Polytope:
 
 
 def hull_from_points(points, tol=DEFAULT_TOL):
-    """Convex hull of a point set with a complete merged face lattice.
+    """Convex hull of a point set with a complete face lattice, as the polar of
+    Q = {y : <p - c, y> <= R}, c the points' mean and R the largest |p - c|.
 
-    Points interior to the hull are dropped.  Raises DegenerateInput unless the
-    points are finite (n, 2) or (n, 3) rows spanning the ambient dimension.
-    The only Qhull caller: scipy.spatial is imported on the first call.
+    Each vertex of Q (``_clip``, at scale 1: every offset R / |p - c| is at
+    least 1) is a facet of the hull, with outward normal along it; the points
+    whose planes hold a facet of Q (an edge in 2-D) are the vertices, in input
+    order, and the rest are dropped, a point at c too.  A point listed twice
+    counts once.  A polygon runs counterclockwise from its lowest-index vertex.
+    The cost is O(m^3) in the number of points m.  Raises DegenerateInput
+    unless the points are finite (n, 2) or (n, 3) rows spanning the ambient
+    dimension about c, else InvariantViolation on a failed clip or lattice.
     """
     pts = _float_rows(points, (2, 3), "points")
     dim = pts.shape[1]
@@ -393,20 +396,22 @@ def hull_from_points(points, tol=DEFAULT_TOL):
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[dim - 1] <= 1e-9 * max(1.0, sv[0]):
         raise DegenerateInput("points are affinely degenerate")
-    # imported here, so that reading OFF faces or halfspaces never loads scipy.spatial
-    from scipy.spatial import ConvexHull, QhullError
-
+    r = np.sqrt((centered[:, None, :] @ centered[:, :, None])[:, 0, 0])
+    keep = np.flatnonzero(r > 0.0)  # a point at c has no polar plane: it is interior
     try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:  # pragma: no cover - degeneracy is caught above
-        raise DegenerateInput(str(exc)) from exc
-    if dim == 2:
-        return _polygon_from_hull(pts, hull, tol)
-    return _polytope_from_hull_3d(pts, hull, tol)
-
-
-def _polygon_from_hull(pts, hull, tol):
-    return _polygon(pts[hull.vertices], tol, InvariantViolation)  # counterclockwise per scipy
+        Y, on, heads = _clip(centered[keep] / r[keep, None], r.max() / r[keep], tol, 1.0)
+    except Unbounded as exc:
+        raise DegenerateInput("points are affinely degenerate about their mean") from exc
+    except Empty as exc:
+        raise InvariantViolation(f"polar body: {exc}") from exc
+    on = on.T  # (point, facet): each vertex of Q is a facet of the hull
+    vertex = np.flatnonzero(on.sum(axis=1) >= dim)
+    ids = keep[heads[vertex]]
+    if dim == 3:
+        return _polytope_from_planes(pts[ids], on[vertex], Y, tol, InvariantViolation)
+    X = centered[ids]
+    order = np.argsort(np.arctan2(X[:, 1], X[:, 0]))
+    return _polygon(pts[ids[np.roll(order, -order.argmin())]], tol, InvariantViolation)
 
 
 def _polygon(V, tol, error):
@@ -424,15 +429,6 @@ def _built(error, *args):
         return Polytope(*args)
     except InvariantViolation as exc:
         raise error(str(exc)) from exc
-
-
-def _polytope_from_hull_3d(pts, hull, tol):
-    """Triangles merge at 1e-7 * diameter; a facet's vertices are its triangles' corners."""
-    eq, V = hull.equations, pts[hull.vertices]
-    facet, heads = _merge_planes(eq[:, :3], -eq[:, 3], max(1.0, _diameter(V)))
-    on = np.zeros((len(pts), len(heads)), dtype=bool)
-    on[hull.simplices, facet[:, None]] = True
-    return _polytope_from_planes(V, on[hull.vertices], eq[heads, :3], tol, InvariantViolation)
 
 
 def _merge_planes(normals, offsets, scale):
@@ -541,17 +537,9 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     """Vertex-enumerate the intersection P of halfspaces <n, x> <= b.
 
     ``planes`` is a sequence of (normal, offset) pairs or rows [n..., b].  No
-    interior point and no hull is needed.  Every edge of P lies on a line where
-    two planes meet (in 2-D, on one plane).  With the slopes and offsets of all
-    lines a + t d against all planes, taken in one product per block of lines,
-    each line's interval [lo, hi] is one masked max and min (``_edges``), and
-    the planes attaining them are the third planes of its two endpoints.
-    Coincident planes, by the hull's merge rule, count once.  Every endpoint
-    is solved from its sorted plane triple; endpoints closer than 1e-8 times
-    the widest gap between two of them are one vertex, the first, which lies
-    on every plane they were solved from.  In 3-D the facets follow from that
-    incidence (``_polytope_from_planes``).  The cost is O(m^3) in the number
-    of planes m.
+    interior point and no hull is needed: ``_clip`` finds the vertices and the
+    planes each lies on, and in 3-D the facets follow from that incidence
+    (``_polytope_from_planes``).  The cost is O(m^3) in the number of planes m.
 
     Raises DegenerateInput on malformed input.  Raises Unbounded, before any
     emptiness test, when the normals span less than space or a line direction
@@ -576,8 +564,27 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
     offsets = offsets / norms
     if np.linalg.matrix_rank(normals) < normals.shape[1]:
         raise Unbounded("halfspace intersection is unbounded")
-    # coincident planes, by the hull's merge rule, are one plane: the first
-    scale = max(1.0, np.abs(offsets).max())
+    V, on, heads = _clip(normals, offsets, tol, max(1.0, np.abs(offsets).max()))
+    if V.shape[1] == 3:
+        return _polytope_from_planes(V, on, normals[heads], tol, Empty)
+    if len(V) < 3:
+        raise Empty("halfspace intersection is flat: fewer than 3 vertices")
+    X = V - V.mean(axis=0)
+    return _polygon(V[np.argsort(np.arctan2(X[:, 1], X[:, 0]))], tol, Empty)
+
+
+def _clip(normals, offsets, tol, scale):
+    """The vertices of {x : <n, x> <= b} (unit normals n), their (vertex, plane)
+    incidence ``on`` and the indices ``heads`` of the planes ``on`` spans.
+
+    Coincident planes (``_merge_planes`` at 1e-7 scale) are one, the first.
+    Every line where two planes meet (in 2-D, every plane) is clipped by all
+    of them (``_edges``); each endpoint of a segment longer than tol scale is
+    solved from its sorted plane triple (pair in 2-D), and endpoints closer
+    than 1e-8 times the widest gap between two are one vertex, the first, on
+    every plane they were solved from.  Raises Unbounded from ``_edges``, and
+    Empty when no line holds an edge or an endpoint's planes meet in no point.
+    """
     heads = _merge_planes(normals, offsets, scale)[1]
     normals, offsets = normals[heads], offsets[heads]
     m, dim = normals.shape
@@ -591,19 +598,11 @@ def polytope_from_halfspaces(planes, tol=DEFAULT_TOL):
         pts = np.linalg.solve(normals[at], offsets[at][..., None])[..., 0]
     except np.linalg.LinAlgError as exc:  # a singular triple: its planes meet in no one point
         raise Empty("an edge endpoint's planes do not meet in one point") from exc
-    # endpoints closer than 1e-8 times the widest gap (max norm) are one vertex,
-    # the first, which lies on every plane they were solved from
     gap = abs(pts[:, None] - pts).max(axis=2)
     vertex, first = _first_of(gap <= 1e-8 * gap.max())
-    V = pts[first]
-    if dim == 3:
-        on = np.zeros((len(V), m), dtype=bool)
-        on[vertex[:, None], at] = True
-        return _polytope_from_planes(V, on, normals, tol, Empty)
-    if len(V) <= dim:
-        raise Empty("halfspace intersection is flat: fewer than 3 vertices")
-    X = V - V.mean(axis=0)
-    return _polygon(V[np.argsort(np.arctan2(X[:, 1], X[:, 0]))], tol, Empty)
+    on = np.zeros((len(first), m), dtype=bool)
+    on[vertex[:, None], at] = True
+    return pts[first], on, heads
 
 
 def _edges(normals, offsets, eps):

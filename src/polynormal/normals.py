@@ -85,11 +85,11 @@ def _face_tests(P, Y):
     """
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
-    active, near = np.empty((2, len(T.dims), len(Y)), dtype=bool)  # face-major, returned transposed
+    active, near = np.empty((2, len(T.dims), len(Y)), dtype=bool)  # as _block_masks lays them out
     for lo, act, nr in _blocks(P, Y, T.K, _block_masks, len(T.dims)):
         active[:, lo:lo + act.shape[1]], near[:, lo:lo + act.shape[1]] = act, nr
-    families = [F, len(T.dims) - V][:P.dim - 1]
-    return list(zip(np.split(active.T, families, axis=1), np.split(near.T, families, axis=1)))
+    families = [slice(0, F), slice(F + V, None)][:P.dim - 1] + [slice(F, F + V)]  # _face_keys order
+    return [(active[f].T, near[f].T) for f in families]
 
 
 def _blocks(P, Y, K, fill, faces):
@@ -163,41 +163,38 @@ def _extreme_masks(P, S1, Yb, act, nr):
 
 
 def _block_masks(P, S1, Yb, act, nr):
-    """Fill the face-major (active, near) masks of every face, facets, edges (3-D), then
-    vertices, for the points Yb (columns) from their product S1 = K @ [Yb, 1] with all
-    the region rows.
+    """Fill the face-major (active, near) masks of every face, facets, vertices, then
+    edges (3-D), for the points Yb (columns) from their product S1 = K @ [Yb, 1] with
+    all the region rows.
 
-    The facets and vertices are ``_extreme_masks``'s.  An edge is active when
-    its slab minimum (over the rows +-d) and its support minimum are both
-    positive.  Its near band is the slab margin over the edge length and the
-    support margin over |w|, the distance to the edge line, each within
-    REL_MARGIN or CONE_MARGIN of 0; as for the other faces, it is taken in
-    full only where one raw minimum lies within its bound (2 REL_MARGIN
+    The facets and vertices are ``_extreme_masks``'s, in place.  An edge is
+    active when its slab minimum (over the rows +-d) and its support minimum
+    are both positive.  Its near band is the slab margin over the edge length
+    and the support margin over |w|, the distance to the edge line, each
+    within REL_MARGIN or CONE_MARGIN of 0; as for the other faces, it is taken
+    in full only where one raw minimum lies within its bound (2 REL_MARGIN
     length, CONE_MARGIN reach), and only there is |w| taken from coordinates.
     """
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
     E, n = len(T.dims) - F - V, Yb.shape[1]
-    ext = np.empty((2, F + V, n), dtype=bool)
-    reach = _extreme_masks(P, S1, Yb, *ext)
-    act[:F], act[F + E:] = ext[0, :F], ext[0, F:]
-    nr[:F], nr[F + E:] = ext[1, :F], ext[1, F:]
+    reach = _extreme_masks(P, S1, Yb, act[:F + V], nr[:F + V])
     if not E:  # a polygon has no edge family
         return
     d, nd, h0, h1 = S1[len(S1) - 4 * E:].reshape(4, E, n)
     rel, cone = np.minimum(d, nd), np.minimum(h0, h1)
-    np.logical_and(rel > 0.0, cone > 0.0, out=act[F:F + E])
+    np.logical_and(rel > 0.0, cone > 0.0, out=act[F + V:])
     e, ep = np.divmod(np.flatnonzero((np.abs(rel) < 2.0 * REL_MARGIN * T.scale[F:F + E, None])
                                      | (np.abs(cone) < CONE_MARGIN * reach)), n)
-    nr[F:F + E] = False
+    nr[F + V:] = False
     if not len(e):
         return
     r = rel[e, ep] / T.scale[F + e]
     z, u = Yb[:, ep] - P._edge_origin[e].T, P._edge_dir[e].T
     wn = np.linalg.norm(z - (z * u).sum(axis=0) * u, axis=0)  # |w|, the distance to the edge line
     c = cone[e, ep] / np.where(wn == 0.0, 1.0, wn)
-    nr[F + e, ep] = (((np.abs(r) < REL_MARGIN) & (c > -CONE_MARGIN))
-                     | ((np.abs(c) < CONE_MARGIN) & (r > -REL_MARGIN)))
+    nr[F + V + e, ep] = (((np.abs(r) < REL_MARGIN) & (c > -CONE_MARGIN))
+                         | ((np.abs(c) < CONE_MARGIN) & (r > -REL_MARGIN)))
 
 
 def _records(P, dim, faces, y):

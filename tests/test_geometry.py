@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from polynormal import explorer, fixtures, geometry
 from polynormal.errors import DegenerateInput, Empty, InvariantViolation, Unbounded, ValidationError
 from polynormal.fileio import read_polytope, write_polytope
 from polynormal.geometry import (
-    MERGE_ANGLE,
     Polytope,
     chebyshev_center,
     cone_contains,
@@ -55,11 +55,40 @@ def test_hull_drops_interior_points():
     assert P.n_vertices == 8
 
 
+def test_hull_drops_a_point_at_the_mean_and_repeated_points():
+    # a point at the mean has no polar plane and is dropped, and a point next
+    # to it, whose polar plane lies far out, leaves the clip's tolerances as
+    # they are; a point listed twice counts once, at its first listing
+    cube = np.array(CUBE_CORNERS, float)
+    for pts in ([*cube, (0, 0, 0)], [*cube, (1e-12, 3e-13, -7e-13)], np.vstack([cube, cube]),
+                np.repeat(cube, 2, axis=0)):
+        P = hull_from_points(pts)
+        assert (P.n_vertices, P.n_edges, P.n_facets) == (8, 12, 6)
+        assert np.array_equal(P.vertices, cube)
+    for s in range(20):  # the centroid appended: at the mean, or an ulp or so off it
+        pts = default_rng([4, s]).standard_normal((4 + s % 9, 3))
+        P, Q = hull_from_points(pts), hull_from_points(np.vstack([pts, pts.mean(axis=0)]))
+        assert np.array_equal(P.vertices, Q.vertices) and np.array_equal(P.facet_normals, Q.facet_normals)
+    for pts in (default_rng(4).standard_normal((15, 3)), default_rng(4).standard_normal((9, 2))):
+        P, Q = hull_from_points(pts), hull_from_points(np.vstack([pts, pts[::-1]]))
+        assert np.array_equal(P.vertices, Q.vertices) and np.array_equal(P.facet_normals, Q.facet_normals)
+
+
 def test_hull_rejects_degenerate_input():
     with pytest.raises(DegenerateInput):
         hull_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     with pytest.raises(DegenerateInput):
         hull_from_points([(0, 0), (1, 1), (2, 2)])
+    # just above the SVD flatness threshold the polar body is a needle: the
+    # build may fail, but only with the hull's own classes
+    square = [(-1, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)]
+    for h in (1.01e-9, 2e-9, 5e-9, 1e-8, 3e-8, 1e-7, 3e-7):
+        for pts in (np.array(CUBE_CORNERS) * [1, 1, h], default_rng(1).standard_normal((12, 3)) * [1, 1, h],
+                    np.array(square + [(0.1, 0.2, h)]), np.array(square + [(0.1, 0.2, h / 2), (0, 0, -h / 2)])):
+            try:
+                hull_from_points(pts)
+            except (DegenerateInput, InvariantViolation):
+                pass
 
 
 CUBE_CORNERS = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
@@ -84,9 +113,6 @@ def test_malformed_construction_input_raises_degenerate_input(monkeypatch, build
     def solver(*args, **kwargs):
         raise AssertionError("a solver ran on malformed input")
 
-    import scipy.spatial
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", solver)
     for name in ("solve", "svd", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, solver)
     monkeypatch.setattr(geometry, "_edges", solver)
@@ -597,62 +623,6 @@ def test_collinear_facet_raises_at_construction():
         Polytope(V, n, (V @ n.T).max(axis=0), cycles)
 
 
-def _loop_polygon(pts, hull, tol):
-    """The 2-D hull build edge by edge (reference for the stacked build)."""
-    order = hull.vertices  # counterclockwise per scipy
-    V = pts[order]
-    k = len(V)
-    normals, offsets, cycles = [], [], []
-    for i in range(k):
-        a, b = V[i], V[(i + 1) % k]
-        d = b - a
-        n = unit(np.array([d[1], -d[0]]))
-        normals.append(n)
-        offsets.append(float(n @ a))
-        cycles.append([i, (i + 1) % k])
-    return Polytope(V, normals, offsets, cycles, tol)
-
-
-def _loop_hull_3d(pts, hull, tol):
-    """The 3-D hull build triangle by triangle and facet by facet: greedy merge
-    into the first matching group, then per facet the angular sort, the Newell
-    refit, the flip and the offset (reference for the stacked build)."""
-    used = hull.vertices
-    remap = -np.ones(len(pts), dtype=int)
-    remap[used] = np.arange(len(used))
-    V = pts[used]
-    tris = remap[hull.simplices]
-    tri_n = hull.equations[:, :3]
-    tri_b = -hull.equations[:, 3]
-    scale = max(1.0, float(np.linalg.norm(V.max(0) - V.min(0))))
-    cos_merge = np.cos(MERGE_ANGLE)
-    groups = []  # (normal, offset, set of vertex ids)
-    for t in range(len(tris)):
-        n, b = tri_n[t], tri_b[t]
-        for g in groups:
-            if n @ g[0] >= cos_merge and abs(b - g[1]) <= 1e-7 * scale:
-                g[2].update(int(v) for v in tris[t])
-                break
-        else:
-            groups.append((n.copy(), float(b), {int(v) for v in tris[t]}))
-    normals, offsets, cycles = [], [], []
-    for n, b, vset in groups:
-        ids = np.array(sorted(vset), dtype=int)
-        center = V[ids].mean(axis=0)
-        u1 = unit(V[ids[0]] - center)
-        u2 = np.cross(n, u1)
-        ang = np.arctan2((V[ids] - center) @ u2, (V[ids] - center) @ u1)
-        cycle = ids[np.argsort(ang)]
-        poly = V[cycle]
-        n_fit = unit(np.cross(poly, np.roll(poly, -1, axis=0)).sum(axis=0))
-        if n_fit @ n < 0:
-            n_fit, cycle = -n_fit, cycle[::-1]
-        normals.append(n_fit)
-        offsets.append(float(np.mean(V[cycle] @ n_fit)))
-        cycles.append(cycle)
-    return Polytope(V, normals, offsets, cycles, tol)
-
-
 def _loop_right_angle_defect(P, tol):
     """The right-angle test edge by edge and corner by corner (reference)."""
     for e in range(P.n_edges):
@@ -663,6 +633,70 @@ def _loop_right_angle_defect(P, tol):
             if abs(planar_angle(P, f, int(v)) - np.pi / 2) < tol:
                 return f"right planar angle at facet {f}, vertex {v}"
     return None
+
+
+def _hull_clouds():
+    """Point clouds for the Qhull oracle: regular bodies, with and without noise,
+    perturbed tetrahedra, prism vertex sets, Gaussian and sphere clouds, the
+    vertices of tangent-plane bodies, and polygons."""
+    rng = default_rng(55)
+    corners = np.array(CUBE_CORNERS, float) / 2.0 + 0.5
+    clouds = [np.array(CUBE_CORNERS, float), ICOSAHEDRON, DODECAHEDRON,
+              corners + 1e-10 * default_rng(0).standard_normal((8, 3)),
+              np.array([(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0), (0.2, 0.1, 1)], float)]
+    clouds += [DODECAHEDRON + eps * default_rng([3, s]).standard_normal((20, 3))
+               for eps in (1e-10, 1e-9) for s in range(3)]
+    clouds += [explorer._TETRA_BASE + 0.35 * rng.standard_normal((4, 3)) for _ in range(60)]
+    clouds += [explorer.random_polytope("perturbed_prism", {}, default_rng([9, i])).vertices
+               for i in range(15)]
+    for n in (6, 10, 20, 40, 92):
+        g, u = rng.standard_normal((2, n, 3))
+        clouds += [g, u / np.linalg.norm(u, axis=1)[:, None]]
+    clouds += [explorer.random_polytope("tangent_planes", {"k": k}, default_rng([5, k])).vertices
+               for k in range(4, 25, 2)]
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 17))
+    clouds += [np.column_stack([np.cos(t), np.sin(t)])]
+    clouds += [default_rng([2, s]).standard_normal((3 + s % 15, 2)) for s in range(30)]
+    return clouds
+
+
+def test_hull_matches_qhull_oracle():
+    # the polar build gives Qhull's vertices bit for bit, in input order (a
+    # polygon in Qhull's counterclockwise cycle, started at its lowest input
+    # index); its facets are Qhull's coplanar triangles merged, with their
+    # vertex sets, its volume is Qhull's within 1e-12 relative (plus, on the
+    # noisy clouds, the merged facets' spread off their triangles' planes), and
+    # its facet normals are the triangles' summed area vectors (the Newell
+    # normal of the facet) within 1e-12
+    for pts in _hull_clouds():
+        P, hull = hull_from_points(pts), ConvexHull(pts)
+        if P.dim == 2:
+            k = int(hull.vertices.argmin())
+            assert np.array_equal(P.vertices, pts[np.roll(hull.vertices, -k)])
+            assert abs(P.volume - hull.volume) <= 1e-12 * hull.volume
+            continue
+        assert np.array_equal(P.vertices, pts[hull.vertices])
+        # Qhull's triangles grouped by plane; an edge is one between two groups
+        eq = hull.equations
+        scale = max(1.0, P.diameter)
+        same = (eq[:, :3] @ eq[:, :3].T >= 1.0 - 1e-13) & (abs(eq[:, 3, None] - eq[:, 3]) <= 1e-7 * scale)
+        group = np.unique(same.argmax(axis=1), return_inverse=True)[1]
+        edges = (group[:, None] != group[hull.neighbors]).sum() // 2
+        assert (P.n_vertices, P.n_edges, P.n_facets) == (len(hull.vertices), edges, group.max() + 1)
+        # a merged facet of a noisy cloud is off the true hull by its corners' spread off-plane
+        member = np.zeros((len(pts), group.max() + 1), dtype=bool)
+        member[hull.simplices, group[:, None]] = True
+        off = np.abs(pts @ eq[:, :3].T + eq[:, 3])[member[:, group]].max()
+        assert abs(P.volume - hull.volume) <= 1e-12 * hull.volume + off * hull.area
+        a, b, c = (pts[hull.simplices[:, i]] for i in range(3))
+        area = np.cross(b - a, c - a)
+        area *= np.sign((area * eq[:, :3]).sum(axis=1))[:, None]
+        ids = np.flatnonzero(np.isin(np.arange(len(pts)), hull.vertices))
+        for f, cycle in enumerate(P.facet_cycles):
+            g = group[np.isin(hull.simplices, ids[cycle]).all(axis=1)]
+            assert len(g) and (g == g[0]).all()
+            assert set(np.unique(hull.simplices[group == g[0]])) == set(ids[cycle])
+            assert np.abs(P.facet_normals[f] - unit(area[group == g[0]].sum(axis=0))).max() <= 1e-12
 
 
 def _hull_corpus():
@@ -689,15 +723,12 @@ def _hull_corpus():
                for family in ("perturbed_tetra", "perturbed_prism", "vertex_cloud") for _ in range(6)])
 
 
-def test_stacked_hull_and_right_angle_test_match_loops(monkeypatch):
-    # the stacked hull builds and right-angle test give the loops' facets, cycles
-    # (where each starts too), normals, offsets and verdicts bit for bit; the
-    # right prism's cycles hang on a tie at angle +-pi, the pyramid and the
-    # corner tetrahedron reach the planar angles, and the random bodies are
-    # drawn through each side's right-angle test
+def test_stacked_right_angle_test_matches_loop(monkeypatch):
+    # the stacked right-angle test gives the loop's verdicts; the right prism's
+    # cycles hang on a tie at angle +-pi, the pyramid and the corner
+    # tetrahedron reach the planar angles, and the random bodies are drawn
+    # through each side's right-angle test, so they are the same bodies
     new = _hull_corpus()
-    monkeypatch.setattr(geometry, "_polytope_from_hull_3d", _loop_hull_3d)
-    monkeypatch.setattr(geometry, "_polygon_from_hull", _loop_polygon)
     monkeypatch.setattr(explorer, "right_angle_defect", _loop_right_angle_defect)
     for P, Q in zip(new, _hull_corpus(), strict=True):
         pairs = [(P.vertices, Q.vertices), (P.facet_normals, Q.facet_normals),

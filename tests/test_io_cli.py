@@ -317,10 +317,11 @@ def test_cli_quiet(tetra_off, capsys):
 
 
 def test_reading_off_does_not_load_scipy_optimize(tetra_off, tmp_path):
-    # only chebyshev_center needs linprog and only hull_from_points needs Qhull:
-    # reading an OFF or a halfspace file, drawing bodies from planes and the CLI
-    # commands on an OFF file load neither scipy.optimize nor scipy.spatial,
-    # and the commands do not load numpy.ma either, each step checked
+    # only chebyshev_center needs linprog, and no build needs Qhull: reading an
+    # OFF, a halfspace, a vertex-list or a faceless OFF file, drawing bodies
+    # from planes or points and the CLI commands on an OFF or a vertex-list
+    # file load neither scipy.optimize nor scipy.spatial, and the reads and
+    # commands do not load numpy.ma either, each step checked
     import os
     import subprocess
     import sys
@@ -331,6 +332,10 @@ def test_reading_off_does_not_load_scipy_optimize(tetra_off, tmp_path):
     cube = tmp_path / "cube_planes.json"
     cube.write_text(json.dumps({"halfspaces": [[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 0, 1],
                                                [0, -1, 0, 1], [0, 0, 1, 1], [0, 0, -1, 1]]}))
+    corners = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+    listed = tmp_path / "tetra_vertices.json"
+    listed.write_text(json.dumps({"vertices": corners}))
+    faceless = _off_file(tmp_path / "tetra_points.off", corners, [])
     src = str(Path(polynormal.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, polynormal\n"
@@ -338,16 +343,21 @@ def test_reading_off_does_not_load_scipy_optimize(tetra_off, tmp_path):
             "from polynormal.cli import main\n"
             "loaded = lambda: 'scipy.optimize' in sys.modules\n"
             "spatial = lambda: 'scipy.spatial' in sys.modules\n"
+            "ma = lambda: 'numpy.ma' in sys.modules\n"
             "print(spatial())\n"
             "polynormal.read_polytope(sys.argv[1]); print(loaded(), spatial())\n"
             "assert polynormal.read_polytope(sys.argv[2]).n_vertices == 8; print(loaded(), spatial())\n"
-            "for family in ('perturbed_prism', 'tangent_planes'):\n"
-            "    polynormal.random_polytope(family, {}, default_rng(3)); print(loaded(), spatial())\n"
+            "for path in sys.argv[3:]:\n"
+            "    assert polynormal.read_polytope(path).n_vertices == 4; print(loaded(), spatial(), ma())\n"
+            "for family in ('perturbed_prism', 'tangent_planes', 'perturbed_tetra', 'vertex_cloud'):\n"
+            "    polynormal.random_polytope(family, {}, default_rng(3)); print(loaded(), spatial(), ma())\n"
             "for argv in (['count', '--point', '0,0,0'], ['max'], ['average', '--exact'], ['classify']):\n"
-            "    assert main([*argv, '--quiet', sys.argv[1]]) == 0; print(spatial(), 'numpy.ma' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code, str(tetra_off), str(cube)],
-                         capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split() == ["False"] * 17
+            "    assert main([*argv, '--quiet', sys.argv[1]]) == 0; print(spatial(), ma())\n"
+            "for argv in (['count', '--point', '0,0,0'], ['max'], ['classify']):\n"
+            "    assert main([*argv, '--quiet', sys.argv[3]]) == 0; print(spatial(), ma())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tetra_off), str(cube), str(listed),
+                          str(faceless)], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False"] * 37
 
 
 def _off_file(path, vertices, faces):

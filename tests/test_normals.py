@@ -421,7 +421,8 @@ def test_face_tests_match_loop_oracle(obtuse_triangle):
 
 
 def _normalised_block_masks(P, S1, Yb, act, nr):
-    """``_block_masks`` as earlier releases ran it: every margin normalised, then compared."""
+    """``_block_masks`` as earlier releases ran it: every margin normalised, then compared;
+    the masks laid out facets, vertices, edges."""
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
     E, n = len(T.dims) - F - V, Yb.shape[1]
@@ -441,10 +442,10 @@ def _normalised_block_masks(P, S1, Yb, act, nr):
         wn = np.ones((0, n))
     cone = np.minimum(h0, h1) / np.where(wn == 0.0, 1.0, wn)
     act[:F], nr[:F] = fm > 0.0, np.abs(fm) < REL_MARGIN
-    act[F:F + E] = (rel > 0.0) & (cone > 0.0)
-    nr[F:F + E] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
-                   | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
-    act[F + E:], nr[F + E:] = vm > 0.0, np.abs(vm) < CONE_MARGIN
+    act[F:F + V], nr[F:F + V] = vm > 0.0, np.abs(vm) < CONE_MARGIN
+    act[F + V:] = (rel > 0.0) & (cone > 0.0)
+    nr[F + V:] = (((np.abs(rel) < REL_MARGIN) & (cone > -CONE_MARGIN))
+                  | ((np.abs(cone) < CONE_MARGIN) & (rel > -REL_MARGIN)))
 
 
 def _cone_boundary_points(P, rng, reach):
