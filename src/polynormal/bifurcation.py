@@ -181,7 +181,7 @@ def _profiles(P, inside):
     dims = P._region_rows.dims
     slot = np.where(dims == 0, 2, P.dim - 1 - dims)  # minima, saddles, maxima
     counts = np.column_stack([inside[:, slot == k].sum(axis=1) for k in range(3)])
-    return [MorseProfile(*map(int, row)) for row in counts]
+    return [MorseProfile(*row) for row in counts.tolist()]
 
 
 def point_on_sheet(P, sheet, q):
@@ -623,8 +623,8 @@ def chamber_decomposition(P, cap=10**6):
     if abs(residual) > VOLUME_CHECK * P.volume:
         raise InvariantViolation(f"chamber volumes miss Vol P by {residual / P.volume:.3g} of it")
     keep = np.flatnonzero(volumes > MIN_REL_VOLUME * P.volume)
-    return [Chamber(cells[i], means[i], float(volumes[i]), p.total, p)
-            for i, p in zip(keep.tolist(), _profiles(P, inside[keep]))]
+    return [Chamber(cells[i], means[i], v, p.total, p)
+            for i, v, p in zip(keep.tolist(), volumes[keep].tolist(), _profiles(P, inside[keep]))]
 
 
 def spot_check_chamber(P, chamber, rng=None, samples=5):

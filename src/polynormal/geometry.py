@@ -308,16 +308,18 @@ class Polytope:
         return RegionRows(G, c, starts, dims, K, runs, scale)
 
     def _volume_centroid(self):
-        """Volume and centroid from the facet cycles, summed in cycle order: in 2-D a
-        shoelace over the polygon's edges, in 3-D the cones from the origin over each
-        facet's fan triangles."""
-        V = self.vertices
+        """Volume and centroid from the facet cycles, summed in cycle order about the
+        vertex mean o, so that rounding scales with the body's size, not with its
+        distance from the origin: in 2-D a shoelace over the polygon's edges, in 3-D
+        the cones from o over each facet's fan triangles."""
+        o = self.vertices.mean(axis=0)
+        V = self.vertices - o
         if self.dim == 2:
             (x, y), (xs, ys) = V[self.edges[:, 0]].T, V[self.edges[:, 1]].T
             cross = x * ys - xs * y
             area = cross.sum() / 2.0
             centroid = np.array([((x + xs) * cross).sum(), ((y + ys) * cross).sum()]) / (6.0 * area)
-            return abs(float(area)), centroid
+            return abs(float(area)), centroid + o
         rims, ids = self._rims, self._cycle_ids
         start = np.cumsum(rims) - rims
         k = np.arange(len(ids)) - np.repeat(start, rims)  # position in its cycle
@@ -326,7 +328,7 @@ class Polytope:
         v6 = (p0[:, None, :] @ _cross(p1, p2)[:, :, None])[:, 0, 0]
         vol = np.cumsum(v6)[-1] / 6.0
         centroid = np.cumsum(v6[:, None] * (p0 + p1 + p2), axis=0)[-1] / (24.0 * vol)
-        return float(vol), centroid
+        return float(vol), centroid + o
 
     # -- queries -----------------------------------------------------------
 
@@ -478,8 +480,9 @@ def _polytope_from_planes(V, on, outward, tol, error):
         u1 = _unit_rows(X[:, 0])
         u2 = _cross(n, u1)
         ang = np.arctan2((X @ u2[:, :, None])[..., 0], (X @ u1[:, :, None])[..., 0])
-        cycle = np.take_along_axis(ids[pos], np.argsort(ang, axis=1), axis=1)
-        poly = V[cycle]
+        order = np.argsort(ang, axis=1)
+        cycle = np.take_along_axis(ids[pos], order, axis=1)
+        poly = np.take_along_axis(X, order[:, :, None], axis=1)  # about the facet's mean
         fit = _unit_rows(np.cumsum(_cross(poly, np.roll(poly, -1, axis=1)), axis=1)[:, -1])
         normals[f], cycles[pos] = fit, cycle
         offsets[f] = (V[cycle] @ fit[:, :, None])[..., 0].mean(axis=1)
@@ -510,7 +513,7 @@ def polytope_from_faces(V, faces, tol=DEFAULT_TOL):
         raise ValidationError(f"face {flat[0]} is degenerate: its vertices span no plane")
     normals = np.empty((len(faces), 3))
     for f, pos in _by_size(sizes):
-        poly = V[ids[pos]]
+        poly = V[ids[pos]] - V[ids[pos]].mean(axis=1)[:, None]  # Newell sums about the face's mean
         normals[f] = _cross(poly, np.roll(poly, -1, axis=1)).sum(axis=1)
     centers = np.add.reduceat(V[ids], np.cumsum(sizes) - sizes) / sizes[:, None]
     normals = _unit_rows(normals)

@@ -19,9 +19,13 @@ bound, so it is exact; |w| and |y - v| are taken from coordinates there only.
 ``count_normals_batch`` multiplies only the facet and vertex rows, the
 leading runs of the table, and in 3-D derives the saddles from the Morse
 identity minima - saddles + maxima = 2 (at interior points); it reduces each
-block to its counts and flags, so memory is held per block.  Single-face
-records, full record lists and ``perturb_to_generic`` read the whole mask
-table of ``_face_tests``, every family tested.
+block to its counts and flags, so memory is held per block.  It first
+screens the points in single precision (``_screen``), about the body's
+vertex mean: a point whose every face minimum clears its near-band bound by
+more than a proven rounding bound is counted there, and only the others go
+through the double product, so every count and flag is the double path's.
+Single-face records, full record lists and ``perturb_to_generic`` read the
+whole mask table of ``_face_tests``, every family tested.
 """
 
 from __future__ import annotations
@@ -212,6 +216,59 @@ def _records(P, dim, faces, y):
             for f, p, s in zip(faces.tolist(), z, sq.tolist())]
 
 
+def _screen(P, Y, K, counts):
+    """Count in single precision the points Y whose facet and vertex minima all have a
+    certain sign, into ``counts``; return the indices of the other points, in order.
+
+    K holds the facet and vertex rows (g, -c).  Rows and points are taken
+    about the vertex mean o, each shift formed in double (c' = c - g.o,
+    y' = y - o), so the float32 product's rounding scales with the body's
+    size, not with its distance from the origin.  A point is certain when
+    every face minimum m satisfies |m| >= bound + err, with ``_extreme_masks``'s
+    candidate bound (reach taken from the block) and the block's error bound
+    err (``count_normals_batch``).
+    """
+    T = P._region_rows
+    F, dim, n_pts = P.n_facets, P.dim, len(Y)
+    o = P.vertices.mean(axis=0)
+    shifted = K[:, -1] + K[:, :-1] @ o  # -c'
+    K32 = np.column_stack([K[:, :-1], shifted]).astype(np.float32)
+    cmax, raw = float(np.abs(shifted).max()), float(np.abs(K[:, -1]).max() + np.abs(o).sum())
+    Yc = Y - o
+    Ya = np.empty((dim + 1, n_pts), dtype=np.float32)
+    Ya[:dim], Ya[dim] = Yc.T, 1.0
+    vlo, vhi = P.vertices.min(axis=0) - o, P.vertices.max(axis=0) - o
+    bound = np.concatenate([2.0 * REL_MARGIN * T.scale[:F], np.zeros(P.n_vertices)])
+    S = np.empty(len(K) * min(n_pts, BLOCK), dtype=np.float32)  # reused from block to block
+    m = np.empty((len(bound), min(n_pts, BLOCK)), dtype=np.float32)
+    pos = np.empty(m.shape, dtype=bool)
+    unsure = []
+    for lo in range(0, n_pts, BLOCK):
+        Yb = Yc[lo:lo + BLOCK]
+        n = len(Yb)
+        ynorm = float(np.abs(Yb).sum(axis=1).max())
+        if not ynorm + cmax < 2.0 ** 100:  # beyond single precision's range, or not finite
+            unsure.append(np.arange(lo, lo + n))
+            continue
+        extent = np.maximum(Yb.max(axis=0), vhi) - np.minimum(Yb.min(axis=0), vlo)
+        reach = 2.0 * max(1.0, math.sqrt(extent @ extent))
+        thr = bound + 8.0 * 2.0 ** -24 * (ynorm + cmax) + 16.0 * 2.0 ** -53 * (ynorm + raw)
+        thr[F:] += CONE_MARGIN * reach
+        S1 = np.matmul(K32, Ya[:, lo:lo + n], out=S[:len(K) * n].reshape(-1, n))
+        mb, pb, col = m[:, :n], pos[:, :n], 0
+        for k, faces in T.runs:
+            mb[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
+            col += k * len(faces)
+        np.greater(mb, 0.0, out=pb)
+        pb[:F].sum(axis=0, dtype=np.int32, out=counts[0, lo:lo + n])
+        pb[F:].sum(axis=0, dtype=np.int32, out=counts[1, lo:lo + n])
+        np.greater_equal(np.abs(mb, out=mb), thr.astype(np.float32)[:, None], out=pb)
+        sure = pb.all(axis=0)
+        if not sure.all():
+            unsure.append(lo + np.flatnonzero(~sure))
+    return np.concatenate(unsure) if unsure else np.zeros(0, dtype=int)
+
+
 def count_normals_batch(P, Y):
     """Vectorized normal counting for many interior points at once.
 
@@ -226,18 +283,47 @@ def count_normals_batch(P, Y):
     near bands flag every point whose derived count could be wrong.  Each
     block of points is reduced to its counts and flags as it is tested, so
     memory is held per block, not per (face, point) pair.
+
+    Each block is first multiplied in float32 (``_screen``), rows and points
+    taken about the vertex mean o.  For a row (g, -c) with unit g, the
+    float32 value of g.y' - c' (y' = y - o and c' = c - g.o, each formed in
+    double) differs from g.y - c, and from the double product of ``_blocks``,
+    by at most
+
+        err = 8 u (max |y'|_1 + max |c'|) + 16 v (max |y'|_1 + |o|_1 + max |c|)
+
+    over the block, u = 2^-24 and v = 2^-53 the unit roundoffs.  The first
+    term holds the input rounding of g, y' and c' to single (one u each) and
+    the summation of dim + 1 terms in any order, gamma_(dim+1) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1); together
+    at most gamma_6 < 6.01 u.  The second term holds the shift's own
+    rounding, forming y' and c' in double, and the double product's,
+    gamma_(dim+1) in v each.  A minimum over a face's rows moves by no more
+    than its rows do.  A point is certain when every face minimum m reads
+    |m| >= bound + err, bound being ``_extreme_masks``'s candidate bound
+    (2 REL_MARGIN scale for facets, CONE_MARGIN reach for vertices).  The
+    double minimum then has m's sign and lies beyond twice the near band, so
+    the double path counts the point the same and does not flag it; the
+    factor 2 also absorbs the rounding of the threshold to single.  Every
+    other point is counted afterwards, in one batch, by the double path
+    (``_blocks`` with ``_extreme_masks``, fixed-order recount included), so
+    the counts and flags equal the double path's however the batch is cut.
+    Batches of fewer than BLOCK points go to the double path whole.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     T = P._region_rows
     F, V = P.n_facets, P.n_vertices
     E = len(T.dims) - F - V
+    K = T.K[:len(T.K) - 4 * E]
     counts = np.zeros((2, len(Y)), dtype=np.int32)  # summed narrow, returned as int
-    marginal = np.empty(len(Y), dtype=bool)
-    for lo, act, nr in _blocks(P, Y, T.K[:len(T.K) - 4 * E], _extreme_masks, F + V):
-        hi = lo + act.shape[1]
-        act[:F].sum(axis=0, dtype=np.int32, out=counts[0, lo:hi])
-        act[F:].sum(axis=0, dtype=np.int32, out=counts[1, lo:hi])
-        nr.any(axis=0, out=marginal[lo:hi])
+    marginal = np.zeros(len(Y), dtype=bool)
+    # under a block the screen's set-up costs about what it saves
+    settle = _screen(P, Y, K, counts) if len(Y) >= BLOCK else np.arange(len(Y))
+    for lo, act, nr in _blocks(P, Y[settle], K, _extreme_masks, F + V):
+        at = settle[lo:lo + act.shape[1]]
+        counts[0, at] = act[:F].sum(axis=0)
+        counts[1, at] = act[F:].sum(axis=0)
+        marginal[at] = nr.any(axis=0)
     minima, maxima = counts.astype(int)
     saddles = minima + maxima - 2 if P.dim == 3 else np.zeros_like(minima)
     return minima, saddles, maxima, marginal

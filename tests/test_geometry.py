@@ -16,6 +16,7 @@ from polynormal.geometry import (
     hull_from_points,
     inner_normal_cone,
     planar_angle,
+    polytope_from_faces,
     polytope_from_halfspaces,
     right_angle_defect,
     unit,
@@ -503,8 +504,10 @@ def test_diameter_equals_pair_loop():
 
 
 def _loop_faces(P):
-    """Face fields, volume and centroid built vertex by vertex, edge by edge and facet by facet."""
+    """Face fields, volume and centroid built vertex by vertex, edge by edge and facet by facet;
+    volume and centroid summed about the vertex mean o."""
     V, faces = P.vertices, {d: [] for d in range(P.dim)}
+    o = V.mean(axis=0)
     for v in range(len(V)):
         dirs = [unit(V[sum(P.edges[e]) - v] - V[v]) for e in P.vertex_edges[v]]
         faces[0].append((0, v, np.array([v]), V[v].copy(), -P.facet_normals[P.vertex_facets[v]],
@@ -525,22 +528,22 @@ def _loop_faces(P):
             nxt = [w for e in P.edges if order[-1] in e for w in e if w not in (order[-1], prev)]
             prev = order[-1]
             order.append(int(nxt[0]))
-        x, y = V[order].T
+        x, y = (V[order] - o).T
         xs, ys = np.roll(x, -1), np.roll(y, -1)
         cross = x * ys - xs * y
         area = cross.sum() / 2.0
         return faces, abs(float(area)), np.array([((x + xs) * cross).sum() / (6.0 * area),
-                                                  ((y + ys) * cross).sum() / (6.0 * area)])
+                                                  ((y + ys) * cross).sum() / (6.0 * area)]) + o
     vol, moment = 0.0, np.zeros(3)
     for cycle in P.facet_cycles:
-        p0 = V[cycle[0]]
+        p0 = V[cycle[0]] - o
         for i in range(1, len(cycle) - 1):
-            p1, p2 = V[cycle[i]], V[cycle[i + 1]]
+            p1, p2 = V[cycle[i]] - o, V[cycle[i + 1]] - o
             v6 = float(np.dot(p0, np.cross(p1, p2)))
             vol += v6
             moment += v6 * (p0 + p1 + p2)
     vol /= 6.0
-    return faces, vol, moment / (24.0 * vol)
+    return faces, vol, moment / (24.0 * vol) + o
 
 
 def _lattice_corpus():
@@ -578,6 +581,34 @@ def test_lazy_faces_volume_centroid_match_loop_build():
         assert np.array_equal(T.c[rows], np.concatenate([U @ v for _, _, _, v, _, U in faces[0]]))
         if P.dim == 3:
             assert np.array_equal(P._edge_support, np.array([w[5] for w in faces[1]]))
+
+
+def test_far_bodies_build_by_points_and_faces():
+    # volume and centroid are summed about the vertex mean, and the Newell
+    # normals cross coordinates less each facet's mean, so a body moved 1e3 to
+    # 1e6 from the origin builds by points and by OFF faces with the volume it
+    # has at home; the tetrahedron's chambers tile it at 1e4
+    from polynormal.bifurcation import chamber_decomposition, exact_average, max_normals
+
+    d = unit([1.0, -2.0, 0.3])
+    polygon = hull_from_points(default_rng(3).standard_normal((9, 2)))
+    bases = [fixtures.regular_tetrahedron(), fixtures.generic_prism(seed=1), polygon,
+             explorer.random_polytope("tangent_planes", {"k": 12}, default_rng(5))]
+    for B in bases:
+        for t in (1e3, 1e4, 1e5, 1e6):
+            V = B.vertices + t * d[:B.dim]
+            routes = [hull_from_points(V)]
+            if B.dim == 3:
+                routes.append(polytope_from_faces(V, B.facet_cycles))
+            for P in routes:
+                assert (P.n_vertices, P.n_facets) == (B.n_vertices, B.n_facets)
+                assert abs(P.volume / B.volume - 1.0) < 1e-10
+                assert np.abs(P.centroid - B.centroid - t * d[:B.dim]).max() < 1e-9 * B.diameter
+    B = fixtures.regular_tetrahedron()
+    P = hull_from_points(B.vertices + 1e4 * d)
+    home, far = chamber_decomposition(B), chamber_decomposition(P)
+    assert max_normals(P, far)[0] == max_normals(B, home)[0] == 14
+    assert abs(exact_average(P, far) - exact_average(B, home)) < 1e-9
 
 
 def test_counting_and_certificates_build_no_face_objects():

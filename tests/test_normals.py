@@ -6,7 +6,7 @@ from numpy.random import default_rng
 
 from conftest import ANGLES, SHIFTS, rotation, sample_interior
 from polynormal import fixtures
-from polynormal.bifurcation import crossing_audit
+from polynormal.bifurcation import crossing_audit, split_by_planes
 from polynormal.errors import FailedPerturbation, InvariantViolation, OnBifurcationSet
 from polynormal.explorer import random_polytope
 from polynormal.geometry import contains_interior, dihedral_angle, hull_from_points, unit
@@ -16,8 +16,11 @@ from polynormal.normals import (
     REL_MARGIN,
     MorseProfile,
     _block_masks,
+    _blocks,
+    _extreme_masks,
     _face_keys,
     _face_tests,
+    _screen,
     check_profile,
     count_normals_batch,
     face_normal_from,
@@ -621,3 +624,96 @@ def test_counts_invariant_under_similarity_and_permutation(seed, family, k, data
     assert generic.sum() > 250
     for a, b in zip(here[:3], there[:3]):
         assert np.array_equal(a[generic], b[generic])
+
+
+def _double_path(P, Y):
+    """``count_normals_batch`` without its single-precision screen: every point through the
+    double product of ``_blocks`` and ``_extreme_masks``."""
+    T = P._region_rows
+    F, V = P.n_facets, P.n_vertices
+    K = T.K[:len(T.K) - 4 * (len(T.dims) - F - V)]
+    counts, marginal = np.zeros((2, len(Y)), dtype=int), np.zeros(len(Y), dtype=bool)
+    for lo, act, nr in _blocks(P, Y, K, _extreme_masks, F + V):
+        hi = lo + act.shape[1]
+        counts[:, lo:hi] = act[:F].sum(axis=0), act[F:].sum(axis=0)
+        marginal[lo:hi] = nr.any(axis=0)
+    saddles = counts.sum(axis=0) - 2 if P.dim == 3 else np.zeros(len(Y), dtype=int)
+    return counts[0], saddles, counts[1], marginal
+
+
+def _screened(P, Y):
+    """The single-precision screen on its own: the minima and maxima it counts, and the
+    indices of Y that it leaves to the double path."""
+    T = P._region_rows
+    K = T.K[:len(T.K) - 4 * (len(T.dims) - P.n_facets - P.n_vertices)]
+    counts = np.zeros((2, len(Y)), dtype=np.int32)
+    return counts, _screen(P, Y, K, counts)
+
+
+def _far(P, distance):
+    """P's vertex cloud moved ``distance`` from where it lies, rebuilt."""
+    d = np.array([1.0, -2.0, 0.3][:P.dim])
+    return hull_from_points(P.vertices + distance * d / np.linalg.norm(d))
+
+
+def test_screened_counts_match_double_path(obtuse_triangle):
+    # the single-precision screen changes no count and no flag: at the hard
+    # points of _probe_points, on region-row planes and 1e-10 off them, at
+    # chamber-cell vertices and 1e-9 off them, and in a box around P, the
+    # counter equals the double path, and every point the screen keeps is
+    # counted as there and unflagged; polygons and a body 1e6 away too
+    polygon = hull_from_points(default_rng(3).standard_normal((9, 2)))
+    tangent = random_polytope("tangent_planes", {"k": 12}, default_rng(5))
+    bodies = [obtuse_triangle, fixtures.triangle_from_angles(1.2, 1.0), polygon, fixtures.cube(),
+              fixtures.regular_tetrahedron(), fixtures.flat_tetrahedron_10(), fixtures.generic_prism(seed=2),
+              random_polytope("perturbed_tetra", {}, default_rng(6)), tangent,
+              random_polytope("tangent_planes", {"k": 48}, default_rng(5)), _far(tangent, 1e6)]
+    rng = default_rng(47)
+    points = settled = marginal = 0
+    for P in bodies:
+        Y = sample_interior(P, 600, rng)
+        lo, hi = P.bounding_box()
+        sets = [_probe_points(P, rng), _on_region_rows(P, Y[:300], rng),
+                _on_region_rows(P, Y[300:], rng, offset=1e-10),
+                rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), (1000, P.dim)), Y[:0], Y[:1]]
+        if P.n_facets <= 8:
+            cells = np.concatenate(split_by_planes(P))[:3000]
+            sets += [cells, cells + 1e-9 * rng.standard_normal(cells.shape)]
+        for X in sets:
+            want = _double_path(P, X)
+            for got, ref in zip(count_normals_batch(P, X), want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            counts, settle = _screened(P, X)  # also below the batch size that screens
+            sure = np.setdiff1d(np.arange(len(X)), settle)
+            assert np.array_equal(counts[0, sure], want[0][sure])
+            assert np.array_equal(counts[1, sure], want[2][sure]) and not want[3][sure].any()
+            points += len(X)
+            settled += len(settle)
+            marginal += int(want[3].sum())
+    assert points > 18000 and marginal > 3000 and settled > marginal, (points, marginal, settled)
+
+
+def test_screened_counts_do_not_depend_on_the_cut():
+    # the screen's error bound and reach are taken per block, so which points
+    # are settled in double depends on the cut; the counts and flags do not
+    rng = default_rng(48)
+    tangent = random_polytope("tangent_planes", {"k": 12}, default_rng(9))
+    for P in (tangent, _far(tangent, 1e6), fixtures.generic_prism(seed=3)):
+        Y = np.vstack([_probe_points(P, rng), _probe_points(P, rng)])
+        Y = Y[rng.permutation(len(Y))][:2 * BLOCK + 5]
+        assert len(Y) == 2 * BLOCK + 5
+        whole = count_normals_batch(P, Y)
+        assert whole[3].any() and not whole[3].all()
+        for size in (1, BLOCK - 1, BLOCK + 1):
+            pieces = [count_normals_batch(P, Y[i:i + size]) for i in range(0, len(Y), size)]
+            for got, one in zip(whole, zip(*pieces)):
+                assert np.array_equal(got, np.concatenate(one))
+
+
+def test_screen_settles_few_interior_points():
+    # the point of the screen: at most 1 % of uniform interior samples need
+    # the double product, near the origin and 1e6 away from it
+    P = random_polytope("tangent_planes", {"k": 48}, default_rng(5))
+    for Q in (P, _far(P, 1e6)):
+        Y = sample_interior(Q, 10000, default_rng(49))
+        assert len(_screened(Q, Y)[1]) <= 100
