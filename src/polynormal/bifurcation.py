@@ -5,9 +5,9 @@ The active-region boundaries lie in finitely many planes: one per
 ("blue", minimum/saddle events), and one per (edge, endpoint) incidence,
 orthogonal to the edge through the endpoint ("red", maximum/saddle events).
 These are boundary rows of the region-row table (``Polytope._region_rows``)
-the counting kernel reads: a blue plane is a facet rim row and a red plane
-is an edge's slab row ``d`` placed at an endpoint, so the sheet planes are
-taken from that table rather than rebuilt.  In 2-D both sheet families
+the counting kernel reads: a blue plane is a facet rim row of that table,
+and a red plane has the table's edge direction ``d`` as its normal, with
+the offset taken at each endpoint of the edge.  In 2-D both sheet families
 coincide: the lines through each vertex orthogonal to its incident edges
 (the polygon's rim rows) bound edge strips and vertex cones alike, and
 crossings trade a minimum and a maximum instead of touching saddles.
@@ -18,25 +18,26 @@ and counts from interval membership, not from samples.
 Chambers are cut along the same rows only where a region is undecided, so
 each cell lies outside every region or inside its closure, and its count is
 read from the rows at its vertices, not sampled.
-All cells share one stacked vertex array: a face's rows and their negations
-give one product, whose ``logical_or.reduceat`` over the cell starts is a
-boolean table of each cell's rows above eps and below -eps somewhere; a row
-cuts all its straddled cells in one batch, which changes only their entries.
-Every cell vertex carries a bitmask of the geometric planes it lies on
-(region rows and facet planes of P, coincident ones merged), so a cut
-crosses only the (plus, minus) vertex pairs that share dim - 1 planes; these
-include every cell edge.  The crossings and the on-plane vertices are sorted
-by angle in the plane and pruned by rounds of chord tests, which drop twins
-and collinear points, with no point set rounded to a grid.  A cell's volume
-comes from its facet polygons, each on a region row or a facet plane of P:
-the sum of facet area times the distance from the cell's vertex mean, over
-dim.  No chamber step calls Qhull.
+All cells share one stacked vertex array: a face's rows give one product,
+and ``logical_or.reduceat`` of its entries above eps and below -eps over
+the cell starts is a boolean table of each cell's rows above eps and below
+-eps somewhere; a row cuts all its straddled cells in one batch, which
+changes only their entries.  The region rows and facet planes of P are
+merged once into a table of distinct geometric planes (``_plane_groups``).
+Every cell vertex carries a bitmask of the distinct planes it lies on, so
+a cut crosses only the (plus, minus) vertex pairs that share dim - 1
+planes; these include every cell edge.  The crossings and the on-plane
+vertices are sorted by angle in the plane and pruned by rounds of chord
+tests, which drop twins and collinear points, with no point set rounded to
+a grid.  A cell's volume comes from its facet polygons, each on one of the
+distinct planes and counted once where two of them hold it: the sum of
+facet area times the distance from the cell's vertex mean, over dim.  No chamber step calls Qhull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.random import default_rng
@@ -78,22 +79,17 @@ class Chamber:
     profile: MorseProfile
 
 
-def _first_coincident(normals, offsets, scale):
-    """Index of each plane's first coincident plane: planes i and j coincide when
-    |<n_i, n_j> - 1| and |b_i - b_j| / scale are below PLANE_TOL."""
-    return ((np.abs(normals @ normals.T - 1.0) < PLANE_TOL)
-            & (np.abs(offsets[:, None] - offsets[None, :]) < PLANE_TOL * scale)).argmax(axis=1)
-
-
 def _merge(normals, offsets, scale):
     """Groups of coincident planes, as index arrays in order of first member.
 
-    Planes whose first coincident plane (``_first_coincident``) is the same
+    Planes i and j coincide when |<n_i, n_j> - 1| and |b_i - b_j| / scale
+    are below PLANE_TOL.  Planes whose first coincident plane is the same
     form one group, and its first member represents it: for planes that
     coincide only up to rounding noise this is the first-match merge in
     input order.
     """
-    first = _first_coincident(normals, offsets, scale)
+    first = ((np.abs(normals @ normals.T - 1.0) < PLANE_TOL)
+             & (np.abs(offsets[:, None] - offsets[None, :]) < PLANE_TOL * scale)).argmax(axis=1)
     order = np.argsort(first, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(first[order])) + 1)
 
@@ -232,26 +228,35 @@ def _plane_basis(normals):
     return np.stack([u, _cross(n, u)], axis=-2)
 
 
+@lru_cache(maxsize=1)  # one table for the split and the volume pass of one body
 def _plane_groups(P):
-    """Region rows and facet planes of P grouped into geometric planes: (rows, offsets, tol, bits, words).
+    """The distinct geometric planes of P's region rows and facet planes: (normals, offsets, tol, bits, words).
 
-    Each group of coincident planes (``_first_coincident``, signs made
-    canonical) gets one bit, group g bit g % 64 of word g // 64; the unit
-    rows are sorted by group, ``bits`` holds each row's bit and ``words``
-    the first row of each word.  A point lies on a row within ``tol``,
-    ON_SHEET_TOL times the body's scale: merged hull facets are planar only
-    within MERGE_ANGLE, and a loose test only adds candidate pairs to a cut.
+    Each group of coincident planes (``_merge``, signs made canonical) is
+    kept once, as its first member, in row order.  A member whose distance
+    from the first differs by more than half the chamber eps (1e-12 times
+    the body's scale) at some vertex of P starts a plane of its own, so
+    every row lies on a kept plane within that much all over P: ``_merge``
+    alone joins planes that are 4.5e-5 rad apart.  Plane g gets bit g % 64
+    of word g // 64, ``bits`` holds each plane's bit and ``words`` the
+    first plane of each word.  A point lies on a plane within
+    ``tol``, ON_SHEET_TOL times the body's scale: merged hull facets are
+    planar only within MERGE_ANGLE, and a loose test only adds candidate
+    pairs to a cut.
     """
     G, c = P._region_rows[:2]
     scale = max(1.0, P.diameter)
     normals, offsets = _canonical(np.vstack([G, P.facet_normals]),
                                   np.concatenate([c, P.facet_offsets]))
-    first = _first_coincident(normals, offsets, scale)
-    order = np.argsort(first, kind="stable")
-    group = np.cumsum(np.diff(first[order], prepend=-1) != 0) - 1
-    bits = np.uint64(1) << (group % 64).astype(np.uint64)
-    words = np.searchsorted(group, np.arange(0, group[-1] + 1, 64))
-    return normals[order], offsets[order], ON_SHEET_TOL * scale, bits, words
+    D = normals @ P.vertices.T - offsets[:, None]
+    first = []
+    for g in _merge(normals, offsets, scale):
+        while len(g):
+            first.append(g[0])
+            g = g[np.abs(D[g] - D[g[0]]).max(axis=1) > 0.5e-12 * scale]
+    first.sort()
+    bits = np.uint64(1) << (np.arange(len(first)) % 64).astype(np.uint64)
+    return normals[first], offsets[first], ON_SHEET_TOL * scale, bits, np.arange(0, len(first), 64)
 
 
 def _distances(X, G, c):
@@ -263,7 +268,7 @@ def _distances(X, G, c):
 
 
 def _incidence(points, planes):
-    """Bitmask words of the plane groups (``_plane_groups``) each point lies on."""
+    """Bitmask words of the distinct planes (``_plane_groups``) each point lies on."""
     Q, q, tol, bits, words = planes
     on = np.where(np.abs(_distances(points, Q, q)) <= tol, bits, np.uint64(0))
     return np.bitwise_or.reduceat(on, words, axis=1)
@@ -367,11 +372,11 @@ def _replace(a, cut, lo, hi):
 
 
 class _Cells:
-    """The cells of a split: stacked vertices, cell sizes, and each vertex's plane-group bitmask.
+    """The cells of a split: stacked vertices, cell sizes, and each vertex's plane bitmask.
 
     ``on`` (``_incidence`` against ``planes``, ``_plane_groups``) is built
-    at the first cut, from P's vertices, so a body that needs no cut builds
-    no plane groups.
+    at the first cut, from P's vertices, so a split that makes no cut builds
+    no plane table.
     """
 
     def __init__(self, P):
@@ -392,7 +397,7 @@ def _cut(cells, cut, r, face, basis, eps):
     """Cut cells ``cut`` (ascending) along row r of ``face = (G, c)``; returns the halves' sign rows.
 
     A cut polygon's candidates are the crossings of the (plus, minus) vertex
-    pairs that share dim - 1 plane groups, which include every cell edge,
+    pairs that share dim - 1 distinct planes, which include every cell edge,
     and the on-plane vertices.  Each cut cell is replaced in place by its
     minus half, then its plus half: the strict side's vertices in order,
     then the section ring.  The rows of ``cells.verts`` and ``cells.on`` are
@@ -427,7 +432,8 @@ def _cut(cells, cut, r, face, basis, eps):
     for side, (rank, count), at in zip(sides, halves, (first, first + n_lo)):
         block[at[local[side]] + rank] = np.flatnonzero(side)
         block[(at + count)[section_cell] + section_rank] = len(X) + np.arange(len(ring))
-    signs = np.take(np.concatenate([S, _distances(section, G, c)]) > eps, block, axis=0)
+    S = np.concatenate([S, _distances(section, G, c)])
+    signs = np.take(np.concatenate([S > eps, S < -eps], axis=1), block, axis=0)
     # each output row comes from [old rows; ring rows]; other cells keep their
     # rows, shifted by what the cuts before them added
     grow = np.zeros(len(sizes), dtype=int)
@@ -446,15 +452,17 @@ def _cut(cells, cut, r, face, basis, eps):
 def _split_face(cells, face, bases, eps, cap):
     """Cut the cells along the rows of one face (``_faces``), in order; returns the cells' sign rows.
 
-    A cell's sign row says, for each of the face's 2k rows, whether it
-    exceeds eps at some cell vertex: its first k entries mark the rows above
-    eps somewhere, the last k the rows below -eps somewhere.  A cell is open
-    (the face is not *out* on it) when its first k entries are all set, and
-    it is cut along row r when it is open and entry k + r is set.  The table
-    is taken once over all cells; a cut replaces only the cut cells' rows.
+    A cell's sign row has 2k entries for the face's k rows: its first k
+    entries mark the rows above eps at some cell vertex, the last k the rows
+    below -eps at some cell vertex.  A cell is open (the face is not *out*
+    on it) when its first k entries are all set, and it is cut along row r
+    when it is open and entry k + r is set.  The table is taken once over
+    all cells; a cut replaces only the cut cells' rows.
     """
     k = len(bases)
-    sign = np.logical_or.reduceat(_distances(cells.verts, *face) > eps, np.cumsum(cells.sizes) - cells.sizes)
+    S = _distances(cells.verts, *face)
+    sign = np.logical_or.reduceat(np.concatenate([S > eps, S < -eps], axis=1),
+                                  np.cumsum(cells.sizes) - cells.sizes)
     for r in range(k):
         if r == 0 or len(cut):  # the table changed
             open_ = sign[:, :k].all(axis=1)
@@ -469,13 +477,12 @@ def _split_face(cells, face, bases, eps, cap):
 def _faces(P):
     """Each face's rows as ``_split_face`` takes them: ((G, c), bases) per face, in order.
 
-    G holds the face's k region rows, then the same rows negated, and c
-    their offsets; ``bases`` are the k rows' plane bases.
+    G holds the face's k region rows and c their offsets; ``bases`` are
+    the rows' plane bases.
     """
     G, c, rows = P._region_rows[:3]
     bases = _plane_basis(G)
-    return [((np.concatenate([G[a:b], -G[a:b]]), np.concatenate([c[a:b], -c[a:b]])), bases[a:b])
-            for a, b in zip(rows[:-1].tolist(), rows[1:].tolist())]
+    return [((G[a:b], c[a:b]), bases[a:b]) for a, b in zip(rows[:-1].tolist(), rows[1:].tolist())]
 
 
 def split_by_planes(P, cap=10**6):
@@ -483,9 +490,9 @@ def split_by_planes(P, cap=10**6):
 
     Faces are taken in row-table order (``_split_face``); a cut replaces a
     cell by its minus half, then its plus half, and every other cell stays
-    where it is.  Each cell vertex carries the bitmask of the plane groups
-    (``_plane_groups``) it lies on, so that a cut crosses only vertex pairs
-    that can span a cell edge.
+    where it is.  Each cell vertex carries the bitmask of the distinct
+    planes (``_plane_groups``) it lies on, so that a cut crosses only vertex
+    pairs that can span a cell edge.
     """
     eps = 1e-12 * max(1.0, P.diameter)
     cells = _Cells(P)
@@ -516,11 +523,13 @@ def plane_section(P, normal, offset):
 def _facets(S, st, sizes, dim, eps):
     """Facets of a block of cells: (cell, plane, on-vertices grouped by facet, their counts).
 
-    ``S`` holds the signed distances of the block's vertices from every
-    plane, ``st`` and ``sizes`` the cells' vertex starts and counts.  A plane
-    holds a facet of a cell when at least dim cell vertices lie within eps
-    of it and every vertex is on one side; of the planes with the same
-    on-vertex set (compared as exact bitmasks of the cells' vertex
+    ``S`` holds the signed distances of the block's vertices from the
+    distinct planes (``_plane_groups``), ``st`` and ``sizes`` the cells'
+    vertex starts and counts.  A plane holds a facet of a cell when at least
+    dim cell vertices lie within eps of it and every vertex is on one side.
+    Distinct planes that meet at a small angle can both hold one small
+    facet, as on a sliver cell by a shallow ridge of P; of the planes with
+    the same on-vertex set (compared as exact bitmasks of the cells' vertex
     positions, 62 to a word) the first gives the facet.
     """
     m = S.shape[1]
@@ -569,16 +578,18 @@ def _polygon_areas(Y, sizes):
 def _measure_cells(P, verts, sizes):
     """Volume, vertex mean and decided faces of each stacked cell, about BLOCK vertices at a time.
 
-    Every facet of a cell lies on a region row or a facet plane of P
-    (``_facets``).  It is measured in the coordinates other than its
-    normal's largest one (``_polygon_areas``), and a cell's volume is the sum
-    over its facets of area times the distance from the cell's vertex mean,
-    over dim.  ``inside[i, F]`` says every row of face F exceeds eps at some
+    Every facet of a cell lies on one of the distinct planes of P's region
+    rows and facet planes (``_plane_groups``, the split's table, ``_facets``).
+    It is measured in the coordinates other than its normal's largest one
+    (``_polygon_areas``), and a cell's volume is the sum over its facets of
+    area times the distance from the cell's vertex mean, over dim.
+    ``inside[i, F]`` says every region row of face F exceeds eps at some
     vertex of cell i.
     """
     dim, eps = P.dim, 1e-12 * max(1.0, P.diameter)
     G, c, rows = P._region_rows[:3]
-    Q, q = np.vstack([G, P.facet_normals]), np.concatenate([c, P.facet_offsets])
+    Q, q = _plane_groups(P)[:2]
+    R, r = np.vstack([G, Q]), np.concatenate([c, q])  # every region row, then the planes
     cols = (np.abs(Q).argmax(axis=1)[:, None] + np.arange(1, dim)) % dim  # measuring coordinates
     stretch = 1.0 / np.abs(Q).max(axis=1)  # true over measured area, over |Q|
     starts = np.cumsum(sizes) - sizes
@@ -587,15 +598,15 @@ def _measure_cells(P, verts, sizes):
     blocks = np.append(np.searchsorted(starts, np.arange(0, len(verts), BLOCK)), len(sizes))
     blocks = blocks[np.diff(blocks, prepend=-1) != 0]  # np.unique would import numpy.ma
     bounds = np.append(starts, len(verts))[blocks]
-    buffer = np.empty((np.diff(bounds).max(), len(Q)))  # reused: no fresh pages per block
+    buffer = np.empty((np.diff(bounds).max(), len(R)))  # reused: no fresh pages per block
     for c0, c1, v0, v1 in zip(blocks[:-1], blocks[1:], bounds[:-1], bounds[1:]):
         st = starts[c0:c1] - v0
-        S = np.matmul(verts[v0:v1], Q.T, out=buffer[:v1 - v0])
-        S -= q
+        S = np.matmul(verts[v0:v1], R.T, out=buffer[:v1 - v0])
+        S -= r
         inside[c0:c1] = np.logical_and.reduceat(np.logical_or.reduceat(S[:, :len(G)] > eps, st),
                                                 rows[:-1], axis=1)
         means[c0:c1] = np.add.reduceat(verts[v0:v1], st) / sizes[c0:c1, None]
-        fc, fp, v, n_on = _facets(S, st, sizes[c0:c1], dim, eps)
+        fc, fp, v, n_on = _facets(S[:, len(G):], st, sizes[c0:c1], dim, eps)
         area = _polygon_areas(verts[v0 + v[:, None], np.repeat(cols[fp], n_on, axis=0)], n_on)
         h = np.abs(np.einsum("nd,nd->n", Q[fp], means[c0 + fc]) - q[fp])  # distance times |Q|
         volumes[c0:c1] = np.bincount(fc, h * area * stretch[fp], c1 - c0) / dim

@@ -81,13 +81,16 @@ def witness_lower_bound(P, rng=None):
     the centroid, a handful of random points, and (on simple polytopes) ray
     scans from every nice vertex along its witness direction.  Every value is
     a genuine n(P, y), so the maximum never exceeds the true chamber maximum.
+    The random points are convex combinations of the vertices with
+    exponential weights, so they are interior however thin P is.
     """
     rng = default_rng(0) if rng is None else rng
     candidates = [chebyshev_center(P).center, P.centroid]
-    lo, hi = P.bounding_box()
     tol = P.tol * max(1.0, P.diameter)
     while len(candidates) < 8:
-        y = rng.uniform(lo, hi)
+        w = rng.exponential(size=P.n_vertices)
+        y = w @ P.vertices / w.sum()
+        # perturb_to_generic raises ValueError, not PolytopeError, within tol of the boundary
         if (P.facet_normals @ y <= P.facet_offsets - tol).all():
             candidates.append(y)
     best = 0

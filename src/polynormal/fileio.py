@@ -25,6 +25,7 @@ from .errors import ParseError, ValidationError
 from .geometry import (
     DEFAULT_TOL,
     _float_rows,
+    _n_distinct,
     hull_from_points,
     polytope_from_faces,
     polytope_from_halfspaces,
@@ -61,10 +62,7 @@ def polytope_from_json(doc, tol=DEFAULT_TOL):
 
 def _from_convex_vertices(vertices, tol):
     P = hull_from_points(vertices, tol)
-    scale = max(1.0, float(np.abs(vertices).max()))
-    # the return_index form: the plain np.unique(..., axis=0) imports numpy.ma
-    distinct = len(np.unique(np.round(vertices / (1e-9 * scale)), axis=0, return_index=True)[1])
-    if P.n_vertices != distinct:
+    if P.n_vertices != _n_distinct(vertices):
         raise ValidationError("input vertices are not in convex position")
     return P
 

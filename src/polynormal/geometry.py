@@ -76,6 +76,13 @@ def _diameter(V):
     return float(np.sqrt((D[:, None, :] @ D[:, :, None]).max()))
 
 
+def _n_distinct(V):
+    """Number of distinct rows of V, rounded to 1e-9 of its largest magnitude."""
+    scale = max(1.0, float(np.abs(V).max()))
+    # the return_index form: the plain np.unique(..., axis=0) imports numpy.ma
+    return len(np.unique(np.round(V / (1e-9 * scale)), axis=0, return_index=True)[1])
+
+
 def _ranks(V, ids, sizes, diameter):
     """Affine rank of each vertex set at the lattice tolerance 1e-7 * diameter; the sets'
     vertex ids lie end to end in ``ids``, ``sizes`` gives their lengths."""
@@ -503,8 +510,7 @@ def polytope_from_faces(V, faces, tol=DEFAULT_TOL):
     nv, sizes = len(V), np.array([len(f) for f in faces])
     ids = np.concatenate(faces).astype(int)
     diameter = _diameter(V)
-    scale = max(1.0, float(np.abs(V).max()))
-    if len(np.unique(np.round(V / (1e-9 * scale)), axis=0, return_index=True)[1]) < nv:
+    if _n_distinct(V) < nv:
         raise ValidationError("input vertices are not distinct")
     flat = np.flatnonzero(sizes < 3)
     if not len(flat):

@@ -755,6 +755,61 @@ def test_split_carries_fresh_incidence_and_signs(cube, obtuse_triangle):
     assert len(np.unique(bifurcation._plane_groups(cube)[3])) == 6
 
 
+def test_plane_table_holds_each_geometric_plane_once():
+    # the split's bitmasks and the volume pass's facets read one table of
+    # distinct planes: no two of its planes merge, every region row and facet
+    # plane of P lies on exactly one of them, within half the chamber eps at
+    # every vertex of P, and each plane has its own bit
+    bodies = _chamber_fixtures() + [random_polytope("tangent_planes", {"k": k}, default_rng([5, k]))
+                                    for k in range(5, 13)]
+    for P in bodies:
+        Q, q, tol, bits, words = bifurcation._plane_groups(P)
+        scale = max(1.0, P.diameter)
+        assert len(bifurcation._merge(Q, q, scale)) == len(Q)
+        G, c = P._region_rows[:2]
+        rows, offsets = np.vstack([G, P.facet_normals]), np.concatenate([c, P.facet_offsets])
+        cos = rows @ Q.T
+        on = ((np.abs(np.abs(cos) - 1.0) < bifurcation.PLANE_TOL)
+              & (np.abs(np.sign(cos) * offsets[:, None] - q) < bifurcation.PLANE_TOL * scale))
+        assert (on.sum(axis=1) == 1).all()
+        table = np.sign(cos[on])[:, None] * (Q @ P.vertices.T - q[:, None])[on.argmax(axis=1)]
+        assert np.abs(rows @ P.vertices.T - offsets[:, None] - table).max() <= 0.5e-12 * scale
+        assert np.array_equal(bits, np.uint64(1) << (np.arange(len(Q)) % 64).astype(np.uint64))
+        assert np.array_equal(words, np.arange(0, len(Q), 64))
+
+
+def _tent(bend):
+    # a box whose top is two facets meeting along a ridge with the given bend;
+    # their planes are one plane within PLANE_TOL but 1e-6 apart at the sides
+    s = np.tan(bend / 2)
+    pts = [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0 - s)]
+    return hull_from_points(np.array(pts + [[0.0, -1.0, 1.0], [0.0, 1.0, 1.0]]))
+
+
+def _tilted_prism(tilt):
+    # a triangular prism whose top is tilted by a few microradians
+    tri = np.array([[1.0, 0.1], [-0.6, 0.9], [-0.5, -0.8]])
+    pts = [[x, y, -1.0] for x, y in tri] + [[x, y, 1.0 + np.tan(tilt) * y] for x, y in tri]
+    return hull_from_points(np.array(pts))
+
+
+@pytest.mark.parametrize("P, counts", [
+    (_tent(1e-6), [14, 14, 20, 20, 26, 26, 27, 27, 32]),
+    (_tent(3e-6), [14, 14, 20, 20, 26, 26, 31, 31, 32]),
+    (_tent(1e-5), [14, 14, 20, 20, 26, 26, 32]),
+    (_tilted_prism(1e-6), [12, 14, 14, 16, 16, 18, 18, 18, 20]),
+    (_tilted_prism(3e-6), [12, 14, 14, 16, 16, 16, 16, 18, 18, 18, 20]),
+], ids=["tent-1e-6", "tent-3e-6", "tent-1e-5", "prism-1e-6", "prism-3e-6"])
+def test_chambers_where_distinct_planes_nearly_coincide(P, counts):
+    # on the tents, rows that _merge joins stray apart on P by far more than
+    # the chamber eps: each keeps a plane of its own, or a cell loses facets;
+    # on most of them, two distinct planes meeting at a small angle both hold
+    # a sliver cell's small facet, which must count once
+    chambers = chamber_decomposition(P)
+    assert sum(ch.volume for ch in chambers) == pytest.approx(P.volume, rel=1e-11)
+    assert sorted(ch.count for ch in chambers) == counts
+
+
 def _jittered_ring():
     # a near-degenerate hull: a 10-gon and its shifted copy, xy-jittered by 1e-3
     ring = np.array([(np.cos(t), np.sin(t), 0.0) for t in 2.0 * np.pi * np.arange(10) / 10])

@@ -1,8 +1,10 @@
+import signal
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from polynormal import explorer, fixtures
+from polynormal import explorer, fixtures, hull_from_points
 from polynormal.bifurcation import Chamber, max_normals
 from polynormal.explorer import (
     ScanConfig,
@@ -66,6 +68,25 @@ def test_witness_lower_bound_is_sound():
         wlb = witness_lower_bound(fix)
         N, _ = max_normals(fix)
         assert 8 <= wlb <= N
+
+
+def test_witness_lower_bound_on_a_thin_body():
+    # the body fills 1e-7 of its bounding box, so drawing its random points
+    # from the box would take some 6e7 draws; the alarm turns a hang into a failure
+    L = 3000.0
+    P = hull_from_points([[0, 0, 0], [L, L, L], [1, -1, 0], [0, 1, -1], [L + 1, L - 1, L + 0.3]])
+
+    def hang(signum, frame):
+        raise TimeoutError("witness_lower_bound ran for 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        wlb = witness_lower_bound(P)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert 8 <= wlb <= P.n_faces and wlb % 2 == 0
 
 
 def test_scan_deterministic_and_floored():
