@@ -17,7 +17,8 @@ and counts from interval membership, not from samples.
 
 Chambers are cut along the same rows only where a region is undecided, so
 each cell lies outside every region or inside its closure, and its count is
-read from the rows at its vertices, not sampled.
+read from the rows at its vertices, not sampled.  Every sign test reads one
+chamber eps, CHAMBER_EPS times the body's tolerance scale ``P.tol_scale``.
 All cells share one stacked vertex array: a face's rows give one product,
 and ``logical_or.reduceat`` of its entries above eps and below -eps over
 the cell starts is a boolean table of each cell's rows above eps and below
@@ -31,13 +32,14 @@ vertices are sorted by angle in the plane and pruned by rounds of chord
 tests, which drop twins and collinear points, with no point set rounded to
 a grid.  A cell's volume comes from its facet polygons, each on one of the
 distinct planes and counted once where two of them hold it: the sum of
-facet area times the distance from the cell's vertex mean, over dim.  No chamber step calls Qhull.
+facet area times the distance from the cell's vertex mean, over dim.  No
+chamber step calls Qhull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import default_rng
@@ -48,6 +50,7 @@ from .normals import MorseProfile, count_normals_batch, perturb_to_generic
 
 PLANE_TOL = 1e-9        # coincidence of sheet planes: normal cosine and offset
 ON_SHEET_TOL = 1e-7     # point_on_sheet and plane-incidence slack, relative to the body's scale
+CHAMBER_EPS = 1e-12     # the chamber pipeline's sign tests, relative to the body's scale
 MIN_REL_VOLUME = 1e-12  # cells below this fraction of Vol P are degenerate
 VOLUME_CHECK = 1e-9     # the cell volumes must sum to Vol P within this fraction
 BLOCK = 512             # cell vertices per plane product in ``_measure_cells``
@@ -106,7 +109,7 @@ def _sheets(P, normals, offsets, color, sources):
     normals, offsets = _canonical(normals, offsets)
     return [SheetPlane(normals[g[0]], float(offsets[g[0]]), color,
                        tuple(sources[i] for i in g))
-            for g in _merge(normals, offsets, max(1.0, P.diameter))]
+            for g in _merge(normals, offsets, P.tol_scale)]
 
 
 def sheet_planes(P):
@@ -114,19 +117,20 @@ def sheet_planes(P):
 
     Raw incidence counts (sum of len(sources) per color) are 2E for blue and
     2E for red in 3-D.  Blue rows are the facet rim rows in cycle order, red
-    rows the edge directions at each endpoint; in 2-D the rim rows are the
-    lines through each vertex orthogonal to its edge, all blue.
+    rows the edge slab rows (+d at the first endpoint, -d at the second); in
+    2-D the rim rows are the lines through each vertex orthogonal to its
+    edge, all blue.
     """
     G, c, starts = P._region_rows[:3]
-    rims, rim_offsets = G[:starts[P.n_facets]], c[:starts[P.n_facets]]
+    F = P.n_facets
+    rims, rim_offsets = G[:starts[F]], c[:starts[F]]
     ends = [(e, v) for e, pair in enumerate(P.edges.tolist()) for v in pair]
     if P.dim == 2:
         return _sheets(P, rims, rim_offsets, "blue", ends)
     rim_edges = list(zip(P._cycle_facet.tolist(), P._cycle_edge.tolist()))
-    dirs = np.repeat(P._edge_dir, 2, axis=0)
-    dir_offsets = np.einsum("ij,ij->i", dirs, P.vertices[P.edges.ravel()])
+    slabs = (starts[F:F + len(P.edges), None] + np.arange(2)).ravel()
     return (_sheets(P, rims, rim_offsets, "blue", rim_edges)
-            + _sheets(P, dirs, dir_offsets, "red", ends))
+            + _sheets(P, G[slabs], c[slabs], "red", ends))
 
 
 def arrangement_planes(P):
@@ -136,7 +140,7 @@ def arrangement_planes(P):
     offsets = np.array([sp.offset for sp in planes])
     return [{"normal": planes[g[0]].normal, "offset": planes[g[0]].offset,
              "colors": {planes[i].color for i in g}}
-            for g in _merge(normals, offsets, max(1.0, P.diameter))]
+            for g in _merge(normals, offsets, P.tol_scale)]
 
 
 def _line_intervals(P, a, d):
@@ -188,7 +192,7 @@ def point_on_sheet(P, sheet, q):
     cone for red).
     """
     q = np.asarray(q, dtype=float)
-    slack = ON_SHEET_TOL * max(1.0, P.diameter)
+    slack = ON_SHEET_TOL * P.tol_scale
     if abs(float(sheet.normal @ q - sheet.offset)) > slack:
         return False
     for src in sheet.sources:
@@ -230,33 +234,33 @@ def _plane_basis(normals):
 
 @lru_cache(maxsize=1)  # one table for the split and the volume pass of one body
 def _plane_groups(P):
-    """The distinct geometric planes of P's region rows and facet planes: (normals, offsets, tol, bits, words).
+    """The distinct geometric planes of P's region rows and facet planes, as
+    (normals, offsets, tol, bits, words).
 
     Each group of coincident planes (``_merge``, signs made canonical) is
     kept once, as its first member, in row order.  A member whose distance
-    from the first differs by more than half the chamber eps (1e-12 times
-    the body's scale) at some vertex of P starts a plane of its own, so
-    every row lies on a kept plane within that much all over P: ``_merge``
-    alone joins planes that are 4.5e-5 rad apart.  Plane g gets bit g % 64
-    of word g // 64, ``bits`` holds each plane's bit and ``words`` the
-    first plane of each word.  A point lies on a plane within
-    ``tol``, ON_SHEET_TOL times the body's scale: merged hull facets are
-    planar only within MERGE_ANGLE, and a loose test only adds candidate
-    pairs to a cut.
+    from the first differs by more than half the chamber eps at some vertex
+    of P starts a plane of its own, so every row lies on a kept plane within
+    that much all over P: ``_merge`` alone joins planes that are 4.5e-5 rad
+    apart.  Plane g gets bit g % 64 of word g // 64, ``bits`` holds each
+    plane's bit and ``words`` the first plane of each word.  A point lies on
+    a plane within ``tol``, ON_SHEET_TOL times the body's scale: merged hull
+    facets are planar only within MERGE_ANGLE, and a loose test only adds
+    candidate pairs to a cut.
     """
     G, c = P._region_rows[:2]
-    scale = max(1.0, P.diameter)
     normals, offsets = _canonical(np.vstack([G, P.facet_normals]),
                                   np.concatenate([c, P.facet_offsets]))
     D = normals @ P.vertices.T - offsets[:, None]
     first = []
-    for g in _merge(normals, offsets, scale):
+    for g in _merge(normals, offsets, P.tol_scale):
         while len(g):
             first.append(g[0])
-            g = g[np.abs(D[g] - D[g[0]]).max(axis=1) > 0.5e-12 * scale]
+            g = g[np.abs(D[g] - D[g[0]]).max(axis=1) > 0.5 * CHAMBER_EPS * P.tol_scale]
     first.sort()
     bits = np.uint64(1) << (np.arange(len(first)) % 64).astype(np.uint64)
-    return normals[first], offsets[first], ON_SHEET_TOL * scale, bits, np.arange(0, len(first), 64)
+    tol = ON_SHEET_TOL * P.tol_scale
+    return normals[first], offsets[first], tol, bits, np.arange(0, len(first), 64)
 
 
 def _distances(X, G, c):
@@ -372,25 +376,15 @@ def _replace(a, cut, lo, hi):
 
 
 class _Cells:
-    """The cells of a split: stacked vertices, cell sizes, and each vertex's plane bitmask.
-
-    ``on`` (``_incidence`` against ``planes``, ``_plane_groups``) is built
-    at the first cut, from P's vertices, so a split that makes no cut builds
-    no plane table.
-    """
+    """The cells of a split: stacked vertices, cell sizes, and each vertex's bitmask
+    ``on`` of the distinct planes it lies on (``_incidence`` against ``planes``, the
+    ``_plane_groups`` table that the volume pass reads too)."""
 
     def __init__(self, P):
-        self.P = P
         self.verts = P.vertices.copy()
         self.sizes = np.array([len(self.verts)])
-
-    @cached_property
-    def planes(self):
-        return _plane_groups(self.P)
-
-    @cached_property
-    def on(self):
-        return _incidence(self.verts, self.planes)
+        self.planes = _plane_groups(P)
+        self.on = _incidence(self.verts, self.planes)
 
 
 def _cut(cells, cut, r, face, basis, eps):
@@ -494,7 +488,7 @@ def split_by_planes(P, cap=10**6):
     planes (``_plane_groups``) it lies on, so that a cut crosses only vertex
     pairs that can span a cell edge.
     """
-    eps = 1e-12 * max(1.0, P.diameter)
+    eps = CHAMBER_EPS * P.tol_scale
     cells = _Cells(P)
     for face, bases in _faces(P):
         _split_face(cells, face, bases, eps, cap)
@@ -508,7 +502,7 @@ def plane_section(P, normal, offset):
     Its vertices are among the crossings of P's edges and the vertices on
     the plane.
     """
-    eps = 1e-12 * max(1.0, P.diameter)
+    eps = CHAMBER_EPS * P.tol_scale
     V = P.vertices
     s = V @ normal - offset
     i, j = P.edges.T
@@ -586,7 +580,7 @@ def _measure_cells(P, verts, sizes):
     ``inside[i, F]`` says every region row of face F exceeds eps at some
     vertex of cell i.
     """
-    dim, eps = P.dim, 1e-12 * max(1.0, P.diameter)
+    dim, eps = P.dim, CHAMBER_EPS * P.tol_scale
     G, c, rows = P._region_rows[:3]
     Q, q = _plane_groups(P)[:2]
     R, r = np.vstack([G, Q]), np.concatenate([c, q])  # every region row, then the planes
@@ -699,7 +693,7 @@ def monte_carlo_average(P, n_samples, seed=0):
     lo, hi = P.bounding_box()
     fill = P.volume / float(np.prod(hi - lo))
     cap = min(2 * n_samples + 64, DRAW // P.n_facets)
-    tol = P.tol * max(1.0, P.diameter)
+    tol = P.tol * P.tol_scale  # contains_interior's margin, row-wise
     kept, got = [], 0
     while got < n_samples:
         need = n_samples - got
@@ -749,8 +743,8 @@ def crossing_audit(P, start, end, rng=None):
     rng = default_rng(0) if rng is None else rng
     a = perturb_to_generic(P, np.asarray(start, dtype=float), rng)
     b = perturb_to_generic(P, np.asarray(end, dtype=float), rng)
-    seg, scale = b - a, max(1.0, P.diameter)
-    tol_t = max(P.tol, 1e-12) * scale / max(np.linalg.norm(seg), 1e-300)
+    seg = b - a
+    tol_t = max(P.tol, 1e-12) * P.tol_scale / max(np.linalg.norm(seg), 1e-300)
     lo, hi, ends = _line_intervals(P, a, seg)
     groups, inside = _pieces(lo, hi, ends, 1.0, tol_t)
     profiles = _profiles(P, inside)
@@ -760,7 +754,7 @@ def crossing_audit(P, start, end, rng=None):
         t = float(ends[rows[0]])
         # unit normals oriented along the first row's
         flip = np.where(G[rows] @ G[rows[0]] < 0.0, -1.0, 1.0) / np.linalg.norm(G[rows], axis=1)
-        if len(_merge(G[rows] * flip[:, None], c[rows] * flip, scale)) > 1:
+        if len(_merge(G[rows] * flip[:, None], c[rows] * flip, P.tol_scale)) > 1:
             raise NonTransversal(f"crossings of two planes within tolerance at t={t:.6g}")
         face = np.searchsorted(starts, rows, side="right") - 1
         red = (P.dim == 3) & ((dims[face] == 0) | ((dims[face] == 1) & (rows - starts[face] < 2)))

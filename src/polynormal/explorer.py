@@ -86,7 +86,7 @@ def witness_lower_bound(P, rng=None):
     """
     rng = default_rng(0) if rng is None else rng
     candidates = [chebyshev_center(P).center, P.centroid]
-    tol = P.tol * max(1.0, P.diameter)
+    tol = P.tol * P.tol_scale  # contains_interior's margin, row-wise
     while len(candidates) < 8:
         w = rng.exponential(size=P.n_vertices)
         y = w @ P.vertices / w.sum()

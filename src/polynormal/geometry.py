@@ -15,9 +15,10 @@ build's own error class.  Halfspaces and point clouds (through the polar)
 share one vertex enumeration, ``_clip``, with no interior point, hull or LP.
 No build loads scipy; only ``chebyshev_center`` loads scipy.optimize.
 
-Coordinates are double precision.  A single tolerance (default 1e-9, applied
-relative to the body's size wherever it guards an incidence test) rejects
-near-degenerate input instead of resolving it exactly.
+Coordinates are double precision.  A single tolerance (default 1e-9) rejects
+near-degenerate input instead of resolving it exactly.  A body holds its
+tolerance scale ``tol_scale``, max(1, diameter), and every tolerance on
+lengths after the build is a multiple of it.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ class Polytope:
         self.facet_offsets = np.array(facet_offsets, dtype=float)
         self.facet_cycles = [np.array(c, dtype=int) for c in facet_cycles]
         self.diameter = _diameter(self.vertices)
+        self.tol_scale = max(1.0, self.diameter)  # every later tolerance is relative to it
         self._validate_basic()
         self._build_edges()
         self._check_lattice()
@@ -194,7 +196,7 @@ class Polytope:
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise InvariantViolation("outward normals must have unit length within 1e-12")
         slack = self.vertices @ self.facet_normals.T - self.facet_offsets
-        if slack.max() > self.tol * max(1.0, self.diameter):
+        if slack.max() > self.tol * self.tol_scale:
             raise InvariantViolation("vertex violates a facet inequality beyond tolerance")
 
     def _build_edges(self):
@@ -693,7 +695,7 @@ def cone_contains(P, face, vector, slack=None):
     if slack is None:
         slack = P.tol
     rel = (P.vertices - face.affine_point) @ (v / nv)
-    return bool(rel.min() >= -slack * max(1.0, P.diameter))
+    return bool(rel.min() >= -slack * P.tol_scale)
 
 
 class ChebyshevSphere:
@@ -732,20 +734,19 @@ def chebyshev_center(P, rng=None):
         raise ValidationError(f"LP solver failed: {res.message}")
     center, radius = res.x[:P.dim], float(res.x[P.dim])
     rng = default_rng(0) if rng is None else rng
-    scale = max(1.0, P.diameter)
     # sweep within the optimal set {y : <n, y> <= b - r} to a vertex
-    shrunk = P.facet_offsets - radius + 1e-11 * scale
+    shrunk = P.facet_offsets - radius + 1e-11 * P.tol_scale
     for _ in range(4):
         c = rng.standard_normal(P.dim)
         res = linprog(-c, A_ub=P.facet_normals, b_ub=shrunk,
                       bounds=[(None, None)] * P.dim, method="highs")
         if res.success:
             slack = P.facet_offsets - P.facet_normals @ res.x
-            if abs(slack.min() - radius) <= 1e-7 * scale:
+            if abs(slack.min() - radius) <= 1e-7 * P.tol_scale:
                 center = res.x
                 break
     gaps = P.facet_offsets - P.facet_normals @ center - radius
-    tangent = tuple(int(i) for i in np.nonzero(gaps <= 1e-7 * scale)[0])
+    tangent = tuple(int(i) for i in np.nonzero(gaps <= 1e-7 * P.tol_scale)[0])
     return ChebyshevSphere(center, radius, tangent)
 
 
@@ -792,8 +793,9 @@ def right_angle_defect(P, tol):
 
 
 def contains_interior(P, y, tol=None):
-    """True iff y satisfies every facet inequality with margin ``tol``."""
+    """True iff y satisfies every facet inequality with margin ``tol``, by default
+    the interior margin ``P.tol * P.tol_scale`` that every interior test reads."""
     if tol is None:
-        tol = P.tol
+        tol = P.tol * P.tol_scale
     y = np.asarray(y, dtype=float)
     return bool((P.facet_normals @ y <= P.facet_offsets - tol).all())

@@ -144,10 +144,7 @@ def _extreme_masks(P, S1, Yb, act, nr):
     """
     T = P._region_rows
     F, n = P.n_facets, Yb.shape[1]
-    m, col = np.empty(act.shape), 0  # raw minima: a run of equal row counts at a time
-    for k, faces in T.runs:
-        m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
-        col += k * len(faces)
+    m = _face_minima(T.runs, S1, np.empty(act.shape))
     np.greater(m, 0.0, out=act)
     X = np.concatenate([P.vertices, Yb.T])
     extent = X.max(axis=0) - X.min(axis=0)
@@ -164,6 +161,16 @@ def _extreme_masks(P, S1, Yb, act, nr):
     vn = np.sqrt(sum((P.vertices[v - F, j] - Yb[j, vp]) ** 2 for j in range(P.dim)))
     nr[v, vp] = np.abs(m[v, vp] / np.where(vn == 0.0, 1.0, vn)) < CONE_MARGIN
     return reach
+
+
+def _face_minima(runs, S1, m):
+    """Fill m (faces, points) with each face's minimum over its rows in S1, the product of
+    ``RegionRows.K``'s leading ``runs`` with the points, a run of equal row counts at a time."""
+    col, n = 0, S1.shape[1]
+    for k, faces in runs:
+        m[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
+        col += k * len(faces)
+    return m
 
 
 def _block_masks(P, S1, Yb, act, nr):
@@ -255,10 +262,7 @@ def _screen(P, Y, K, counts):
         thr = bound + 8.0 * 2.0 ** -24 * (ynorm + cmax) + 16.0 * 2.0 ** -53 * (ynorm + raw)
         thr[F:] += CONE_MARGIN * reach
         S1 = np.matmul(K32, Ya[:, lo:lo + n], out=S[:len(K) * n].reshape(-1, n))
-        mb, pb, col = m[:, :n], pos[:, :n], 0
-        for k, faces in T.runs:
-            mb[faces] = S1[col:col + k * len(faces)].reshape(k, -1, n).min(axis=0)
-            col += k * len(faces)
+        mb, pb = _face_minima(T.runs, S1, m[:, :n]), pos[:, :n]
         np.greater(mb, 0.0, out=pb)
         pb[:F].sum(axis=0, dtype=np.int32, out=counts[0, lo:lo + n])
         pb[F:].sum(axis=0, dtype=np.int32, out=counts[1, lo:lo + n])
@@ -357,7 +361,7 @@ def normals_from_point(P, y):
     that are not strictly interior.
     """
     y = np.asarray(y, dtype=float)
-    if not contains_interior(P, y, tol=P.tol * max(1.0, P.diameter)):
+    if not contains_interior(P, y):
         raise ValueError("query point is not strictly interior")
     tests = _face_tests(P, y[None, :])
     records = []
@@ -411,8 +415,7 @@ def perturb_to_generic(P, y, rng=None, max_tries=100):
     """
     y = np.asarray(y, dtype=float)
     rng = default_rng(0) if rng is None else rng
-    interior_tol = P.tol * max(1.0, P.diameter)
-    if not contains_interior(P, y, tol=interior_tol):
+    if not contains_interior(P, y):
         raise ValueError("query point is not strictly interior")
     tests = _face_tests(P, y[None, :])
     if not any(near.any() for _, near in tests):
@@ -420,11 +423,11 @@ def perturb_to_generic(P, y, rng=None, max_tries=100):
     # stable lower bound: faces active with a full margin survive any nearby move
     stable = sum(int((active & ~near).sum()) for active, near in tests)
     best, best_count = None, -1
-    step = max(P.diameter * 1e-7, 10.0 * interior_tol)
+    step = max(P.diameter * 1e-7, 10.0 * (P.tol * P.tol_scale))  # ten interior margins
     found = 0
     for attempt in range(max_tries):
         cand = y + step * _random_unit(rng, P.dim)
-        if not contains_interior(P, cand, tol=interior_tol):
+        if not contains_interior(P, cand):
             continue
         cm, cs, cM, cmarg = count_normals_batch(P, cand[None, :])
         if cmarg[0]:

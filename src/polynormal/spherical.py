@@ -38,6 +38,7 @@ from itertools import combinations, permutations
 import numpy as np
 from numpy.random import default_rng
 
+from .bifurcation import CHAMBER_EPS, _line_intervals, _pieces
 from .errors import Borderline, NonSimpleVertex, NotGeneric, NotSimple, ValidationError
 from .geometry import _cross, contains_interior, right_angle_defect, unit
 from .normals import _random_unit
@@ -324,15 +325,16 @@ def local_critical_test(P, v, direction):
 
     A face of v carries a critical point of the squared distance from y
     exactly when y lies in its active region: each of the face's rows in
-    ``Polytope._region_rows`` that vanishes at v (within 1e-12 times the
-    diameter) must grow along the direction.  The vertex itself is then a
-    maximum, an incident edge a saddle and an incident facet a minimum;
-    edges are listed in ``edge_ids`` order, facets in ``facet_ids`` order.
+    ``Polytope._region_rows`` that vanishes at v (within the chamber eps,
+    CHAMBER_EPS times ``P.tol_scale``) must grow along the direction.  The
+    vertex itself is then a maximum, an incident edge a saddle and an
+    incident facet a minimum; edges are listed in ``edge_ids`` order, facets
+    in ``facet_ids`` order.
     """
     fig = vertex_figure(P, v)
     d = unit(np.asarray(direction, dtype=float))
     T = P._region_rows
-    at_v = T.G @ P.vertices[v] - T.c <= 1e-12 * max(1.0, P.diameter)
+    at_v = T.G @ P.vertices[v] - T.c <= CHAMBER_EPS * P.tol_scale
     critical = np.logical_and.reduceat(~at_v | (T.G @ d > 0.0), T.starts[:-1])
     return LocalCriticalReport(bool(critical[len(T.dims) - P.n_vertices + v]),
                                tuple(e for e in fig.edge_ids if critical[P.n_facets + e]),
@@ -426,7 +428,7 @@ def shell_ratio_check(P, center=None):
     if center is None:
         center = P.centroid
     center = np.asarray(center, dtype=float)
-    if not contains_interior(P, center, tol=P.tol * max(1.0, P.diameter)):
+    if not contains_interior(P, center):
         raise ValidationError("center must be interior")
     r_in = float((P.facet_offsets - P.facet_normals @ center).min())
     r_out = float(np.linalg.norm(P.vertices - center, axis=1).max())
@@ -461,13 +463,11 @@ def ray_scan_counts(P, v, direction):
     Pieces end where the ray enters or leaves an active region (ends within
     tolerance merged), so their maximum is a certified lower bound for N(P).
     """
-    from .bifurcation import _line_intervals, _pieces
-
     origin, d = P.vertices[v], unit(np.asarray(direction, dtype=float))
     dn = P.facet_normals @ d
     ahead = dn > 1e-14
     t_exit = ((P.facet_offsets - P.facet_normals @ origin)[ahead] / dn[ahead]).min(initial=np.inf)
-    tol = max(P.tol, 1e-12) * max(1.0, P.diameter)
+    tol = max(P.tol, 1e-12) * P.tol_scale
     # with its midpoint interior, the whole open segment from v to the exit is
     if not (np.isfinite(t_exit)
             and (P.facet_normals @ (origin + 0.5 * t_exit * d) <= P.facet_offsets - tol).all()):

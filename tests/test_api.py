@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -38,6 +39,22 @@ PUBLIC = {
 
 def test_public_names_are_pinned():
     assert set(polynormal.__all__) == PUBLIC
+
+
+def test_tolerance_scale_is_computed_in_geometry_only():
+    # the body holds its tolerance scale (Polytope.tol_scale); a module that
+    # recomputes max(1.0, P.diameter) would drift from it when the policy changes
+    src = Path(polynormal.__file__).resolve().parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "max" and len(node.args) == 2
+                    and isinstance(node.args[0], ast.Constant) and node.args[0].value == 1
+                    and isinstance(node.args[1], ast.Attribute) and node.args[1].attr == "diameter"):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert [s for s in sites if not s.startswith("geometry.py:")] == []
+    assert sites  # the one place that sets it is still found
 
 
 def _bench_spans():

@@ -5,7 +5,14 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from polynormal import explorer, fixtures, geometry
-from polynormal.errors import DegenerateInput, Empty, InvariantViolation, Unbounded, ValidationError
+from polynormal.errors import (
+    DegenerateInput,
+    Empty,
+    InvariantViolation,
+    PolytopeError,
+    Unbounded,
+    ValidationError,
+)
 from polynormal.fileio import read_polytope, write_polytope
 from polynormal.geometry import (
     Polytope,
@@ -465,6 +472,44 @@ def test_contains_interior(cube):
     for _ in range(5):
         P = hull_from_points(rng.standard_normal((9, 3)))
         assert contains_interior(P, chebyshev_center(P).center)
+
+
+def test_contains_interior_default_is_relative_to_the_body():
+    # the default margin is P.tol times the body's tolerance scale, not P.tol
+    P = fixtures.cube(1e3)
+    margin = P.tol * P.diameter
+    assert margin > 1e-6
+    assert not contains_interior(P, [1e3 - 1e-7, 0.0, 0.0])
+    assert contains_interior(P, [1e3 - 2.0 * margin, 0.0, 0.0])
+    assert contains_interior(P, [1e3 - 1e-7, 0.0, 0.0], tol=P.tol)
+
+
+@pytest.mark.parametrize("half", [1.0, 1e3])
+def test_interior_checks_share_the_default_margin(half):
+    # normals_from_point, perturb_to_generic and shell_ratio_check reject a
+    # point exactly where contains_interior(P, y) does
+    from polynormal.normals import normals_from_point, perturb_to_generic
+    from polynormal.spherical import shell_ratio_check
+
+    P = fixtures.cube(half)
+    margin = P.tol * P.diameter  # the tolerance scale, max(1, diameter), of both cubes
+    checks = [(normals_from_point, ValueError), (perturb_to_generic, ValueError),
+              (shell_ratio_check, ValidationError)]
+    for depth in (0.5, 2.0):
+        for axis, side in ((0, 1.0), (1, -1.0), (2, 1.0)):
+            y = np.array([0.13, -0.37, 0.29]) * half
+            y[axis] = side * (half - depth * margin)
+            interior = contains_interior(P, y)
+            assert interior == (depth > 1.0)
+            for fn, error in checks:
+                try:
+                    fn(P, y)
+                    rejected = False
+                except error:
+                    rejected = True
+                except PolytopeError:  # so near a facet, y is near other faces' region rims
+                    rejected = False
+                assert rejected != interior, (fn.__name__, depth, axis)
 
 
 def test_polygon_lattice():
