@@ -57,6 +57,11 @@ BLOCK = 512             # cell vertices per plane product in ``_measure_cells``
 DRAW = 1 << 20          # most entries of one Monte-Carlo draw's facet product (8 MB)
 
 
+def _line_tol(P):
+    """The crossing audit's and the ray scan's tolerance along a line through P."""
+    return max(P.tol, 1e-12) * P.tol_scale
+
+
 @dataclass(frozen=True)
 class SheetPlane:
     """A plane carrying one or more sheets of the bifurcation set.
@@ -744,7 +749,7 @@ def crossing_audit(P, start, end, rng=None):
     a = perturb_to_generic(P, np.asarray(start, dtype=float), rng)
     b = perturb_to_generic(P, np.asarray(end, dtype=float), rng)
     seg = b - a
-    tol_t = max(P.tol, 1e-12) * P.tol_scale / max(np.linalg.norm(seg), 1e-300)
+    tol_t = _line_tol(P) / max(np.linalg.norm(seg), 1e-300)
     lo, hi, ends = _line_intervals(P, a, seg)
     groups, inside = _pieces(lo, hi, ends, 1.0, tol_t)
     profiles = _profiles(P, inside)

@@ -9,8 +9,8 @@ every vertex must lie on at least three face planes and above none.  An OFF
 file with no faces and the JSON vertex lists go through the hull, where
 every listed vertex has to be a hull vertex.  The hull and the halfspace
 files share geometry's one vertex enumeration, and all three 3-D builds
-share its facet route, so they give one body the same lattice; no read
-loads scipy or numpy.ma.
+share its facet route, so they give one body the same lattice.  The
+package imports no scipy, and no read loads numpy.ma.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Convex polytopes in 2-D and 3-D: hulls, face lattices, inner normal cones,
-angles and inscribed spheres.
+angles and inscribed spheres.  The package imports numpy only, never scipy.
 
 The facet cycles are laid out once, flat (``Polytope._build_edges``); the
 edges, lattice check, region rows, volume, right-angle test and sheet planes
@@ -13,7 +13,6 @@ takes planes through 3 vertices as facets, checks Euler's formula, sorts and
 refits the facets one size at a time, and raises the lattice's errors as the
 build's own error class.  Halfspaces and point clouds (through the polar)
 share one vertex enumeration, ``_clip``, with no interior point, hull or LP.
-No build loads scipy; only ``chebyshev_center`` loads scipy.optimize.
 
 Coordinates are double precision.  A single tolerance (default 1e-9) rejects
 near-degenerate input instead of resolving it exactly.  A body holds its
@@ -24,10 +23,10 @@ lengths after the build is a multiple of it.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import (
     DegenerateInput,
@@ -716,38 +715,35 @@ class ChebyshevSphere:
                 f"radius={self.radius:.6g}, tangent_facets={self.tangent_facets})")
 
 
-def chebyshev_center(P, rng=None):
+def chebyshev_center(P):
     """Center and radius of the largest inscribed sphere, plus tangency list.
 
-    When the optimum center is not unique the optimizer is swept to a vertex
-    of the optimal set, which always carries at least dim + 1 tangent facets.
+    A primal simplex maximises r over z = (x, r) subject to <n_i, x> + r <= b_i
+    and r >= 0, from vertex 0 of P with r = 0 (feasible, so there is no phase 1),
+    pivoting by Bland's rule (Bland 1977), which does not cycle.  The answer is
+    a vertex of the optimal set: at least dim + 1 facets are tangent to it.
     """
-    # imported here: the one LP caller, so that building or reading a body
-    # never loads scipy.optimize
-    from scipy.optimize import linprog
-
-    # the largest ball: maximise r subject to <n, x> + |n| r <= b
-    A_ub = np.column_stack([P.facet_normals, np.linalg.norm(P.facet_normals, axis=1)])
-    res = linprog(np.r_[np.zeros(P.dim), -1.0], A_ub=A_ub, b_ub=P.facet_offsets,
-                  bounds=[(None, None)] * P.dim + [(0, None)], method="highs")
-    if not res.success:  # pragma: no cover - P is bounded with an interior
-        raise ValidationError(f"LP solver failed: {res.message}")
-    center, radius = res.x[:P.dim], float(res.x[P.dim])
-    rng = default_rng(0) if rng is None else rng
-    # sweep within the optimal set {y : <n, y> <= b - r} to a vertex
-    shrunk = P.facet_offsets - radius + 1e-11 * P.tol_scale
-    for _ in range(4):
-        c = rng.standard_normal(P.dim)
-        res = linprog(-c, A_ub=P.facet_normals, b_ub=shrunk,
-                      bounds=[(None, None)] * P.dim, method="highs")
-        if res.success:
-            slack = P.facet_offsets - P.facet_normals @ res.x
-            if abs(slack.min() - radius) <= 1e-7 * P.tol_scale:
-                center = res.x
-                break
-    gaps = P.facet_offsets - P.facet_normals @ center - radius
-    tangent = tuple(int(i) for i in np.nonzero(gaps <= 1e-7 * P.tol_scale)[0])
-    return ChebyshevSphere(center, radius, tangent)
+    dim, m = P.dim, P.n_facets
+    A = np.block([[P.facet_normals, np.ones((m, 1))], [np.zeros((1, dim)), -np.ones((1, 1))]])
+    b = np.r_[P.facet_offsets, 0.0]
+    # the dim facets at vertex 0 with the best-conditioned normals, and r >= 0
+    basis = sorted([*max(combinations(P.vertex_facets[0], dim),
+                         key=lambda f: abs(np.linalg.det(P.facet_normals[list(f)]))), m])
+    for _ in range(20 * len(A)):  # bodies of up to 200 facets settle in under 15 pivots
+        inv = np.linalg.inv(A[basis])
+        z, y = inv @ b[basis], inv[dim]  # y = A_B^-T e_r, the duals
+        if (y >= -1e-12).all():
+            break
+        k = np.argmax(y < -1e-12)  # the basis is sorted: the smallest row index leaves
+        Au = A @ -inv[:, k]
+        rows = np.setdiff1d(np.flatnonzero(Au > 1e-12), basis)  # not empty: P is bounded
+        basis[k] = int(rows[np.argmin(np.maximum(b[rows] - A[rows] @ z, 0.0) / Au[rows])])
+        basis.sort()
+    else:  # pragma: no cover - Bland's rule does not cycle
+        raise InvariantViolation("the inscribed-ball simplex did not settle")
+    gaps = P.facet_offsets - P.facet_normals @ z[:dim]  # the radius is the least of them
+    tangent = np.flatnonzero(gaps - gaps.min() <= 1e-7 * P.tol_scale)
+    return ChebyshevSphere(z[:dim], float(gaps.min()), tuple(tangent.tolist()))
 
 
 def dihedral_angle(P, edge):

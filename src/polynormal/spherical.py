@@ -38,7 +38,7 @@ from itertools import combinations, permutations
 import numpy as np
 from numpy.random import default_rng
 
-from .bifurcation import CHAMBER_EPS, _line_intervals, _pieces
+from .bifurcation import CHAMBER_EPS, _line_intervals, _line_tol, _pieces
 from .errors import Borderline, NonSimpleVertex, NotGeneric, NotSimple, ValidationError
 from .geometry import _cross, contains_interior, right_angle_defect, unit
 from .normals import _random_unit
@@ -467,9 +467,8 @@ def ray_scan_counts(P, v, direction):
     dn = P.facet_normals @ d
     ahead = dn > 1e-14
     t_exit = ((P.facet_offsets - P.facet_normals @ origin)[ahead] / dn[ahead]).min(initial=np.inf)
-    tol = max(P.tol, 1e-12) * P.tol_scale
+    tol = _line_tol(P)
     # with its midpoint interior, the whole open segment from v to the exit is
-    if not (np.isfinite(t_exit)
-            and (P.facet_normals @ (origin + 0.5 * t_exit * d) <= P.facet_offsets - tol).all()):
+    if not (np.isfinite(t_exit) and contains_interior(P, origin + 0.5 * t_exit * d, tol)):
         return np.array([], dtype=int)
     return _pieces(*_line_intervals(P, origin, d), t_exit, tol)[1].sum(axis=1)

@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
+import sys
 from pathlib import Path
 
 import polynormal
@@ -55,6 +57,28 @@ def test_tolerance_scale_is_computed_in_geometry_only():
                 sites.append(f"{path.name}:{node.lineno}")
     assert [s for s in sites if not s.startswith("geometry.py:")] == []
     assert sites  # the one place that sets it is still found
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # the runtime dependency list is numpy alone (scipy is a test and bench
+    # oracle), so no module may import any other third-party package
+    src = Path(polynormal.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "polynormal"}
+    foreign = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {n}" for n in names
+                        if n.split(".")[0] not in allowed]
+    assert foreign == []
+    pyproject = (src.parent.parent / "pyproject.toml").read_text()
+    runtime = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', runtime) == ["numpy"]
 
 
 def _bench_spans():

@@ -447,6 +447,66 @@ def test_chebyshev_radius_is_maximal():
         assert res.status == 2  # infeasible
 
 
+def _chebyshev_bodies():
+    """The fixtures, two bodies whose vertex 0 lies on four facets, two
+    triangles and 200 random bodies of the four families."""
+    families = ("tangent_planes", "vertex_cloud", "perturbed_tetra", "perturbed_prism")
+    yield from (fixtures.cube(), fixtures.regular_tetrahedron(), fixtures.box(10, 10, 1),
+                fixtures.box(3, 1, 1), fixtures.flat_tetrahedron_10(),
+                fixtures.flat_tetrahedron_12(), fixtures.four_normal_tetrahedron(),
+                fixtures.perturbed_cube(), fixtures.generic_prism(1), fixtures.right_prism(),
+                fixtures.cube(1e3), hull_from_points(np.vstack([np.eye(3), -np.eye(3)])),
+                hull_from_points([[0, 0, 1], [1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0]]),
+                fixtures.equilateral_triangle(), fixtures.isoceles_triangle(2.5))
+    for i in range(200):
+        yield explorer.random_polytope(families[i % 4], {}, default_rng([7, i]))
+
+
+def test_chebyshev_matches_linprog():
+    # the simplex against the LP solver it replaced: the same radius, a
+    # center where the least facet gap is that radius, and a vertex of the
+    # optimal set (at least dim + 1 tangent facets)
+    four_at_vertex_0 = 0
+    for P in _chebyshev_bodies():
+        sphere = chebyshev_center(P)
+        res = linprog(np.r_[np.zeros(P.dim), -1.0],
+                      A_ub=np.column_stack([P.facet_normals, np.ones(P.n_facets)]),
+                      b_ub=P.facet_offsets, bounds=[(None, None)] * P.dim + [(0, None)],
+                      method="highs")
+        assert res.success
+        eps = 1e-12 * P.tol_scale
+        assert abs(sphere.radius - res.x[P.dim]) <= eps
+        gaps = P.facet_offsets - P.facet_normals @ sphere.center
+        assert abs(gaps.min() - sphere.radius) <= eps
+        assert len(sphere.tangent_facets) >= P.dim + 1
+        four_at_vertex_0 += len(P.vertex_facets[0]) > P.dim
+    assert four_at_vertex_0 >= 2  # the octahedron and the pyramid's apex
+
+
+def test_chebyshev_and_witness_bound_load_no_scipy(regular_tetra):
+    # the package imports numpy only: the inscribed ball and the witness
+    # bound through it run in a fresh process without any scipy module
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import polynormal
+
+    src = str(Path(polynormal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys\n"
+            "from polynormal import fixtures\n"
+            "from polynormal.explorer import witness_lower_bound\n"
+            "from polynormal.geometry import chebyshev_center\n"
+            "P = fixtures.regular_tetrahedron()\n"
+            "print(round(chebyshev_center(P).radius, 9), witness_lower_bound(P))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split("\n")[:2] == [f"{round(1 / np.sqrt(3), 9)} 14", "[]"]
+
+
 def test_dihedral_and_planar_angles(cube, regular_tetra):
     assert abs(dihedral_angle(cube, 0) - np.pi / 2) < 1e-12
     for e in range(regular_tetra.n_edges):
